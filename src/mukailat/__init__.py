@@ -16,7 +16,6 @@ from .monodromy import (GroupoidWord, MonodromyCertificate, eval_phi_tilde,
                         psi_restrict, certify, propdual_word,
                         surface_lift_in_N, istar_similitude, isharp)
 from .lemsimo import (LemsimoProblem, LemsimoSolution, build_targets,
-                      canonical_split, find_companion, solve,
-                      TargetsNotIntegral)
+                      find_companion, solve, TargetsNotIntegral)
 
 __version__ = "0.1.0"

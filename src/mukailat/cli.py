@@ -15,7 +15,7 @@ from .isometries import (Isometry, IsometryError, ori_char, det_char,
                          minus_reflection, positive_frame)
 from .discriminant import (DiscriminantData, disc_map, index_monodromy,
                            enum_disc_autos, in_W, in_N, NotFound)
-from .mukai import MukaiModel, MukaiVector, MkTriple, fm_action, v_perp, \
+from .mukai import MukaiModel, MkTriple, fm_action, v_perp, \
     hodge_ori, epsilon_ori, DecisionDegenerate
 from .monodromy import GroupoidWord, certify
 from .lemsimo import LemsimoProblem, solve, TargetsNotIntegral
@@ -39,9 +39,22 @@ def _load_json(path):
         sys.exit(2)
 
 
+def _bad_input(exc):
+    """Report malformed input on one stderr line; exit code 2."""
+    print("error: %s" % exc, file=sys.stderr)
+    return 2
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
+
+
 def cmd_info(args):
-    model = MukaiModel(args.t)
-    triple = MkTriple(args.m, args.k, args.t)
+    try:
+        model = MukaiModel(args.t)
+        triple = MkTriple(args.m, args.k, args.t)
+    except ValueError as exc:
+        return _bad_input(exc)
     vp = v_perp(model, triple.v)
     data = DiscriminantData(vp)
     _dump({
@@ -59,8 +72,7 @@ def cmd_disc_group(args):
     try:
         lat = IntegerLattice.from_json(data)
     except (LatticeError, KeyError, TypeError) as exc:
-        print("error: bad lattice: %s" % exc, file=sys.stderr)
-        return 2
+        return _bad_input("bad lattice: %s" % exc)
     _dump(DiscriminantData(lat).to_json(), args)
     return 0
 
@@ -71,9 +83,11 @@ def cmd_characters(args):
     try:
         lat = IntegerLattice.from_json(lat_json)
         g = Isometry(lat, lat, mat(iso_json["matrix"]))
-    except (LatticeError, IsometryError, KeyError, TypeError) as exc:
+    except IsometryError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except (KeyError, TypeError, ValueError) as exc:
+        return _bad_input("bad document: %r" % (exc,))
     datum = positive_frame(lat)
     data = DiscriminantData(lat)
     d = disc_map(g, data, data)
@@ -92,9 +106,12 @@ def cmd_reflect(args):
     lat_json = _load_json(args.lattice)
     try:
         lat = IntegerLattice.from_json(lat_json)
-        u = tuple(int(x) for x in args.u.split(","))
+        u = _ints(args.u)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _bad_input(exc)
+    try:
         rho = minus_reflection(lat, u)
-    except (LatticeError, IsometryError, ValueError) as exc:
+    except IsometryError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     _dump({"matrix": [list(r) for r in rho.matrix],
@@ -103,8 +120,11 @@ def cmd_reflect(args):
 
 
 def cmd_fm(args):
-    model = MukaiModel(args.t)
-    c = tuple(int(x) for x in args.c.split(",")) if args.c else None
+    try:
+        model = MukaiModel(args.t)
+        c = _ints(args.c) if args.c else None
+    except ValueError as exc:
+        return _bad_input(exc)
     try:
         phi = fm_action(model, args.kind, c)
         out = {"kind": args.kind,
@@ -125,6 +145,9 @@ def cmd_word(args):
     doc = _load_json(args.word)
     try:
         word = GroupoidWord.from_json(doc)
+    except (KeyError, TypeError, ValueError) as exc:
+        return _bad_input("bad word: %r" % (exc,))
+    try:
         cert = certify(word)
     except (KeyError, TypeError, ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)
@@ -135,12 +158,10 @@ def cmd_word(args):
 
 def cmd_lemsimo(args):
     try:
-        xi1 = tuple(int(x) for x in args.xi1.split(","))
-        xi2 = tuple(int(x) for x in args.xi2.split(","))
-        problem = LemsimoProblem(args.k, xi1, xi2, bound=args.bound)
+        problem = LemsimoProblem(args.k, _ints(args.xi1), _ints(args.xi2),
+                                 bound=args.bound)
     except ValueError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
+        return _bad_input(exc)
     try:
         sol = solve(problem)
     except NotFound as nf:
@@ -158,7 +179,11 @@ def cmd_lemsimo(args):
 
 
 def cmd_index(args):
-    _dump({"k": args.k, "index": index_monodromy(args.k),
+    try:
+        index = index_monodromy(args.k)
+    except ValueError as exc:
+        return _bad_input(exc)
+    _dump({"k": args.k, "index": index,
            "residues": enum_disc_autos(args.k)}, args)
     return 0
 
@@ -170,9 +195,7 @@ def cmd_verify(args):
         known = {n for n, _ in CHECKS}
         bad = names - known
         if bad:
-            print("error: unknown checks: %s" % ", ".join(sorted(bad)),
-                  file=sys.stderr)
-            return 2
+            return _bad_input("unknown checks: %s" % ", ".join(sorted(bad)))
     report = run_suite(cfg, names)
     if args.format == "text":
         for c in report["checks"]:
@@ -241,12 +264,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse uses exit(2) for usage errors already
-        raise
+    # argparse exits with code 2 on usage errors
+    args = build_parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -105,17 +105,6 @@ class DiscriminantData:
         y2 = self.lift(self.reduce(cls2))
         return _frac_mod(self.lattice.inner(y1, y2), 1)
 
-    def qbar_table(self):
-        t = {}
-        g = len(self.invariants)
-        for i in range(g):
-            ei = tuple(int(i == a) for a in range(g))
-            t[(i, i)] = self.q(ei)
-            for j in range(i + 1, g):
-                ej = tuple(int(j == a) for a in range(g))
-                t[(i, j)] = self.b(ei, ej)
-        return t
-
     def to_json(self):
         vals = []
         for i in range(len(self.invariants)):
@@ -403,35 +392,6 @@ def extend_isometry(phi, psi, glue1, glue2):
         e = tuple(int(i == j) for i in range(K1.rank))
         if out.apply(K1.to_ambient(e)) != K2.to_ambient(psi.apply(e)):
             raise ExtensionInternalError("extension does not restrict to psi")
-    return out
-
-
-def orth_group_elements(data, cap=2000):
-    """Brute-force list of all quadratic-form automorphisms of a discriminant
-    group, as DiscMaps.  Errors if the group order exceeds the cap."""
-    if data.order > cap:
-        raise ValueError("discriminant group too large for brute force")
-    gcount = len(data.invariants)
-    out = []
-    for images in itertools.product(data.elements(), repeat=gcount):
-        try:
-            m = DiscMap(data, data, images)
-        except IsometryError:
-            continue
-        # must be invertible and a homomorphism respecting orders
-        ok = True
-        for i in range(gcount):
-            ei = tuple(int(i == a) for a in range(gcount))
-            order = data.invariants[i]
-            scaled = data.reduce(tuple(order * x for x in m.apply(ei)))
-            if any(scaled):
-                ok = False
-                break
-        if not ok:
-            continue
-        seen = set(m.apply(c) for c in data.elements())
-        if len(seen) == data.order:
-            out.append(m)
     return out
 
 

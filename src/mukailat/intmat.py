@@ -16,10 +16,6 @@ def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def zeros(m, n):
-    return tuple((0,) * n for _ in range(m))
-
-
 def transpose(a):
     return tuple(zip(*a)) if a else ()
 
@@ -31,22 +27,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def vec_mat(v, a):
-    return tuple(sum(x * y for x, y in zip(v, col)) for col in transpose(a))
-
-
-def vec_add(u, v):
-    return tuple(x + y for x, y in zip(u, v))
-
-
-def vec_sub(u, v):
-    return tuple(x - y for x, y in zip(u, v))
-
-
-def vec_scale(c, v):
-    return tuple(c * x for x in v)
 
 
 def is_integral(a):

@@ -8,11 +8,12 @@ checked at construction.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, transpose, inv_rational,
                      is_integral, to_int)
-from .lattices import IntegerLattice, LatticeError
+from .lattices import IntegerLattice
 
 
 class IsometryError(ValueError):
@@ -97,19 +98,27 @@ def minus_identity(lat):
 
 @dataclass(frozen=True)
 class OrientationDatum:
-    """Spanning set of a maximal positive-definite subspace, as columns of a
-    rational matrix in lattice coordinates."""
+    """Spanning set of a maximal positive-definite subspace, as columns in
+    lattice coordinates.  Rational columns are scaled by the lcm of their
+    denominators: a positive multiple spans the same oriented line, and the
+    stored columns are integral."""
     lattice: IntegerLattice
     columns: tuple  # p vectors, each of length rank
 
     def __post_init__(self):
-        p_mat = transpose(self.columns)  # rank x p, columns are the vectors
+        object.__setattr__(self, "columns", tuple(
+            _clear_denominators(col) for col in self.columns))
         g = gram_of_columns(self.lattice, self.columns)
         if not _is_positive_definite(g):
             raise IsometryError("orientation datum must span a positive subspace")
         sig = self.lattice.signature()
         if len(self.columns) != sig[0]:
             raise IsometryError("orientation datum has wrong dimension")
+
+
+def _clear_denominators(col):
+    scale = lcm(*(x.denominator for x in col))
+    return tuple(int(x * scale) for x in col)
 
 
 def gram_of_columns(lat, cols):
@@ -120,28 +129,9 @@ def _is_positive_definite(g):
     n = len(g)
     for k in range(1, n + 1):
         minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-        d = _rational_det(minor)
-        if d <= 0:
+        if intmat.det(minor) <= 0:
             return False
     return True
-
-
-def _rational_det(a):
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return d
 
 
 def positive_frame(lat):
@@ -186,23 +176,19 @@ def det_char(g):
 
 def ori_char(g, datum):
     """Orientation character: 0 if g preserves the orientation of the chosen
-    positive subspace, 1 if it reverses it.  Exact: the composite
-    project-then-compare map on the subspace has a rational determinant whose
-    sign decides the value."""
+    positive subspace, 1 if it reverses it.  Projecting the image of the
+    datum back onto its span gives the matrix gp^-1 * rhs, where gp is the
+    gram of the datum and rhs[i][j] = <col_i, g(col_j)>; gp is positive
+    definite, so the sign of that determinant is the sign of det(rhs), an
+    exact integer."""
     if g.source.gram != g.target.gram:
         raise IsometryError("orientation character needs an endomorphism")
     if datum.lattice.gram != g.source.gram:
         raise IsometryError("datum belongs to a different lattice")
     lat = datum.lattice
     cols = datum.columns
-    p = len(cols)
-    gp = gram_of_columns(lat, cols)
-    # image vectors, then orthogonal projection back onto span(cols):
-    # coefficient matrix c solves gp * c[:,j] = <cols_i, g(cols_j)>
     rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
-    gp_inv = inv_rational(gp)
-    c = mat_mul(gp_inv, rhs)
-    d = _rational_det(c)
+    d = intmat.det(rhs)
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")
     return 0 if d > 0 else 1

@@ -1,16 +1,11 @@
 """Vectorized coordinate-box searches.
 
 The only numerically hot loops in the package are enumerations of lattice
-vectors with a prescribed square inside a coordinate box.  Two interchangeable
-backends compute them: a numba-compiled loop and a pure-numpy evaluation.
-Select with the environment variable MUKAILAT_BACKEND in {"numba", "numpy"};
-default is numba when importable.  Results are int64 numpy arrays in
-lexicographic order and are identical across backends; inputs that could
-overflow int64 are rejected, never wrapped.
+vectors with a prescribed square inside a coordinate box.  They are
+evaluated with numpy over the whole box.  Results are int64 numpy arrays in
+lexicographic order; inputs that could overflow int64 are rejected, never
+wrapped.
 """
-
-import itertools
-import os
 
 import numpy as np
 
@@ -35,56 +30,17 @@ def _box(n, bound):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _squares_numpy(vecs, gram):
-    g = np.asarray(gram, dtype=np.int64)
-    return np.einsum("ij,jk,ik->i", vecs, g, vecs)
-
-
-try:
-    from numba import njit
-
-    @njit(cache=True)
-    def _squares_numba(vecs, g):
-        n = vecs.shape[0]
-        d = vecs.shape[1]
-        out = np.empty(n, dtype=np.int64)
-        for i in range(n):
-            s = 0
-            for a in range(d):
-                va = vecs[i, a]
-                if va != 0:
-                    row = 0
-                    for b in range(d):
-                        row += g[a, b] * vecs[i, b]
-                    s += va * row
-            out[i] = s
-        return out
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-
 def backend_name():
-    env = os.environ.get("MUKAILAT_BACKEND", "").strip().lower()
-    if env in ("numba", "numpy"):
-        if env == "numba" and not _HAVE_NUMBA:
-            raise RuntimeError("numba backend requested but numba is unavailable")
-        return env
-    return "numba" if _HAVE_NUMBA else "numpy"
+    """Name of the box evaluator, reported in benchmark environments."""
+    return "numpy"
 
 
 def box_squares(gram, bound):
-    """(vectors, squares) over the whole box, backend-dispatched."""
+    """(vectors, squares) over the whole box."""
     _overflow_guard(gram, bound)
-    n = len(gram)
-    vecs = _box(n, bound)
+    vecs = _box(len(gram), bound)
     g = np.asarray(gram, dtype=np.int64)
-    if backend_name() == "numba":
-        sq = _squares_numba(vecs, g)
-    else:
-        sq = _squares_numpy(vecs, g)
-    return vecs, sq
+    return vecs, np.einsum("ij,jk,ik->i", vecs, g, vecs)
 
 
 def vectors_with_square(gram, bound, target):

@@ -7,12 +7,11 @@ ambient coordinates.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, hnf_row,
-                     snf, kernel_int, solve_rational, rational_rank)
+from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, snf,
+                     kernel_int, solve_rational, rational_rank)
 
 
 class LatticeError(ValueError):
@@ -80,17 +79,6 @@ class IntegerLattice:
 
     def signature(self):
         return intmat.signature(self.gram)
-
-    def dual_denominator(self):
-        return abs(self.det())
-
-    def in_dual(self, v):
-        """True if v (rational, basis coords) pairs integrally with the lattice."""
-        w = mat_vec(self.gram, v)
-        return all(Fraction(x).denominator == 1 for x in w)
-
-    def is_ambient_member(self, v):
-        return all(Fraction(x).denominator == 1 for x in v)
 
     # --- sublattice machinery (vectors in *this* lattice's coordinates) ---
 

@@ -13,16 +13,15 @@ import itertools
 from dataclasses import dataclass, field
 from math import gcd
 
+import numpy as np
+
 from . import intmat, kernels
 from .intmat import (mat, mat_vec, mat_mul, transpose, is_integral, to_int,
                      solve_rational)
-from .lattices import IntegerLattice, Embedding, LatticeError, direct_sum, \
-    hyperbolic_sum
-from .isometries import (Isometry, IsometryError, OrientationDatum, ori_char,
-                         det_char, reflection, identity_isometry,
-                         minus_identity)
-from .discriminant import (DiscriminantData, DiscMap, GlueData, NotFound,
-                           glue, extend_isometry, disc_map,
+from .lattices import IntegerLattice
+from .isometries import (Isometry, OrientationDatum, ori_char,
+                         identity_isometry, minus_identity)
+from .discriminant import (NotFound, glue, extend_isometry, disc_map,
                            identity_disc_map)
 from .mukai import H2_GRAM
 
@@ -242,37 +241,6 @@ def _reduce_gram2(g):
     return mat(((a, b), (b, d))), mat(p)
 
 
-def canonical_split(K, s_gram, bound):
-    """Isometry from K onto the block lattice U + (minus the given rank-2
-    gram), found by bounded search; honest NotFound on exhaustion."""
-    split = split_off_U(K, bound)
-    gw = tuple(tuple(split.block.gram[2 + i][2 + j] for j in range(2))
-               for i in range(2))
-    target = tuple(tuple(-s_gram[i][j] for j in range(2)) for i in range(2))
-    if gw == target:
-        pmat = intmat.identity(2)
-    else:
-        pmat = _match_gram2(gw, target, bound)
-        if pmat is None:
-            raise NotFound(bound, stage="w-match")
-    n = K.rank
-    block_gram = [[0] * n for _ in range(n)]
-    block_gram[0][1] = block_gram[1][0] = 1
-    for i in range(2):
-        for j in range(2):
-            block_gram[2 + i][2 + j] = target[i][j]
-    canon = IntegerLattice(block_gram, label="U+S(-1)")
-    # basis change on the W block: columns of pmat express the new W basis
-    full = [[0] * n for _ in range(n)]
-    full[0][0] = full[1][1] = 1
-    for i in range(2):
-        for j in range(2):
-            full[2 + i][2 + j] = pmat[i][j]
-    pinv = to_int(intmat.inv_rational(full))
-    adjust = Isometry(split.block, canon, pinv)
-    return adjust.compose(split.to_block)
-
-
 def _gram2_autos(g, bound):
     """All unimodular 2x2 p with p^T g p == g, columns drawn from the
     coordinate box of the given radius."""
@@ -396,8 +364,10 @@ def find_companion(phi, K1, K2, glue1, glue2, bound):
 
 def _disc_generators(K, split, data, bound):
     """Isometries of K whose discriminant images seed the subgroup search:
-    sign flips, the hyperbolic-plane corrections, and square +-2 reflections
-    from the coordinate box.  Deduplicated by discriminant image."""
+    sign flips, the hyperbolic-plane corrections, automorphisms of the rank-2
+    block, and the integral reflections in coordinate-box vectors (square 2,
+    then square -2, then the rest).  Deduplicated by discriminant image, so
+    the first witness of each image is kept."""
     cands = [minus_identity(K)]
     for base in (_swap_iso(split.block), _minus_u_iso(split.block)):
         cands.append(split.to_block.inverse().compose(base)
@@ -415,9 +385,6 @@ def _disc_generators(K, split, data, bound):
             base = Isometry(split.block, split.block, mat(full))
             cands.append(split.to_block.inverse().compose(base)
                          .compose(split.to_block))
-    for sq in (2, -2):
-        for u in kernels.vectors_with_square(K.gram, bound, sq):
-            cands.append(reflection(K, u))
     cands.extend(_integral_reflections(K, bound))
     seen = {}
     for iso in cands:
@@ -432,7 +399,6 @@ def _block_iso_search(g1, g2, bound, node_cap=200_000):
     m^T g2 m == g1 and columns in the coordinate box.  Columns are filled in
     order of increasing candidate-pool size; pairing constraints against the
     columns already chosen are applied vectorized.  Returns m or None."""
-    import numpy as np
     n = len(g1)
     vecs, sqs = kernels.box_squares(g2, bound)
     g2np = np.asarray(g2, dtype=np.int64)
@@ -469,19 +435,22 @@ def _block_iso_search(g1, g2, bound, node_cap=200_000):
 
 def _integral_reflections(K, radius):
     """Reflections in box vectors of any nonzero square that happen to be
-    integral on K (the square divides twice every pairing value)."""
-    from itertools import product
-    out = []
+    integral on K (the square divides twice every pairing value).  Square 2
+    comes first, then square -2, then every other square, each in
+    lexicographic box order."""
+    vecs, sqs = kernels.box_squares(K.gram, radius)
     n = K.rank
-    for u in product(range(-radius, radius + 1), repeat=n):
-        if not any(u):
-            continue
-        sq = K.norm(u)
-        if sq == 0:
-            continue
+    # narrow an index array one gram column at a time: no second full-box
+    # array is built, and the overflow guard of box_squares bounds pair2
+    idx = np.flatnonzero(sqs)
+    for j in range(n):
+        pair2 = 2 * sum(vecs[idx, i] * K.gram[i][j] for i in range(n))
+        idx = idx[pair2 % sqs[idx] == 0]
+    hit = sqs[idx]
+    idx = np.concatenate((idx[hit == 2], idx[hit == -2], idx[abs(hit) != 2]))
+    out = []
+    for u, sq in zip(vecs[idx].tolist(), sqs[idx].tolist()):
         gu = mat_vec(K.gram, u)
-        if any((2 * c) % sq != 0 for c in gu):
-            continue
         cols = []
         for j in range(n):
             coef = 2 * gu[j] // sq
@@ -541,23 +510,28 @@ def solve(problem):
 
     def lift_correction(base):
         corr = split2.to_block.inverse().compose(base).compose(split2.to_block)
-        d = disc_map(corr, glue2.disc_comp, glue2.disc_comp)
-        assert d.is_identity()
+        if not disc_map(corr, glue2.disc_comp, glue2.disc_comp).is_identity():
+            raise RuntimeError("correction acts on the discriminant")
         return extend_isometry(identity_isometry(s2), corr, glue2, glue2)
 
     if g.det() == -1:
         eta = lift_correction(_swap_iso(split2.block))
-        assert eta.det() == -1
+        if eta.det() != -1:
+            raise RuntimeError("determinant correction has determinant 1")
         g = eta.compose(g)
         trace.append({"stage": "det-fix"})
     if ori_char(g, U3_DATUM) == 1:
         theta = lift_correction(_minus_u_iso(split2.block))
-        assert theta.det() == 1 and ori_char(theta, U3_DATUM) == 1
+        if theta.det() != 1 or ori_char(theta, U3_DATUM) != 1:
+            raise RuntimeError("orientation correction is not a pure "
+                               "orientation flip")
         g = theta.compose(g)
         trace.append({"stage": "ori-fix"})
 
-    assert g.det() == 1
-    assert ori_char(g, U3_DATUM) == 0
+    if g.det() != 1:
+        raise RuntimeError("pipeline produced determinant %d" % g.det())
+    if ori_char(g, U3_DATUM) != 0:
+        raise RuntimeError("pipeline reversed the orientation")
     for xi, beta in ((problem.xi1, beta1), (problem.xi2, beta2)):
         expect = tuple(b - fv for b, fv in zip(beta, F_VEC))
         if g.apply(xi) != expect:

@@ -11,12 +11,10 @@ determinant, orientation, and discriminant characters.
 from dataclasses import dataclass, field
 
 from .intmat import mat, transpose, is_integral, to_int
-from .lattices import IntegerLattice
 from .isometries import (Isometry, IsometryError, OrientationDatum,
                          det_char, ori_char, identity_isometry)
 from .discriminant import disc_map, in_N as disc_in_N, DiscriminantData
-from .mukai import (MukaiModel, MukaiVector, MkTriple, fm_action, v_perp,
-                    epsilon_ori, H2_GRAM)
+from .mukai import MkTriple, fm_action, v_perp, epsilon_ori
 
 
 class WordError(ValueError):

@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import intmat
 from .intmat import mat, mat_vec, transpose, solve_rational
-from .lattices import IntegerLattice, Embedding, LatticeError
-from .isometries import (Isometry, IsometryError, OrientationDatum, ori_char,
-                         identity_isometry)
+from .lattices import IntegerLattice, Embedding
+from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 
 
 class DecisionDegenerate(ValueError):

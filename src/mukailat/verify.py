@@ -6,31 +6,25 @@ is byte-stable for a fixed configuration.
 """
 
 import random
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import intmat
-from .intmat import transpose, mat_vec
-from .lattices import IntegerLattice, LatticeError, direct_sum, \
-    hyperbolic_sum, rank_one
+from .intmat import transpose
+from .lattices import LatticeError, direct_sum, hyperbolic_sum, rank_one
 from .isometries import (Isometry, OrientationDatum, ori_char, det_char,
                          reflection, minus_reflection, identity_isometry,
                          minus_identity)
-from .discriminant import (DiscriminantData, disc_map, enum_disc_autos,
-                           count_distinct_primes, index_monodromy, glue,
-                           extend_isometry, ExtensionObstructed, NotFound,
-                           in_N as disc_in_N)
-from .mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing, v_perp,
-                    fm_action, hodge_ori, epsilon_ori, DecisionDegenerate,
-                    H2_GRAM, MUKAI_GRAM)
-from .monodromy import (GroupoidWord, certify, propdual_word,
-                        surface_lift_in_N, minus_dual_restricted,
+from .discriminant import (DiscriminantData, disc_map, count_distinct_primes,
+                           index_monodromy, glue, extend_isometry,
+                           ExtensionObstructed, NotFound)
+from .mukai import (MukaiModel, MukaiVector, MkTriple, v_perp, fm_action,
+                    hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM)
+from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         istar_similitude, isharp, vperp_datum, tensor_l,
-                        poincare, poincare_dual, elliptic, inverse,
-                        surface_lift, eval_phi_tilde)
-from .lemsimo import (LemsimoProblem, solve, AMBIENT, U3_DATUM, F_VEC,
-                      TargetsNotIntegral)
+                        poincare, poincare_dual, elliptic, surface_lift,
+                        eval_phi_tilde)
+from .lemsimo import LemsimoProblem, solve, AMBIENT, U3_DATUM, F_VEC
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,14 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
+def assert_bad_input(capsys, *argv):
+    """Malformed input exits 2 with one error line and no traceback."""
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_info(capsys):
     code, out, _ = run_cli(capsys, "info", "--m", "2", "--k", "3")
     assert code == 0
@@ -21,6 +29,8 @@ def test_info(capsys):
     assert doc["vperp_signature"] == [3, 4]
     assert doc["vperp_disc_invariants"] == [6]
     assert doc["index_over_monodromy"] == 2
+    for bad in (("--t", "1"), ("--m", "0"), ("--k", "2")):
+        assert_bad_input(capsys, "info", *bad)
 
 
 def test_index(capsys):
@@ -29,6 +39,7 @@ def test_index(capsys):
     doc = json.loads(out)
     assert doc["index"] == 4
     assert doc["residues"] == [1, 5, 7, 11]
+    assert_bad_input(capsys, "index", "--k", "0")
 
 
 def test_disc_group(tmp_path, capsys):
@@ -66,6 +77,10 @@ def test_characters(tmp_path, capsys):
     assert doc["ori"] == 0
     assert doc["disc"] == "+id"
     assert doc["in_W"] is True and doc["in_N"] is False
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"rows": [[1]]}))
+    assert_bad_input(capsys, "characters", str(lpath), str(bad))
+    assert_bad_input(capsys, "characters", str(bad), str(ipath))
 
 
 def test_reflect(tmp_path, capsys):
@@ -79,6 +94,7 @@ def test_reflect(tmp_path, capsys):
     assert doc["square"] == -2
     code, _, err = run_cli(capsys, "reflect", str(path), "--u", "1,2,0,0,0,0")
     assert code == 1
+    assert_bad_input(capsys, "reflect", str(path), "--u", "1,x,0,0,0,0")
 
 
 def test_fm(capsys):
@@ -89,6 +105,7 @@ def test_fm(capsys):
     assert doc["hodge_ori"] == 1
     code, _, err = run_cli(capsys, "fm", "tensor", "--c", "0,0,1,0,0,0")
     assert code == 1
+    assert_bad_input(capsys, "fm", "tensor", "--c", "1,x")
 
 
 def test_word(tmp_path, capsys):
@@ -107,6 +124,9 @@ def test_word(tmp_path, capsys):
     assert doc["in_N"] is True
     assert doc["ori"] == 1
     assert doc["characters"]["det"] == -1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"tokens": []}))
+    assert_bad_input(capsys, "word", str(bad))
 
 
 def test_lemsimo(capsys):

@@ -1,19 +1,19 @@
 """Discriminant groups, glue data, and extension of isometries."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
-from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
-                                 reflection)
+from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
+                                 minus_identity, reflection)
 from mukailat.discriminant import (DiscriminantData, DiscMap, disc_group,
                                    disc_map, identity_disc_map,
                                    enum_disc_autos, count_distinct_primes,
                                    index_monodromy, glue, extend_isometry,
-                                   ExtensionObstructed, NotFound,
-                                   orth_group_elements, in_W, in_N)
+                                   ExtensionObstructed, NotFound, in_W, in_N)
 
 
 def _perp(k):
@@ -87,6 +87,35 @@ def test_disc_map_compose_and_inverse():
     assert d.compose(d).is_identity()
     assert d.inverse() == d
     assert identity_disc_map(data).sign() == 1
+
+
+def orth_group_elements(data, cap=2000):
+    """Brute-force list of all quadratic-form automorphisms of a discriminant
+    group, as DiscMaps.  Errors if the group order exceeds the cap."""
+    if data.order > cap:
+        raise ValueError("discriminant group too large for brute force")
+    gcount = len(data.invariants)
+    out = []
+    for images in itertools.product(data.elements(), repeat=gcount):
+        try:
+            m = DiscMap(data, data, images)
+        except IsometryError:
+            continue
+        # must be invertible and a homomorphism respecting orders
+        ok = True
+        for i in range(gcount):
+            ei = tuple(int(i == a) for a in range(gcount))
+            order = data.invariants[i]
+            scaled = data.reduce(tuple(order * x for x in m.apply(ei)))
+            if any(scaled):
+                ok = False
+                break
+        if not ok:
+            continue
+        seen = set(m.apply(c) for c in data.elements())
+        if len(seen) == data.order:
+            out.append(m)
+    return out
 
 
 def test_orth_group_elements_matches_residue_count():

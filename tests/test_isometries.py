@@ -1,14 +1,19 @@
 """Isometries, reflections, and the determinant / orientation characters."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from mukailat.intmat import identity, mat
-from mukailat.lattices import (IntegerLattice, hyperbolic_plane,
-                               hyperbolic_sum, direct_sum, rank_one)
+from mukailat.intmat import inv_rational, mat_mul
+from mukailat.kernels import vectors_with_square
+from mukailat.lattices import (hyperbolic_plane, hyperbolic_sum, direct_sum,
+                               rank_one)
 from mukailat.isometries import (Isometry, IsometryError, OrientationDatum,
                                  identity_isometry, minus_identity,
                                  positive_frame, det_char, ori_char,
-                                 reflection, minus_reflection)
+                                 gram_of_columns, reflection,
+                                 minus_reflection)
 
 
 def _u3_minus():
@@ -105,3 +110,55 @@ def test_isometry_json_roundtrip():
     back = Isometry.from_json(swap.to_json())
     assert back.matrix == swap.matrix
     assert back.source.gram == u.gram
+
+
+def _fraction_det(a):
+    n = len(a)
+    m = [[Fraction(x) for x in row] for row in a]
+    d = Fraction(1)
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            d = -d
+        d *= m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def _reference_ori_char(g, lat, cols):
+    """The former formula: the sign of det(gp^-1 * rhs) over Q, with the
+    datum columns taken as given (rational entries allowed)."""
+    gp = gram_of_columns(lat, cols)
+    rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
+    d = _fraction_det(mat_mul(inv_rational(gp), rhs))
+    assert d != 0
+    return 0 if d > 0 else 1
+
+
+def test_ori_char_matches_rational_reference():
+    fixed = ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
+             (0, 0, 0, 0, 1, 1, 0))
+    rng = random.Random(11)
+    for k in (2, 3, 5, 6):
+        lat = direct_sum(hyperbolic_sum(3), rank_one(-2 * k))
+        frame = positive_frame(lat)
+        assert all(isinstance(x, int) for col in frame.columns for x in col)
+        # positive rational multiples of the frame columns
+        scaled = tuple(tuple(Fraction(x, d) for x in col)
+                       for col, d in zip(frame.columns, (2, 3, 7)))
+        data = ((OrientationDatum(lat, fixed), fixed),
+                (frame, frame.columns),
+                (OrientationDatum(lat, scaled), scaled))
+        roots = (vectors_with_square(lat.gram, 1, 2)
+                 + vectors_with_square(lat.gram, 1, -2))
+        for _ in range(6):
+            g = identity_isometry(lat)
+            for u in rng.sample(roots, rng.randint(1, 4)):
+                g = reflection(lat, u).compose(g)
+            for datum, cols in data:
+                assert ori_char(g, datum) == _reference_ori_char(g, lat, cols)

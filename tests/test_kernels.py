@@ -1,10 +1,5 @@
-"""Backend-dispatched box searches: agreement, ordering, guard rails."""
+"""Box searches: squares, ordering, guard rails."""
 
-import os
-import subprocess
-import sys
-
-import numpy as np
 import pytest
 
 from mukailat import kernels
@@ -16,7 +11,7 @@ U2_GRAM = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 
 
 def test_backend_name_is_known():
-    assert backend_name() in ("numba", "numpy")
+    assert backend_name() == "numpy"
 
 
 def test_squares_match_python_reference():
@@ -25,24 +20,6 @@ def test_squares_match_python_reference():
         ref = sum(int(v[i]) * U2_GRAM[i][j] * int(v[j])
                   for i in range(4) for j in range(4))
         assert int(s) == ref
-
-
-def test_backends_agree():
-    if not kernels._HAVE_NUMBA:
-        pytest.skip("numba not available")
-    g = np.asarray(U2_GRAM, dtype=np.int64)
-    vecs = kernels._box(4, 3)
-    assert (kernels._squares_numba(vecs, g)
-            == kernels._squares_numpy(vecs, g)).all()
-
-
-def test_backend_env_override():
-    env = dict(os.environ, MUKAILAT_BACKEND="numpy")
-    out = subprocess.run(
-        [sys.executable, "-c",
-         "from mukailat.kernels import backend_name; print(backend_name())"],
-        env=env, capture_output=True, text=True)
-    assert out.stdout.strip() == "numpy"
 
 
 def test_vectors_with_square_lex_order():

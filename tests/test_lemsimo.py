@@ -1,17 +1,27 @@
 """End-to-end normal-form pipeline: targets, splittings, companion, solve."""
 
+import functools
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mukailat.intmat import mat, mat_mul, transpose, det, identity
+import mukailat
+from mukailat.intmat import mat, mat_mul, mat_vec, transpose, det
 from mukailat.discriminant import NotFound
-from mukailat.isometries import ori_char
+from mukailat.isometries import Isometry, ori_char, reflection
+from mukailat.kernels import vectors_with_square
+from mukailat.lattices import IntegerLattice
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, TargetsNotIntegral,
                               split_off_U, iter_splits, AMBIENT, U3_DATUM,
                               F_VEC, _reduce_gram2, _match_gram2,
-                              _gram2_autos, _block_iso_search)
+                              _gram2_autos, _block_iso_search,
+                              _integral_reflections)
 from mukailat.verify import sample_admissible_pair
 
 
@@ -146,3 +156,91 @@ def test_bound_zero_reports_not_found():
         solve(prob)
     assert exc.value.bound == 0
     assert exc.value.stage.startswith("companion")
+
+
+def _reference_integral_reflections(K, radius):
+    """The former pure-Python enumeration of integral reflections, kept as a
+    reference for the box-based one."""
+    out = []
+    n = K.rank
+    for u in itertools.product(range(-radius, radius + 1), repeat=n):
+        if not any(u):
+            continue
+        sq = K.norm(u)
+        if sq == 0:
+            continue
+        gu = mat_vec(K.gram, u)
+        if any((2 * c) % sq != 0 for c in gu):
+            continue
+        cols = []
+        for j in range(n):
+            coef = 2 * gu[j] // sq
+            cols.append(tuple((1 if i == j else 0) - coef * u[i]
+                              for i in range(n)))
+        out.append(Isometry(K, K, transpose(cols)))
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _split_blocks():
+    """U+W block grams of the splittings of a few pipeline complements."""
+    rng = random.Random(5)
+    blocks = []
+    for k in (3, 4, 5):
+        xi1, xi2 = sample_admissible_pair(rng, k)
+        _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
+        k1 = AMBIENT.orth_complement(phi.source)
+        blocks += [s.block.gram for s in itertools.islice(iter_splits(k1, 4),
+                                                          3)]
+    return tuple(blocks)
+
+
+@st.composite
+def small_even_grams(draw):
+    """Symmetric, even, nondegenerate rank-4 grams with small entries."""
+    g = [[0] * 4 for _ in range(4)]
+    for i in range(4):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, 4):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    gram = mat(g)
+    assume(det(gram) != 0)
+    return gram
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), radius=st.integers(1, 3))
+def test_integral_reflections_match_reference(data, radius):
+    gram = data.draw(st.one_of(small_even_grams(),
+                               st.sampled_from(_split_blocks())))
+    K = IntegerLattice(gram)
+    got = _integral_reflections(K, radius)
+    ref = _reference_integral_reflections(K, radius)
+    assert sorted(r.matrix for r in got) == sorted(r.matrix for r in ref)
+    first = [reflection(K, u) for sq in (2, -2)
+             for u in vectors_with_square(K.gram, radius, sq)]
+    assert got[:len(first)] == first
+
+
+def test_solve_raises_when_a_correction_fails_under_optimize():
+    """The self-checks of solve are exceptions, so python -O keeps them: a
+    determinant correction that fixes nothing must raise, not return an
+    answer of determinant -1."""
+    stages = [s["stage"] for s in solve(LemsimoProblem(**FIXTURE)).trace]
+    assert "det-fix" in stages
+    script = """
+import mukailat.lemsimo as lm
+from mukailat.isometries import identity_isometry
+lm._swap_iso = identity_isometry
+try:
+    sol = lm.solve(lm.LemsimoProblem(**%r))
+except RuntimeError as exc:
+    print("RuntimeError", exc)
+else:
+    print("returned det", sol.g.det())
+""" % (FIXTURE,)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mukailat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.startswith("RuntimeError"), out.stdout
