@@ -6,8 +6,8 @@ from .lattices import IntegerLattice, Embedding, LatticeError, direct_sum, \
 from .isometries import (Isometry, IsometryError, OrientationDatum,
                          reflection, minus_reflection, ori_char, det_char,
                          identity_isometry, minus_identity, positive_frame)
-from .discriminant import (DiscriminantData, DiscMap, GlueData, disc_group,
-                           disc_map, enum_disc_autos, glue, extend_isometry,
+from .discriminant import (DiscriminantData, DiscMap, GlueData, disc_map,
+                           enum_disc_autos, glue, extend_isometry,
                            ExtensionObstructed, NotFound, in_W, in_N,
                            index_monodromy)
 from .mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing, v_perp,

@@ -114,10 +114,6 @@ class DiscriminantData:
         return {"invariants": list(self.invariants), "qbar": vals}
 
 
-def disc_group(lattice):
-    return DiscriminantData(lattice)
-
-
 class DiscMap:
     """Homomorphism between discriminant groups, given by generator images."""
 
@@ -297,39 +293,30 @@ def glue(S, K):
     im_s = [disc_s.class_of(proj(S, bs, h)) for h in gens]
     im_k = [disc_k.class_of(proj(K, bk, h)) for h in gens]
 
-    def check_generates(images, data, side):
+    def generator_matrix(images, data):
+        """Columns: the images, then the relations d_i * e_i of the group."""
         t = len(data.invariants)
-        if t == 0:
-            return
-        cols = [list(im) for im in images]
-        cols += [[data.invariants[i] if a == i else 0 for i in range(t)]
+        cols = [tuple(im) for im in images]
+        cols += [tuple(data.invariants[i] if a == i else 0 for i in range(t))
                  for a in range(t)]
-        m = tuple(tuple(col[i] for col in cols) for i in range(t))
-        d, _, _ = snf(m)
-        if any(d[i][i] != 1 for i in range(t)):
-            raise LatticeError("projection to %s is not surjective" % side)
+        return transpose(cols)
 
-    check_generates(im_s, disc_s, "A_S")
-    check_generates(im_k, disc_k, "A_K")
+    m_s = generator_matrix(im_s, disc_s)
+    for m, side in ((m_s, "A_S"), (generator_matrix(im_k, disc_k), "A_K")):
+        d, _, _ = snf(m)
+        if any(d[i][i] != 1 for i in range(len(m))):
+            raise LatticeError("projection to %s is not surjective" % side)
 
     # gamma on each generator of A_S: write it through the projection images
     # of the glue generators, then push the same combination into A_K
     gcount = len(disc_s.invariants)
-    t = gcount
     images = []
     for i in range(gcount):
-        ei = tuple(int(i == a) for a in range(t))
-        if t:
-            cols = [list(im) for im in im_s]
-            cols += [[disc_s.invariants[r] if a == r else 0 for r in range(t)]
-                     for a in range(t)]
-            m = tuple(tuple(col[r] for col in cols) for r in range(t))
-            x = intmat.solve_integer(m, ei)
-            if x is None:
-                raise LatticeError("glue generator expression failed")
-            coeffs = x[:len(gens)]
-        else:
-            coeffs = ()
+        ei = tuple(int(i == a) for a in range(gcount))
+        x = intmat.solve_integer(m_s, ei)
+        if x is None:
+            raise LatticeError("glue generator expression failed")
+        coeffs = x[:len(gens)]
         img = [0] * len(disc_k.invariants)
         for c, imk in zip(coeffs, im_k):
             for a in range(len(img)):

@@ -297,25 +297,6 @@ def kernel_int(a):
     return tuple(vt[j] for j in range(rank, cols))
 
 
-def rational_rank(a):
-    m = [[Fraction(x) for x in row] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        p = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c] != 0:
-                f = m[i][c] / p
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
 def signature(g):
     """Exact signature (p, q) of a nondegenerate symmetric integer matrix,
     by congruent diagonalization over Q."""
@@ -352,10 +333,3 @@ def signature(g):
         work = nxt
     return (p, q)
 
-
-def gcd_list(xs):
-    from math import gcd
-    g = 0
-    for x in xs:
-        g = gcd(g, x)
-    return g

@@ -11,7 +11,7 @@ from math import gcd
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, snf,
-                     kernel_int, solve_rational, rational_rank)
+                     kernel_int, solve_rational)
 
 
 class LatticeError(ValueError):
@@ -91,9 +91,10 @@ class IntegerLattice:
         rows = mat(gens)
         if not rows:
             raise LatticeError("need at least one generator")
-        r = rational_rank(rows)
         # saturated basis: the first r rows of inv(V^T) where snf(rows)=U D V
+        # and r is the rank, the number of nonzero entries of D
         d, u, v = snf(rows)
+        r = sum(1 for i in range(min(len(d), self.rank)) if d[i][i] != 0)
         vinv = intmat.inv_unimodular(v)
         sat = tuple(tuple(vinv[j][c] for c in range(self.rank)) for j in range(r))
         sat = row_basis(sat)

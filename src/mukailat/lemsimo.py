@@ -118,7 +118,25 @@ class Split:
     (u, u', w1, w2) with u, u' the standard isotropic pair."""
     lattice: IntegerLattice
     block: IntegerLattice     # gram U + gram(W)
+    from_block: Isometry      # block -> lattice, columns u, u', w1, w2
     to_block: Isometry        # lattice -> block
+    w_gram: tuple             # gram(W)
+
+    def pull_back(self, base):
+        """The isometry of the lattice that acts as `base` on the block."""
+        return self.from_block.compose(base).compose(self.to_block)
+
+
+# splittings of each complement tried by the companion search
+MAX_SPLITS = 32
+U_GRAM = ((0, 1), (1, 0))
+
+
+def _block_diag(top, bottom):
+    """Block-diagonal matrix with the square blocks top and bottom."""
+    a, b = len(top), len(bottom)
+    return (tuple(tuple(r) + (0,) * b for r in top)
+            + tuple((0,) * a + tuple(r) for r in bottom))
 
 
 def iter_splits(K, bound):
@@ -126,7 +144,6 @@ def iter_splits(K, bound):
     gram, from primitive isotropic box vectors pairing onto all of Z.
     Different isotropic vectors can produce inequivalent complements, so a
     caller searching for a particular complement should try several."""
-    n = K.rank
     seen = set()
     for u in kernels.isotropic_vectors(K.gram, bound):
         if gcd(*[abs(c) for c in u]) != 1:
@@ -141,26 +158,23 @@ def iter_splits(K, bound):
         # complement of the plane <u, u'> inside K
         cond = mat((mat_vec(K.gram, u), mat_vec(K.gram, uprime)))
         wbasis = intmat.row_basis(intmat.kernel_int(cond))
+        gw = mat_mul(mat_mul(wbasis, K.gram), transpose(wbasis))
         if len(wbasis) == 2:
-            gw0 = mat_mul(mat_mul(wbasis, K.gram), transpose(wbasis))
-            _, p = _reduce_gram2(gw0)
+            gw, p = _reduce_gram2(gw)
             wbasis = mat_mul(transpose(p), wbasis)
         newbasis = mat((u, uprime) + tuple(wbasis))
         if abs(intmat.det(newbasis)) != 1:
             continue
-        gw = mat_mul(mat_mul(wbasis, K.gram), transpose(wbasis))
         if gw in seen:
             continue
         seen.add(gw)
-        block_gram = [[0] * n for _ in range(n)]
-        block_gram[0][1] = block_gram[1][0] = 1
-        for i in range(n - 2):
-            for j in range(n - 2):
-                block_gram[2 + i][2 + j] = gw[i][j]
-        block = IntegerLattice(block_gram, label="U+W")
-        minv = to_int(intmat.inv_rational(transpose(newbasis)))
-        iso = Isometry(K, block, minv)
-        yield Split(K, block, iso)
+        block = IntegerLattice(_block_diag(U_GRAM, gw), label="U+W")
+        from_block = Isometry(block, K, transpose(newbasis))
+        yield Split(K, block, from_block, from_block.inverse(), gw)
+
+
+def _first_splits(K, bound):
+    return list(itertools.islice(iter_splits(K, bound), MAX_SPLITS))
 
 
 def split_off_U(K, bound):
@@ -241,25 +255,9 @@ def _reduce_gram2(g):
     return mat(((a, b), (b, d))), mat(p)
 
 
-def _gram2_autos(g, bound):
-    """All unimodular 2x2 p with p^T g p == g, columns drawn from the
-    coordinate box of the given radius."""
-    c1s = kernels.vectors_with_square(g, bound, g[0][0])
-    c2s = kernels.vectors_with_square(g, bound, g[1][1])
-    out = []
-    for c1 in c1s:
-        row = mat_vec(g, c1)
-        for c2 in c2s:
-            if row[0] * c2[0] + row[1] * c2[1] != g[0][1]:
-                continue
-            p = ((c1[0], c2[0]), (c1[1], c2[1]))
-            if abs(intmat.det(p)) == 1:
-                out.append(p)
-    return out
-
-
-def _match_gram2(g_from, g_to, bound):
-    """First unimodular 2x2 p (lex order) with p^T g_from p == g_to."""
+def _gram2_maps(g_from, g_to, bound):
+    """Unimodular 2x2 p with p^T g_from p == g_to, columns drawn from the
+    coordinate box of the given radius, in lexicographic order."""
     c1s = kernels.vectors_with_square(g_from, bound, g_to[0][0])
     c2s = kernels.vectors_with_square(g_from, bound, g_to[1][1])
     for c1 in c1s:
@@ -269,33 +267,27 @@ def _match_gram2(g_from, g_to, bound):
                 continue
             p = ((c1[0], c2[0]), (c1[1], c2[1]))
             if abs(intmat.det(p)) == 1:
-                return p
-    return None
+                yield p
 
 
 def _swap_iso(block):
     """Interchange the two isotropic generators of the split-off plane."""
-    n = block.rank
-    m = [[0] * n for _ in range(n)]
-    m[0][1] = m[1][0] = 1
-    for i in range(2, n):
-        m[i][i] = 1
-    return Isometry(block, block, mat(m))
+    return Isometry(block, block,
+                    _block_diag(U_GRAM, intmat.identity(block.rank - 2)))
 
 
 def _minus_u_iso(block):
     """Minus the identity on the split-off plane, identity elsewhere."""
-    n = block.rank
-    m = [[0] * n for _ in range(n)]
-    m[0][0] = m[1][1] = -1
-    for i in range(2, n):
-        m[i][i] = 1
-    return Isometry(block, block, mat(m))
+    return Isometry(block, block, _block_diag(
+        ((-1, 0), (0, -1)), intmat.identity(block.rank - 2)))
 
 
-def find_companion(phi, K1, K2, glue1, glue2, bound):
-    """Isometry of the complements whose discriminant action matches the glue
-    requirement for phi; bounded search, honest NotFound."""
+def find_companion(phi, glue1, glue2, splits2, bound):
+    """Isometry of the complements glue1.comp -> glue2.comp whose
+    discriminant action matches the glue requirement for phi; bounded
+    search, honest NotFound.  splits2 are the splittings of glue2.comp to
+    pair with those of glue1.comp, in order."""
+    K1, K2 = glue1.comp, glue2.comp
     phibar = disc_map(phi, glue1.disc_sub, glue2.disc_sub)
     target = glue2.gamma.compose(phibar).compose(glue1.gamma.inverse())
 
@@ -307,33 +299,22 @@ def find_companion(phi, K1, K2, glue1, glue2, bound):
     if bound <= 0:
         raise NotFound(bound, stage="companion")
 
-    splits1 = list(itertools.islice(iter_splits(K1, bound), 32))
-    splits2 = list(itertools.islice(iter_splits(K2, bound), 32))
+    splits1 = _first_splits(K1, bound)
     if not splits1 or not splits2:
         raise NotFound(bound, stage="split")
-    n = K1.rank
-
-    def wgram(split):
-        return tuple(tuple(split.block.gram[2 + i][2 + j]
-                           for j in range(n - 2)) for i in range(n - 2))
 
     # rank-2 complements of different splittings can be inequivalent even
     # when the full lattices are isometric, so scan pairs of splittings
     split1 = split2 = full = None
     for s1, s2 in itertools.product(splits1, splits2):
-        gw1, gw2 = wgram(s1), wgram(s2)
-        if gw1 == gw2:
-            pmat = intmat.identity(n - 2)
+        if s1.w_gram == s2.w_gram:
+            pmat = intmat.identity(K1.rank - 2)
         else:
-            pmat = _match_gram2(gw2, gw1, bound)
+            pmat = next(_gram2_maps(s2.w_gram, s1.w_gram, bound), None)
             if pmat is None:
                 continue
-        full = [[0] * n for _ in range(n)]
-        full[0][0] = full[1][1] = 1
-        for i in range(n - 2):
-            for j in range(n - 2):
-                full[2 + i][2 + j] = pmat[i][j]
-        split1, split2, full = s1, s2, mat(full)
+        split1, split2 = s1, s2
+        full = _block_diag(intmat.identity(2), pmat)
         break
     if full is None:
         split1, split2 = splits1[0], splits2[0]
@@ -341,7 +322,7 @@ def find_companion(phi, K1, K2, glue1, glue2, bound):
         if full is None:
             raise NotFound(bound, stage="companion-w")
     mid = Isometry(split1.block, split2.block, full)
-    psi0 = split2.to_block.inverse().compose(mid).compose(split1.to_block)
+    psi0 = split2.from_block.compose(mid).compose(split1.to_block)
 
     d_k1 = glue1.disc_comp
     d_k2 = glue2.disc_comp
@@ -370,21 +351,12 @@ def _disc_generators(K, split, data, bound):
     the first witness of each image is kept."""
     cands = [minus_identity(K)]
     for base in (_swap_iso(split.block), _minus_u_iso(split.block)):
-        cands.append(split.to_block.inverse().compose(base)
-                     .compose(split.to_block))
-    gw = tuple(tuple(split.block.gram[2 + i][2 + j]
-                     for j in range(K.rank - 2)) for i in range(K.rank - 2))
-    if len(gw) == 2:
-        for pm in _gram2_autos(gw, bound):
-            n = K.rank
-            full = [[0] * n for _ in range(n)]
-            full[0][0] = full[1][1] = 1
-            for i in range(2):
-                for j in range(2):
-                    full[2 + i][2 + j] = pm[i][j]
-            base = Isometry(split.block, split.block, mat(full))
-            cands.append(split.to_block.inverse().compose(base)
-                         .compose(split.to_block))
+        cands.append(split.pull_back(base))
+    if len(split.w_gram) == 2:
+        for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
+            base = Isometry(split.block, split.block,
+                            _block_diag(intmat.identity(2), pm))
+            cands.append(split.pull_back(base))
     cands.extend(_integral_reflections(K, bound))
     seen = {}
     for iso in cands:
@@ -498,18 +470,21 @@ def solve(problem):
     trace.append({"stage": "glue",
                   "disc_S1": glue1.disc_sub.invariants,
                   "disc_K1": glue1.disc_comp.invariants})
+    splits2 = _first_splits(k2, problem.bound)
     try:
-        psi = find_companion(phi, k1, k2, glue1, glue2, problem.bound)
+        psi = find_companion(phi, glue1, glue2, splits2, problem.bound)
     except NotFound as nf:
         raise NotFound(nf.bound, stage="companion:" + nf.stage)
     trace.append({"stage": "companion", "matrix": psi.matrix})
     g = extend_isometry(phi, psi, glue1, glue2)
     trace.append({"stage": "extend", "det": g.det()})
 
-    split2 = split_off_U(k2, problem.bound)
+    if not splits2:
+        raise NotFound(problem.bound, stage="split")
+    split2 = splits2[0]
 
     def lift_correction(base):
-        corr = split2.to_block.inverse().compose(base).compose(split2.to_block)
+        corr = split2.pull_back(base)
         if not disc_map(corr, glue2.disc_comp, glue2.disc_comp).is_identity():
             raise RuntimeError("correction acts on the discriminant")
         return extend_isometry(identity_isometry(s2), corr, glue2, glue2)

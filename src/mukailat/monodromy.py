@@ -14,7 +14,7 @@ from .intmat import mat, transpose, is_integral, to_int
 from .isometries import (Isometry, IsometryError, OrientationDatum,
                          det_char, ori_char, identity_isometry)
 from .discriminant import disc_map, in_N as disc_in_N, DiscriminantData
-from .mukai import MkTriple, fm_action, v_perp, epsilon_ori
+from .mukai import MkTriple, fm_action, v_perp, epsilon_ori, h2_lift
 
 
 class WordError(ValueError):
@@ -83,16 +83,7 @@ def _token_isometry(token, model):
             raise WordError("surface lift must have determinant 1")
         if ori_char(h, model.h2_datum) != 0:
             raise WordError("surface lift must be orientation preserving")
-        cols = []
-        n = 8
-        for j in range(n):
-            if j in (0, 7):
-                cols.append(tuple(int(i == j) for i in range(n)))
-            else:
-                e6 = tuple(int(i == j - 1) for i in range(6))
-                im = h.apply(e6)
-                cols.append((0,) + tuple(im) + (0,))
-        return Isometry(model.lattice, model.lattice, transpose(cols))
+        return h2_lift(model, h)
     if token.kind == "tensor":
         return fm_action(model, "tensor", token.params[0])
     if token.kind == "poincare":
@@ -139,6 +130,20 @@ def vperp_datum(lat):
                                   (0, 0, 0, 0, 1, 1, 0)))
 
 
+def restrict(g, sub, sign=1):
+    """sign * g restricted to a sublattice `sub` of its lattice, in the
+    basis of `sub`; WordError if it does not map `sub` into itself."""
+    cols = []
+    for j in range(sub.rank):
+        e = tuple(int(i == j) for i in range(sub.rank))
+        im = g.apply(sub.to_ambient(e))
+        cols.append(sub.from_ambient(tuple(sign * x for x in im)))
+    m = transpose(cols)
+    if not is_integral(m):
+        raise WordError("restriction left the sublattice")
+    return Isometry(sub, sub, to_int(m))
+
+
 def psi_restrict(g, triple, model=None, vp=None):
     """Sign-twisted restriction to the complement of the Mukai vector:
     (-1)^ori(g) times g restricted to the canonical complement basis."""
@@ -147,17 +152,7 @@ def psi_restrict(g, triple, model=None, vp=None):
     if g.apply(v8) != v8:
         raise WordError("isometry does not fix the Mukai vector")
     vp = vp or v_perp(model, triple.v)
-    sign = -1 if epsilon_ori(model, g) else 1
-    cols = []
-    for j in range(vp.rank):
-        e = tuple(int(i == j) for i in range(vp.rank))
-        im = g.apply(vp.to_ambient(e))
-        coords = vp.from_ambient(tuple(sign * x for x in im))
-        cols.append(coords)
-    m = transpose(cols)
-    if not is_integral(m):
-        raise WordError("restriction left the sublattice")
-    return Isometry(vp, vp, to_int(m))
+    return restrict(g, vp, -1 if epsilon_ori(model, g) else 1)
 
 
 @dataclass(frozen=True)
@@ -223,15 +218,10 @@ def minus_dual_restricted(triple, model=None):
     basis (the reflection composite in the square -2 vectors (1,0,1) and
     (1,0,-1), restricted)."""
     model = model or triple.model()
-    vp = v_perp(model, triple.v)
-    n = vp.rank
-    cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        amb = vp.to_ambient(e)
-        im = (-amb[0],) + tuple(amb[1:7]) + (-amb[7],)  # minus dual
-        cols.append(vp.from_ambient(im))
-    return Isometry(vp, vp, to_int(transpose(cols)))
+    minus_dual = Isometry(model.lattice, model.lattice, tuple(
+        tuple((-1 if i in (0, 7) else 1) * int(i == j) for j in range(8))
+        for i in range(8)))
+    return restrict(minus_dual, v_perp(model, triple.v))
 
 
 def istar_similitude(x, m):

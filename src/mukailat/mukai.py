@@ -233,16 +233,18 @@ def fm_action(model, kind, c=None):
     return Isometry(model.lattice, model.lattice, transpose(cols))
 
 
+def h2_lift(model, h):
+    """The isometry of the rank-8 lattice acting as the U^3 isometry h in
+    degree 2 and as the identity in degrees 0 and 4."""
+    m = (((1,) + (0,) * 7,)
+         + tuple((0,) + tuple(row) + (0,) for row in h.matrix)
+         + ((0,) * 7 + (1,),))
+    return Isometry(model.lattice, model.lattice, m)
+
+
 def epsilon_ori(model, phi):
     """Orientation character against the fixed positive 4-frame."""
     return ori_char(phi, model.eps)
-
-
-def _in_h11(model, x):
-    rho1 = (0, 0, 0, 1, 1, 0, 0, 0)
-    rho2 = (0, 0, 0, 0, 0, 1, 1, 0)
-    return (model.lattice.inner(x, rho1) == 0
-            and model.lattice.inner(x, rho2) == 0)
 
 
 def hodge_ori(model, phi):

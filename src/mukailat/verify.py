@@ -12,18 +12,18 @@ from fractions import Fraction
 from . import intmat
 from .intmat import transpose
 from .lattices import LatticeError, direct_sum, hyperbolic_sum, rank_one
-from .isometries import (Isometry, OrientationDatum, ori_char, det_char,
-                         reflection, minus_reflection, identity_isometry,
-                         minus_identity)
+from .isometries import (ori_char, det_char, reflection, minus_reflection,
+                         identity_isometry, minus_identity)
 from .discriminant import (DiscriminantData, disc_map, count_distinct_primes,
                            index_monodromy, glue, extend_isometry,
                            ExtensionObstructed, NotFound)
 from .mukai import (MukaiModel, MukaiVector, MkTriple, v_perp, fm_action,
-                    hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM)
+                    hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM,
+                    h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
-                        istar_similitude, isharp, vperp_datum, tensor_l,
-                        poincare, poincare_dual, elliptic, surface_lift,
-                        eval_phi_tilde)
+                        restrict, istar_similitude, isharp, vperp_datum,
+                        tensor_l, poincare, poincare_dual, elliptic,
+                        surface_lift, eval_phi_tilde)
 from .lemsimo import LemsimoProblem, solve, AMBIENT, U3_DATUM, F_VEC
 
 
@@ -54,12 +54,6 @@ def _rng(cfg, idx):
 def _perp_lattice(k):
     return direct_sum(hyperbolic_sum(3), rank_one(-2 * k),
                       label="U^3+<-%d>" % (2 * k))
-
-
-def _perp_datum(lat):
-    return OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
-                                  (0, 0, 1, 1, 0, 0, 0),
-                                  (0, 0, 0, 0, 1, 1, 0)))
 
 
 def _sample_pm2_vector(rng, k, coord_bound=20):
@@ -94,7 +88,7 @@ def check_character_table(cfg):
     tested = 0
     for k in range(3, 11):
         lat = _perp_lattice(k)
-        datum = _perp_datum(lat)
+        datum = vperp_datum(lat)
         data = DiscriminantData(lat)
         for _ in range(per_k):
             u = _sample_pm2_vector(rng, k)
@@ -253,12 +247,7 @@ def check_propdual(cfg):
         s1 = (1, 0, 0, 0, 0, 0, 0, -1)
         comp = reflection(model.lattice, s).compose(
             reflection(model.lattice, s1))
-        vp = target.source
-        cols = [vp.from_ambient(comp.apply(vp.to_ambient(
-            tuple(int(i == j) for i in range(vp.rank)))))
-            for j in range(vp.rank)]
-        refl_rest = Isometry(vp, vp, intmat.to_int(transpose(cols)))
-        if refl_rest.matrix != target.matrix:
+        if restrict(comp, target.source).matrix != target.matrix:
             return "fail", {"m": m, "k": k, "case": "reflection-vs-dual"}
         for p in (1, 2):
             cert = propdual_word(triple, p, model)
@@ -371,14 +360,7 @@ def _conjugation_identity(g, xi1, xi2, beta1, beta2, k, model):
     """Lift g to the rank-8 lattice and compare conjugated reflection
     composites with the reflections in the images."""
     lat = model.lattice
-    cols = []
-    for j in range(8):
-        if j in (0, 7):
-            cols.append(tuple(int(i == j) for i in range(8)))
-        else:
-            e6 = tuple(int(i == j - 1) for i in range(6))
-            cols.append((0,) + tuple(g.apply(e6)) + (0,))
-    gt = Isometry(lat, lat, transpose(cols))
+    gt = h2_lift(model, g)
     u1 = (1,) + tuple(xi1) + (k,)
     u2 = (1,) + tuple(xi2) + (k,)
     t1 = (1,) + tuple(b - f for b, f in zip(beta1, F_VEC)) + (k,)

@@ -9,11 +9,11 @@ from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
                                  minus_identity, reflection)
-from mukailat.discriminant import (DiscriminantData, DiscMap, disc_group,
-                                   disc_map, identity_disc_map,
-                                   enum_disc_autos, count_distinct_primes,
-                                   index_monodromy, glue, extend_isometry,
-                                   ExtensionObstructed, NotFound, in_W, in_N)
+from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
+                                   identity_disc_map, enum_disc_autos,
+                                   count_distinct_primes, index_monodromy,
+                                   glue, extend_isometry, ExtensionObstructed,
+                                   NotFound, in_W, in_N)
 
 
 def _perp(k):

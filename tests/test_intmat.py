@@ -9,8 +9,7 @@ from mukailat import intmat
 from mukailat.intmat import (mat, identity, transpose, mat_mul, mat_vec, det,
                              hnf_row, row_basis, snf, solve_integer,
                              solve_rational, inv_unimodular, inv_rational,
-                             kernel_int, rational_rank, signature, is_integral,
-                             to_int, gcd_list)
+                             kernel_int, signature, is_integral, to_int)
 
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -129,6 +128,26 @@ def test_inv_unimodular_roundtrip():
         inv_unimodular(((2, 0), (0, 1)))
 
 
+def rational_rank(a):
+    """Rank over Q by Fraction elimination: the reference for kernel_int."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        p = m[r][c]
+        for i in range(r + 1, rows):
+            if m[i][c] != 0:
+                f = m[i][c] / p
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+    return r
+
+
 @given(rect_matrices())
 @settings(max_examples=150, deadline=None)
 def test_kernel_int_spans_kernel(a):
@@ -155,5 +174,3 @@ def test_integrality_helpers():
     assert is_integral(((Fraction(2, 1), 3),))
     assert not is_integral(((Fraction(1, 2),),))
     assert to_int(((Fraction(4, 2), 1),)) == ((2, 1),)
-    assert gcd_list((4, 6, 8)) == 2
-    assert gcd_list(()) == 0

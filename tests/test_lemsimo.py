@@ -1,6 +1,7 @@
 """End-to-end normal-form pipeline: targets, splittings, companion, solve."""
 
 import functools
+import hashlib
 import itertools
 import os
 import random
@@ -16,12 +17,12 @@ from mukailat.discriminant import NotFound
 from mukailat.isometries import Isometry, ori_char, reflection
 from mukailat.kernels import vectors_with_square
 from mukailat.lattices import IntegerLattice
+import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, TargetsNotIntegral,
                               split_off_U, iter_splits, AMBIENT, U3_DATUM,
-                              F_VEC, _reduce_gram2, _match_gram2,
-                              _gram2_autos, _block_iso_search,
-                              _integral_reflections)
+                              F_VEC, _reduce_gram2, _gram2_maps,
+                              _block_iso_search, _integral_reflections)
 from mukailat.verify import sample_admissible_pair
 
 
@@ -90,14 +91,14 @@ def test_match_gram2_finds_congruence():
     g = ((2, 1), (1, -10))
     p0 = ((1, 1), (0, 1))
     target = mat_mul(mat_mul(transpose(p0), mat(g)), p0)
-    p = _match_gram2(mat(g), target, 5)
+    p = next(_gram2_maps(mat(g), target, 5), None)
     assert p is not None
     assert mat_mul(mat_mul(transpose(p), mat(g)), p) == target
 
 
 def test_gram2_autos_contains_signs():
     g = ((-4, 0), (0, -4))
-    autos = _gram2_autos(mat(g), 3)
+    autos = list(_gram2_maps(mat(g), mat(g), 3))
     assert ((1, 0), (0, 1)) in autos
     assert ((-1, 0), (0, -1)) in autos
     assert ((1, 0), (0, -1)) in autos
@@ -147,6 +148,34 @@ def test_solve_random_admissible_pairs():
             sol = solve(LemsimoProblem(k, xi1, xi2, bound=10))
             assert sol.g.det() == 1
             assert ori_char(sol.g, U3_DATUM) == 0
+
+
+def test_solve_answers_are_pinned():
+    """g and the stage trace of nine seeded solves hash to the value the
+    pipeline produced before its stages shared one Split record."""
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    for k in (3, 4, 5):
+        for _ in range(3):
+            xi1, xi2 = sample_admissible_pair(rng, k)
+            sol = solve(LemsimoProblem(k, xi1, xi2))
+            digest.update(repr((sol.g.matrix, sol.trace)).encode())
+    assert digest.hexdigest() == \
+        "cf36e7a60bdb95f98e28b633b5895f6d139e5f206826e9eeaaa85e75aa0e10ec"
+
+
+def test_solve_lists_the_splits_of_k2_once(monkeypatch):
+    labels = []
+    real = lemsimo.iter_splits
+
+    def counting(K, bound):
+        labels.append(K.label)
+        return real(K, bound)
+
+    monkeypatch.setattr(lemsimo, "iter_splits", counting)
+    sol = solve(LemsimoProblem(**FIXTURE))
+    assert "det-fix" in [s["stage"] for s in sol.trace]
+    assert labels.count("K2") == 1
 
 
 def test_bound_zero_reports_not_found():

@@ -6,10 +6,12 @@ from mukailat.mukai import MukaiModel, MkTriple, v_perp, fm_action
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
                                 congruence_id, inverse, eval_phi_tilde,
-                                psi_restrict, certify, propdual_word,
+                                restrict, psi_restrict, certify, propdual_word,
                                 surface_lift_in_N, minus_dual_restricted,
                                 vperp_datum, istar_similitude, isharp)
-from mukailat.isometries import det_char, ori_char
+from mukailat.isometries import (Isometry, det_char, ori_char,
+                                 identity_isometry)
+from mukailat.lattices import hyperbolic_sum
 from mukailat.discriminant import DiscriminantData, disc_map
 
 
@@ -57,6 +59,20 @@ def test_surface_lift_validation():
     word = GroupoidWord(_triple(), (surface_lift(swap),))
     with pytest.raises(WordError):
         eval_phi_tilde(word, model)
+
+
+def test_restrict_rejects_a_non_integral_result():
+    # the swap of e and f maps the index-2 sublattice <2e, f, e2, ..> onto
+    # <e, 2f, e2, ..>, so f goes to half of the basis vector 2e
+    u3 = hyperbolic_sum(3)
+    rows = [tuple(int(i == j) for j in range(6)) for i in range(6)]
+    sub = u3.span([(2, 0, 0, 0, 0, 0)] + rows[1:])
+    swap = Isometry(u3, u3, [rows[1], rows[0]] + rows[2:])
+    with pytest.raises(WordError):
+        restrict(swap, sub)
+    assert restrict(identity_isometry(u3), sub).is_identity()
+    assert restrict(identity_isometry(u3), sub, -1).matrix == \
+        tuple(tuple(-x for x in r) for r in rows)
 
 
 def test_psi_restrict_requires_fixed_vector():
