@@ -9,7 +9,7 @@ import argparse
 import json
 import sys
 
-from .intmat import mat
+from .intmat import int_matrix, json_object
 from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, IsometryError, ori_char, det_char,
                          minus_reflection, positive_frame)
@@ -82,7 +82,8 @@ def cmd_characters(args):
     iso_json = _load_json(args.isometry)
     try:
         lat = IntegerLattice.from_json(lat_json)
-        g = Isometry(lat, lat, mat(iso_json["matrix"]))
+        matrix = int_matrix(json_object(iso_json, "isometry")["matrix"])
+        g = Isometry(lat, lat, matrix)
     except IsometryError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
@@ -189,7 +190,10 @@ def cmd_index(args):
 
 
 def cmd_verify(args):
-    cfg = VerifyConfig(seed=args.seed, bound=args.bound, t=args.t)
+    try:
+        cfg = VerifyConfig(seed=args.seed, bound=args.bound, t=args.t)
+    except ValueError as exc:
+        return _bad_input(exc)
     names = set(args.only.split(",")) if args.only else None
     if names:
         known = {n for n, _ in CHECKS}

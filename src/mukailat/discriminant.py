@@ -12,8 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, transpose, snf, inv_unimodular,
-                     solve_rational, is_integral, to_int)
+from .intmat import mat, mat_mul, mat_vec, transpose, snf, inv_unimodular
 from .lattices import IntegerLattice, LatticeError
 from .isometries import Isometry, IsometryError
 
@@ -286,12 +285,14 @@ def glue(S, K):
     if h_order != disc_s.order or h_order != disc_k.order:
         raise LatticeError("glue group order does not match the discriminants")
 
-    def proj(lat, basis, h):
-        rhs = mat_vec(mat_mul(basis, L.gram), h)
-        return solve_rational(lat.gram, rhs)
+    def proj_classes(lat, data):
+        """Classes of the orthogonal projections of the glue generators."""
+        num, den = lat.projection
+        return [data.class_of(tuple(Fraction(x, den) for x in mat_vec(num, h)))
+                for h in gens]
 
-    im_s = [disc_s.class_of(proj(S, bs, h)) for h in gens]
-    im_k = [disc_k.class_of(proj(K, bk, h)) for h in gens]
+    im_s = proj_classes(S, disc_s)
+    im_k = proj_classes(K, disc_k)
 
     def generator_matrix(images, data):
         """Columns: the images, then the relations d_i * e_i of the group."""
@@ -349,27 +350,19 @@ def extend_isometry(phi, psi, glue1, glue2):
     if lhs != rhs:
         raise ExtensionObstructed("discriminant actions do not match through glue")
 
-    L1 = S1.embedding.ambient
-    L2 = S2.embedding.ambient
-    n = L1.rank
-    bs1, bk1 = S1.embedding.basis, K1.embedding.basis
-    bs2, bk2 = S2.embedding.basis, K2.embedding.basis
-    cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        cs = solve_rational(S1.gram, mat_vec(mat_mul(bs1, L1.gram), e))
-        ck = solve_rational(K1.gram, mat_vec(mat_mul(bk1, L1.gram), e))
-        ims = mat_vec(phi.matrix, cs)
-        imk = mat_vec(psi.matrix, ck)
-        amb = tuple(sum(c * b for c, b in zip(ims, col))
-                    for col in transpose(bs2))
-        amb2 = tuple(sum(c * b for c, b in zip(imk, col))
-                     for col in transpose(bk2))
-        cols.append(tuple(a + b for a, b in zip(amb, amb2)))
-    m = transpose(cols)
-    if not is_integral(m):
+    # an ambient vector is the sum of its projections to S1 and K1, so the
+    # extension is (dk * B_S2^T phi num_S1 + ds * B_K2^T psi num_K1) / (ds dk)
+    num_s, ds = S1.projection
+    num_k, dk = K1.projection
+    on_s = mat_mul(mat_mul(transpose(S2.embedding.basis), phi.matrix), num_s)
+    on_k = mat_mul(mat_mul(transpose(K2.embedding.basis), psi.matrix), num_k)
+    den = ds * dk
+    m = tuple(tuple(dk * a + ds * b for a, b in zip(rs, rk))
+              for rs, rk in zip(on_s, on_k))
+    if any(x % den for row in m for x in row):
         raise ExtensionInternalError("rational extension is not integral")
-    out = Isometry(L1, L2, to_int(m))
+    out = Isometry(S1.embedding.ambient, S2.embedding.ambient,
+                   tuple(tuple(x // den for x in row) for row in m))
     # the restrictions must reproduce phi and psi exactly
     for j in range(S1.rank):
         e = tuple(int(i == j) for i in range(S1.rank))

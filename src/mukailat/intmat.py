@@ -12,6 +12,28 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
+def json_object(doc, what):
+    """doc, if it is a JSON object; TypeError otherwise."""
+    if not isinstance(doc, dict):
+        raise TypeError("%s must be a JSON object" % what)
+    return doc
+
+
+def int_vector(items):
+    """A JSON list of ints as a tuple; TypeError for floats, bools or other
+    entries, so nothing non-integral enters the exact routines."""
+    if not isinstance(items, list) or any(type(x) is not int for x in items):
+        raise TypeError("expected a list of integers, got %r" % (items,))
+    return tuple(items)
+
+
+def int_matrix(rows):
+    """A JSON list of integer rows as a matrix; TypeError otherwise."""
+    if not isinstance(rows, list):
+        raise TypeError("expected a list of rows, got %r" % (rows,))
+    return tuple(int_vector(r) for r in rows)
+
+
 def identity(n):
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
@@ -211,13 +233,13 @@ def snf(a):
 
 
 def inv_unimodular(a):
-    """Inverse of a unimodular integer matrix, exact and integral."""
-    n = len(a)
-    d = det(a)
-    if d not in (1, -1):
+    """Inverse of a unimodular integer matrix, exact and integral: the HNF
+    of a unimodular matrix is the identity, so its transform u (u*a == 1)
+    is the inverse."""
+    h, u = hnf_row(a)
+    if h != identity(len(a)):
         raise ValueError("matrix is not unimodular")
-    inv = inv_rational(a)
-    return to_int(inv)
+    return u
 
 
 def inv_rational(a):

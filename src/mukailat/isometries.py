@@ -11,8 +11,8 @@ from fractions import Fraction
 from math import lcm
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, transpose, inv_rational,
-                     is_integral, to_int)
+from .intmat import (mat, mat_mul, mat_vec, transpose, inv_unimodular,
+                     int_matrix, json_object)
 from .lattices import IntegerLattice
 
 
@@ -55,10 +55,11 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self):
-        inv = inv_rational(self.matrix)
-        if not is_integral(inv):
-            raise IsometryError("inverse is not integral")
-        return Isometry(self.target, self.source, to_int(inv))
+        try:
+            inv = inv_unimodular(self.matrix)
+        except ValueError:
+            raise IsometryError("inverse is not integral") from None
+        return Isometry(self.target, self.source, inv)
 
     def power(self, n):
         if self.source.gram != self.target.gram:
@@ -82,9 +83,12 @@ class Isometry:
 
     @classmethod
     def from_json(cls, data):
+        """Isometry from a JSON document; TypeError for a document that is
+        not an object or for non-integer matrix entries."""
+        json_object(data, "isometry")
         return cls(IntegerLattice.from_json(data["source"]),
                    IntegerLattice.from_json(data["target"]),
-                   mat(data["matrix"]))
+                   int_matrix(data["matrix"]))
 
 
 def identity_isometry(lat):

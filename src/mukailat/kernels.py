@@ -10,6 +10,7 @@ wrapped.
 import numpy as np
 
 _INT64_MAX = 2 ** 62  # one spare bit of headroom
+_MAX_BOX = 50_000_000  # vectors in one box search
 
 
 def _overflow_guard(gram, bound):
@@ -20,10 +21,18 @@ def _overflow_guard(gram, bound):
         raise OverflowError("box search would exceed int64 range")
 
 
+def max_box_bound(n):
+    """Largest bound whose n-dimensional box [-bound, bound]^n is searched."""
+    bound = 0
+    while (2 * bound + 3) ** n <= _MAX_BOX:
+        bound += 1
+    return bound
+
+
 def _box(n, bound):
     """All vectors with coordinates in [-bound, bound], lexicographic order."""
     side = 2 * bound + 1
-    if side ** n > 50_000_000:
+    if side ** n > _MAX_BOX:
         raise MemoryError("box of %d^%d vectors is too large" % (side, n))
     rng = np.arange(-bound, bound + 1, dtype=np.int64)
     grids = np.meshgrid(*([rng] * n), indexing="ij")

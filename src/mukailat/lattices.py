@@ -7,11 +7,13 @@ ambient coordinates.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from math import gcd
+from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, snf,
-                     kernel_int, solve_rational)
+                     kernel_int, inv_rational, int_matrix, json_object)
 
 
 class LatticeError(ValueError):
@@ -143,13 +145,29 @@ class IntegerLattice:
         return tuple(sum(c * b for c, b in zip(v, col))
                      for col in transpose(self.embedding.basis))
 
+    @cached_property
+    def projection(self):
+        """(num, den): num is the integer r x n matrix den * gram^-1 * B * G
+        (B the embedding basis, G the ambient gram), so num @ w / den are the
+        coordinates of the orthogonal projection of an ambient vector w.
+        The denominators of gram^-1 are cleared first: every product is
+        over Z."""
+        if self.embedding is None:
+            raise LatticeError("lattice has no embedding")
+        ginv = inv_rational(self.gram)
+        den = lcm(*(x.denominator for row in ginv for x in row))
+        scaled = tuple(tuple(int(x * den) for x in row) for row in ginv)
+        bg = mat_mul(self.embedding.basis, self.embedding.ambient.gram)
+        return mat_mul(scaled, bg), den
+
     def from_ambient(self, w):
         """Express an ambient vector in this lattice's basis (exact; may be
         rational for dual points).  Raises if w is not in the rational span."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
-        bt = transpose(self.embedding.basis)  # n x r
-        return solve_rational(bt, w)
+        num, den = self.projection
+        c = mat_vec(num, w)
+        if self.to_ambient(c) != tuple(den * x for x in w):
+            raise LatticeError("vector is not in the span of the sublattice")
+        return tuple(Fraction(x, den) for x in c)
 
     # --- JSON interchange ---
 
@@ -164,11 +182,16 @@ class IntegerLattice:
 
     @classmethod
     def from_json(cls, data):
+        """Lattice from a JSON document; TypeError for a document that is not
+        an object or for non-integer gram or basis entries."""
+        json_object(data, "lattice")
         emb = None
         if data.get("embedding"):
-            amb = cls.from_json(data["embedding"]["ambient"])
-            emb = Embedding(amb, mat(data["embedding"]["basis"]))
-        return cls(mat(data["gram"]), label=data.get("label"), embedding=emb)
+            doc = json_object(data["embedding"], "embedding")
+            emb = Embedding(cls.from_json(doc["ambient"]),
+                            int_matrix(doc["basis"]))
+        return cls(int_matrix(data["gram"]), label=data.get("label"),
+                   embedding=emb)
 
 
 def hyperbolic_plane():

@@ -39,6 +39,14 @@ U3_DATUM = OrientationDatum(AMBIENT, ((1, 1, 0, 0, 0, 0),
 F_VEC = (0, 1, 0, 0, 0, 0)
 
 
+def check_bound(bound):
+    """ValueError unless the searches of a solve can run their rank-4 box
+    of coordinates in [-bound, bound]."""
+    top = kernels.max_box_bound(4)
+    if not 0 <= bound <= top:
+        raise ValueError("bound must be in 0..%d, got %d" % (top, bound))
+
+
 @dataclass(frozen=True)
 class LemsimoProblem:
     k: int
@@ -49,8 +57,7 @@ class LemsimoProblem:
     def __post_init__(self):
         if self.k <= 2:
             raise ValueError("k must be > 2")
-        if self.bound < 0:
-            raise ValueError("bound must be >= 0")
+        check_bound(self.bound)
         for xi in (self.xi1, self.xi2):
             if len(xi) != 6:
                 raise ValueError("vectors live in a rank-6 lattice")

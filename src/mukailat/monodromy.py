@@ -10,7 +10,8 @@ determinant, orientation, and discriminant characters.
 
 from dataclasses import dataclass, field
 
-from .intmat import mat, transpose, is_integral, to_int
+from .intmat import (mat, transpose, is_integral, to_int, int_matrix,
+                     int_vector, json_object)
 from .isometries import (Isometry, IsometryError, OrientationDatum,
                          det_char, ori_char, identity_isometry)
 from .discriminant import disc_map, in_N as disc_in_N, DiscriminantData
@@ -37,12 +38,14 @@ class Token:
 
     @classmethod
     def from_json(cls, d):
-        kind = d["kind"]
-        p = d.get("params") or {}
+        """Token from a JSON document; TypeError for a document that is not
+        an object or for non-integer matrix or class entries."""
+        kind = json_object(d, "token")["kind"]
+        p = json_object(d.get("params") or {}, "token params")
         if kind == "surface_lift":
-            return cls(kind, (mat(p["matrix"]),))
+            return cls(kind, (int_matrix(p["matrix"]),))
         if kind == "tensor":
-            return cls(kind, (tuple(p["c"]),))
+            return cls(kind, (int_vector(p["c"]),))
         if kind == "inverse":
             return cls(kind, (cls.from_json(p["token"]),))
         return cls(kind)

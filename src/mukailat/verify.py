@@ -24,7 +24,8 @@ from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         restrict, istar_similitude, isharp, vperp_datum,
                         tensor_l, poincare, poincare_dual, elliptic,
                         surface_lift, eval_phi_tilde)
-from .lemsimo import LemsimoProblem, solve, AMBIENT, U3_DATUM, F_VEC
+from .lemsimo import (LemsimoProblem, solve, check_bound, AMBIENT, U3_DATUM,
+                      F_VEC)
 
 
 @dataclass(frozen=True)
@@ -39,6 +40,10 @@ class VerifyConfig:
     nikulin_samples: int = 200
     lemsimo_samples: int = 20
     similitude_samples: int = 100
+
+    def __post_init__(self):
+        MukaiModel(self.t)  # ValueError unless t >= 2
+        check_bound(self.bound)
 
     def to_json(self):
         return {k: getattr(self, k) for k in (

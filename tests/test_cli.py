@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
@@ -59,6 +60,11 @@ def test_disc_group_bad_input_exit_2(tmp_path, capsys):
         main(["disc-group", str(path)])
     assert exc.value.code == 2
     capsys.readouterr()
+    line = hyperbolic_sum(3).saturate(((1, 2, 0, 0, 0, 0),)).to_json()
+    line["embedding"]["basis"] = [[1.0, 2, 0, 0, 0, 0]]
+    for doc in ([1, 2], {"gram": [[2.0, 1.0], [1.0, 2.0]]}, line):
+        path.write_text(json.dumps(doc))
+        assert_bad_input(capsys, "disc-group", str(path))
 
 
 def test_characters(tmp_path, capsys):
@@ -81,6 +87,10 @@ def test_characters(tmp_path, capsys):
     bad.write_text(json.dumps({"rows": [[1]]}))
     assert_bad_input(capsys, "characters", str(lpath), str(bad))
     assert_bad_input(capsys, "characters", str(bad), str(ipath))
+    for doc in ({"matrix": [[float(x) for x in r] for r in rho.matrix]},
+                [list(r) for r in rho.matrix]):
+        bad.write_text(json.dumps(doc))
+        assert_bad_input(capsys, "characters", str(lpath), str(bad))
 
 
 def test_reflect(tmp_path, capsys):
@@ -127,6 +137,11 @@ def test_word(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"tokens": []}))
     assert_bad_input(capsys, "word", str(bad))
+    doc = word.to_json()
+    doc["tokens"][0]["params"]["c"] = [1.0, 2, 0, 0, 0, 0]
+    for tokens in (doc["tokens"], [5]):
+        bad.write_text(json.dumps(dict(doc, tokens=tokens)))
+        assert_bad_input(capsys, "word", str(bad))
 
 
 def test_lemsimo(capsys):
@@ -143,6 +158,9 @@ def test_lemsimo_bad_input_exit_2(capsys):
                            "--xi1", "2,2,0,0,0,0", "--xi2", "0,0,1,2,0,0")
     assert code == 2
     assert "primitive" in err
+    for bound in ("-1", "60"):  # 60: a box of 121^4 vectors
+        assert_bad_input(capsys, "lemsimo", "--k", "3", "--xi1", "1,2,0,0,0,0",
+                         "--xi2", "0,0,1,2,0,0", "--bound", bound)
 
 
 def test_verify_subset_and_determinism(capsys):
@@ -161,6 +179,31 @@ def test_verify_unknown_check_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nope")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_out_of_range_arguments_exit_2(capsys):
+    assert_bad_input(capsys, "verify", "--only", "lemsimo-pipeline",
+                     "--bound", "-1")
+    assert_bad_input(capsys, "verify", "--only", "lemsimo-pipeline",
+                     "--bound", "60")
+    assert_bad_input(capsys, "verify", "--t", "1")
+
+
+# SHA-256 of the stdout of each command, taken before sublattice coordinates
+# came from one integer projection and unimodular inverses from the HNF
+PINNED_OUTPUTS = (
+    (("lemsimo", "--k", "3", "--xi1", "1,2,0,0,0,0", "--xi2", "0,0,1,2,0,0"),
+     "f37fd6396e6500ca5dd8ba92f2cd879cd6c058eeab331c3b182551f48484cca6"),
+    (("verify", "--only", "propdual-certificate,vperp-structure"),
+     "16aa0394af77961010fbf154dcf648b3950705cf8135f13a92b698fe96d0b4c5"),
+)
+
+
+@pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
+def test_outputs_are_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_text_format(capsys):

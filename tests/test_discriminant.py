@@ -1,10 +1,12 @@
 """Discriminant groups, glue data, and extension of isometries."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
+from mukailat.intmat import solve_rational, to_int, transpose
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
@@ -14,6 +16,8 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    count_distinct_primes, index_monodromy,
                                    glue, extend_isometry, ExtensionObstructed,
                                    NotFound, in_W, in_N)
+from mukailat.lemsimo import AMBIENT, LemsimoProblem, solve
+from mukailat.verify import sample_admissible_pair
 
 
 def _perp(k):
@@ -165,6 +169,32 @@ def test_extend_minus_identity_pair():
     ext = extend_isometry(minus_identity(s), minus_identity(k), gd, gd)
     assert ext.matrix == tuple(tuple(-int(i == j) for j in range(6))
                                for i in range(6))
+
+
+def _restriction(g, sub1, sub2):
+    """g restricted to sub1 -> sub2, each column solved over Q against the
+    basis of sub2 (the reference for the integer projection)."""
+    bt = transpose(sub2.embedding.basis)
+    cols = []
+    for j in range(sub1.rank):
+        e = tuple(int(i == j) for i in range(sub1.rank))
+        cols.append(solve_rational(bt, g.apply(sub1.to_ambient(e))))
+    return Isometry(sub1, sub2, to_int(transpose(cols)))
+
+
+def test_extend_restrictions_of_solve_outputs_returns_g():
+    rng = random.Random(5)
+    for k in (3, 4, 5):
+        xi1, xi2 = sample_admissible_pair(rng, k)
+        g = solve(LemsimoProblem(k, xi1, xi2)).g
+        for gens in ((xi1, xi2), (xi1,)):
+            s1 = AMBIENT.saturate(gens)
+            s2 = AMBIENT.saturate([g.apply(b) for b in s1.embedding.basis])
+            k1, k2 = AMBIENT.orth_complement(s1), AMBIENT.orth_complement(s2)
+            ext = extend_isometry(_restriction(g, s1, s2),
+                                  _restriction(g, k1, k2),
+                                  glue(s1, k1), glue(s2, k2))
+            assert ext.matrix == g.matrix
 
 
 def test_extension_obstruction_fires():

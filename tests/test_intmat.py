@@ -1,5 +1,6 @@
 """Exact linear algebra: determinants, normal forms, solvers."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,40 @@ def test_inv_unimodular_roundtrip():
     assert mat_mul(a, inv_unimodular(a)) == identity(2)
     with pytest.raises(ValueError):
         inv_unimodular(((2, 0), (0, 1)))
+
+
+def _random_unimodular(rng, n, steps=12):
+    """Product of elementary row operations and sign flips."""
+    a = identity(n)
+    for _ in range(steps):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        e = [list(r) for r in identity(n)]
+        if i == j or rng.random() < 0.2:
+            e[i][i] = -1
+        else:
+            e[i][j] = rng.randint(-3, 3)
+        a = mat_mul(mat(e), a)
+    return a
+
+
+def test_inv_unimodular_matches_rational_inverse():
+    rng = random.Random(7)
+    for n in (1, 2, 3, 4, 6, 8):
+        for _ in range(5):
+            a = _random_unimodular(rng, n)
+            assert inv_unimodular(a) == to_int(inv_rational(a))
+
+
+@pytest.mark.parametrize("a", [
+    ((1, 2), (2, 4)),                  # singular
+    ((2, 0), (0, 1)),                  # det 2
+    ((1, 1, 0), (1, -1, 0), (0, 0, 1)),  # det -2
+    ((1, 0, 0), (0, 1, 0)),            # not square
+    ((1, 0), (0, 1), (0, 0)),          # not square
+])
+def test_inv_unimodular_rejects_non_unimodular(a):
+    with pytest.raises(ValueError):
+        inv_unimodular(a)
 
 
 def rational_rank(a):

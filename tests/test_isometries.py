@@ -112,6 +112,21 @@ def test_isometry_json_roundtrip():
     assert back.source.gram == u.gram
 
 
+def test_isometry_json_rejects_non_integers():
+    u = hyperbolic_plane()
+    doc = Isometry(u, u, ((0, 1), (1, 0))).to_json()
+    for bad in ([doc], dict(doc, matrix=[[0.0, 1], [1, 0]]),
+                dict(doc, source={"gram": [[0.0, 1], [1, 0]]})):
+        with pytest.raises(TypeError):
+            Isometry.from_json(bad)
+
+
+def test_inverse_of_non_unimodular_isometry_raises():
+    g = Isometry(rank_one(8), rank_one(2), ((2,),))
+    with pytest.raises(IsometryError):
+        g.inverse()
+
+
 def _fraction_det(a):
     n = len(a)
     m = [[Fraction(x) for x in row] for row in a]

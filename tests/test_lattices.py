@@ -1,7 +1,11 @@
 """Lattice construction, sublattices, complements, and JSON round-trips."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from mukailat.intmat import mat_mul, mat_vec, solve_rational
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
                                hyperbolic_plane, hyperbolic_sum, direct_sum,
                                rank_one, is_primitive_vector)
@@ -75,6 +79,57 @@ def test_from_ambient_inverts_to_ambient():
     s = u3.saturate(((1, 2, 3, 0, 0, 0), (0, 1, 0, 1, 0, 0)))
     for v in ((1, 0), (0, 1), (3, -2)):
         assert tuple(int(c) for c in s.from_ambient(s.to_ambient(v))) == v
+
+
+def test_from_ambient_rejects_out_of_span_vector():
+    u3 = hyperbolic_sum(3)
+    s = u3.saturate(((1, 2, 3, 0, 0, 0), (0, 1, 0, 1, 0, 0)))
+    for w in ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)):
+        with pytest.raises(LatticeError):
+            s.from_ambient(w)
+    with pytest.raises(LatticeError):
+        u3.from_ambient((1, 0, 0, 0, 0, 0))  # no embedding
+
+
+def _random_primitive_sublattices(seed, count):
+    rng = random.Random(seed)
+    u3 = hyperbolic_sum(3)
+    out = []
+    while len(out) < count:
+        rank = rng.randint(1, 5)
+        gens = [tuple(rng.randint(-4, 4) for _ in range(6))
+                for _ in range(rank)]
+        try:
+            out.append(u3.saturate(gens))
+        except LatticeError:
+            continue  # degenerate span
+    return out
+
+
+def test_projection_matches_per_column_rational_solves():
+    for s in _random_primitive_sublattices(11, 25):
+        num, den = s.projection
+        assert den >= 1 and all(type(x) is int for row in num for x in row)
+        ambient = s.embedding.ambient
+        bg = mat_mul(s.embedding.basis, ambient.gram)
+        for j in range(ambient.rank):
+            e = tuple(int(i == j) for i in range(ambient.rank))
+            want = solve_rational(s.gram, mat_vec(bg, e))
+            assert tuple(Fraction(row[j], den) for row in num) == want
+        assert s.projection is s.projection  # cached
+
+
+def test_json_rejects_non_objects_and_non_integers():
+    u3 = hyperbolic_sum(3)
+    doc = u3.saturate(((1, 2, 0, 0, 0, 0),), label="line").to_json()
+    IntegerLattice.from_json(doc)
+    bad_basis = dict(doc, embedding=dict(doc["embedding"],
+                                         basis=[[1.0, 2, 0, 0, 0, 0]]))
+    for bad in ([1, 2], {"gram": [[2.0, 1.0], [1.0, 2.0]]},
+                {"gram": [[2, 1], [1, True]]}, bad_basis,
+                dict(doc, embedding=[1])):
+        with pytest.raises(TypeError):
+            IntegerLattice.from_json(bad)
 
 
 def test_embedding_gram_consistency_enforced():
