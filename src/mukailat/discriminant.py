@@ -36,34 +36,26 @@ class NotFound(Exception):
         return "no solution within bound %d (stage: %s)" % (self.bound, self.stage)
 
 
-def _frac_mod(x, modulus):
-    x = Fraction(x)
-    return x - (x / modulus).__floor__() * modulus
-
-
 class DiscriminantData:
-    """Invariant-factor presentation of the discriminant group of a lattice.
+    """Invariant-factor presentation of the discriminant group of a lattice,
+    read off the lattice's cached Smith form u * gram * v == d.
 
-    invariants: d_1 | d_2 | ... (each > 1); generator i has order d_i and a
-    chosen lift in (1/d_i) * L, stored in L's basis coordinates.
+    invariants: d_1 | d_2 | ... (each > 1); generator i has order d_i and is
+    the class of generators[i] / d_i, an integer vector in L's basis
+    coordinates (a column of v).  A dual point y has class
+    (u * gram * y)_i mod d_i.
     """
 
     def __init__(self, lattice):
-        g = lattice.gram
-        n = lattice.rank
-        d, u, v = snf(g)
-        dall = tuple(d[i][i] for i in range(n))
-        keep = tuple(i for i in range(n) if dall[i] > 1)
-        lifts = []
-        vt = transpose(v)  # rows of vt are columns of v
-        for i in keep:
-            lifts.append(tuple(Fraction(x, dall[i]) for x in vt[i]))
+        d, u, v = lattice.smith
+        dall = tuple(d[i][i] for i in range(lattice.rank))
+        self._keep = tuple(i for i in range(lattice.rank) if dall[i] > 1)
         self.lattice = lattice
-        self.invariants = tuple(dall[i] for i in keep)
-        self.generator_lifts = tuple(lifts)
-        self._u = u
-        self._keep = keep
-        self._dall = dall
+        self.invariants = tuple(dall[i] for i in self._keep)
+        vt = transpose(v)  # rows of vt are columns of v
+        self.generators = tuple(vt[i] for i in self._keep)
+        self.exponent = dall[-1] if dall else 1
+        self._reducer = mat_mul(u, lattice.gram)
 
     @property
     def order(self):
@@ -78,31 +70,34 @@ class DiscriminantData:
     def reduce(self, cls):
         return tuple(int(c) % d for c, d in zip(cls, self.invariants))
 
-    def class_of(self, y):
-        """Class of a dual point y (rational vector in lattice coordinates)."""
-        w = mat_vec(self.lattice.gram, y)
-        for x in w:
-            if Fraction(x).denominator != 1:
-                raise LatticeError("vector is not in the dual lattice")
-        coords = mat_vec(self._u, tuple(int(x) for x in w))
-        return tuple(int(coords[i]) % self._dall[i] for i in self._keep)
+    def class_of(self, num, den):
+        """Class of the dual point num / den (num an integer vector in
+        lattice coordinates)."""
+        coords = mat_vec(self._reducer, num)
+        if any(x % den for x in coords):
+            raise LatticeError("vector is not in the dual lattice")
+        return tuple(coords[i] // den % d
+                     for i, d in zip(self._keep, self.invariants))
 
     def lift(self, cls):
-        out = tuple(Fraction(0) for _ in range(self.lattice.rank))
-        for c, gen in zip(cls, self.generator_lifts):
-            out = tuple(o + c * g for o, g in zip(out, gen))
-        return out
+        """(num, exponent): num / exponent is a dual point of class cls."""
+        out = [0] * self.lattice.rank
+        for c, gen, d in zip(cls, self.generators, self.invariants):
+            c *= self.exponent // d
+            for a, x in enumerate(gen):
+                out[a] += c * x
+        return tuple(out), self.exponent
 
     def q(self, cls):
         """Quadratic form value in [0, 2)."""
-        y = self.lift(self.reduce(cls))
-        return _frac_mod(self.lattice.norm(y), 2)
+        y, den = self.lift(self.reduce(cls))
+        return Fraction(self.lattice.norm(y), den * den) % 2
 
     def b(self, cls1, cls2):
         """Bilinear pairing value in [0, 1)."""
-        y1 = self.lift(self.reduce(cls1))
-        y2 = self.lift(self.reduce(cls2))
-        return _frac_mod(self.lattice.inner(y1, y2), 1)
+        y1, den = self.lift(self.reduce(cls1))
+        y2, _ = self.lift(self.reduce(cls2))
+        return Fraction(self.lattice.inner(y1, y2), den * den) % 1
 
     def to_json(self):
         vals = []
@@ -116,26 +111,12 @@ class DiscriminantData:
 class DiscMap:
     """Homomorphism between discriminant groups, given by generator images."""
 
-    def __init__(self, source, target, images, check_q=True):
+    def __init__(self, source, target, images):
         self.source = source
         self.target = target
         self.images = tuple(target.reduce(im) for im in images)
         if len(self.images) != len(source.invariants):
             raise IsometryError("wrong number of generator images")
-        if check_q:
-            self._check_preserves_q()
-
-    def _check_preserves_q(self):
-        g = len(self.source.invariants)
-        for i in range(g):
-            ei = tuple(int(i == a) for a in range(g))
-            if self.source.q(ei) != self.target.q(self.apply(ei)):
-                raise IsometryError("map does not preserve the quadratic form")
-            for j in range(i + 1, g):
-                ej = tuple(int(j == a) for a in range(g))
-                if self.source.b(ei, ej) != self.target.b(self.apply(ei),
-                                                          self.apply(ej)):
-                    raise IsometryError("map does not preserve the pairing")
 
     def apply(self, cls):
         g = len(self.target.invariants)
@@ -150,8 +131,7 @@ class DiscMap:
         if other.target.invariants != self.source.invariants:
             raise IsometryError("composition mismatch")
         return DiscMap(other.source, self.target,
-                       tuple(self.apply(im) for im in other.images),
-                       check_q=False)
+                       tuple(self.apply(im) for im in other.images))
 
     def inverse(self):
         table = {}
@@ -164,7 +144,7 @@ class DiscMap:
         for i in range(g):
             ei = tuple(int(i == a) for a in range(g))
             gens.append(table[ei])
-        return DiscMap(self.target, self.source, gens, check_q=False)
+        return DiscMap(self.target, self.source, gens)
 
     def __eq__(self, other):
         return (isinstance(other, DiscMap)
@@ -197,18 +177,16 @@ class DiscMap:
 def identity_disc_map(data):
     g = len(data.invariants)
     return DiscMap(data, data, tuple(tuple(int(i == a) for a in range(g))
-                                     for i in range(g)), check_q=False)
+                                     for i in range(g)))
 
 
 def disc_map(g, source_data=None, target_data=None):
     """Induced map on discriminant groups of an isometry g."""
     src = source_data or DiscriminantData(g.source)
     tgt = target_data or DiscriminantData(g.target)
-    images = []
-    for lift in src.generator_lifts:
-        im = mat_vec(g.matrix, lift)
-        images.append(tgt.class_of(im))
-    return DiscMap(src, tgt, images, check_q=False)
+    return DiscMap(src, tgt, tuple(tgt.class_of(g.apply(v), d)
+                                   for v, d in zip(src.generators,
+                                                   src.invariants)))
 
 
 def enum_disc_autos(k):
@@ -288,8 +266,7 @@ def glue(S, K):
     def proj_classes(lat, data):
         """Classes of the orthogonal projections of the glue generators."""
         num, den = lat.projection
-        return [data.class_of(tuple(Fraction(x, den) for x in mat_vec(num, h)))
-                for h in gens]
+        return [data.class_of(mat_vec(num, h), den) for h in gens]
 
     im_s = proj_classes(S, disc_s)
     im_k = proj_classes(K, disc_k)
@@ -323,16 +300,16 @@ def glue(S, K):
             for a in range(len(img)):
                 img[a] += c * imk[a]
         images.append(disc_k.reduce(img))
-    gamma = DiscMap(disc_s, disc_k, images, check_q=False)
+    gamma = DiscMap(disc_s, disc_k, images)
     # anti-isometry on generators (quadratic values and cross pairings)
     for i in range(gcount):
         ei = tuple(int(i == a) for a in range(gcount))
-        if _frac_mod(disc_s.q(ei) + disc_k.q(gamma.apply(ei)), 2) != 0:
+        if (disc_s.q(ei) + disc_k.q(gamma.apply(ei))) % 2 != 0:
             raise LatticeError("glue map is not an anti-isometry")
         for j in range(i + 1, gcount):
             ej = tuple(int(j == a) for a in range(gcount))
-            if _frac_mod(disc_s.b(ei, ej)
-                         + disc_k.b(gamma.apply(ei), gamma.apply(ej)), 1) != 0:
+            if (disc_s.b(ei, ej)
+                    + disc_k.b(gamma.apply(ei), gamma.apply(ej))) % 1 != 0:
                 raise LatticeError("glue pairing is not anti-preserved")
     return GlueData(S, K, disc_s, disc_k, gens, orders, gamma)
 

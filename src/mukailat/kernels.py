@@ -34,9 +34,9 @@ def _box(n, bound):
     side = 2 * bound + 1
     if side ** n > _MAX_BOX:
         raise MemoryError("box of %d^%d vectors is too large" % (side, n))
-    rng = np.arange(-bound, bound + 1, dtype=np.int64)
-    grids = np.meshgrid(*([rng] * n), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    box = np.indices((side,) * n, dtype=np.int64).reshape(n, -1)
+    box -= bound
+    return box.T
 
 
 def backend_name():

@@ -9,11 +9,11 @@ ambient coordinates.  All arithmetic is exact.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, snf,
-                     kernel_int, inv_rational, int_matrix, json_object)
+                     kernel_int, int_matrix, json_object)
 
 
 class LatticeError(ValueError):
@@ -146,19 +146,27 @@ class IntegerLattice:
                      for col in transpose(self.embedding.basis))
 
     @cached_property
+    def smith(self):
+        """(d, u, v) = snf(gram), u * gram * v == d: the one computation of
+        this lattice's dual, which is v * d^-1 * Z^n (gram^-1 = v d^-1 u).
+        The projection and the discriminant group both read it."""
+        return snf(self.gram)
+
+    @cached_property
     def projection(self):
         """(num, den): num is the integer r x n matrix den * gram^-1 * B * G
         (B the embedding basis, G the ambient gram), so num @ w / den are the
         coordinates of the orthogonal projection of an ambient vector w.
-        The denominators of gram^-1 are cleared first: every product is
-        over Z."""
+        den is the last invariant factor d_n, which every d_i divides, so
+        den * gram^-1 = v * diag(d_n / d_i) * u is integral."""
         if self.embedding is None:
             raise LatticeError("lattice has no embedding")
-        ginv = inv_rational(self.gram)
-        den = lcm(*(x.denominator for row in ginv for x in row))
-        scaled = tuple(tuple(int(x * den) for x in row) for row in ginv)
+        d, u, v = self.smith
+        den = d[-1][-1] if d else 1
+        scaled_u = tuple(tuple(den // d[i][i] * x for x in row)
+                         for i, row in enumerate(u))
         bg = mat_mul(self.embedding.basis, self.embedding.ambient.gram)
-        return mat_mul(scaled, bg), den
+        return mat_mul(mat_mul(v, scaled_u), bg), den
 
     def from_ambient(self, w):
         """Express an ambient vector in this lattice's basis (exact; may be

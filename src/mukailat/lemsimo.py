@@ -152,31 +152,33 @@ def iter_splits(K, bound):
     Different isotropic vectors can produce inequivalent complements, so a
     caller searching for a particular complement should try several."""
     seen = set()
+    n = K.rank
     for u in kernels.isotropic_vectors(K.gram, bound):
-        if gcd(*[abs(c) for c in u]) != 1:
+        # -u came earlier in box order and splits off the same plane
+        if next(c for c in u if c) > 0:
             continue
         pair = mat_vec(K.gram, u)
-        g = gcd(*[abs(int(c)) for c in pair])
-        if g != 1:
+        if gcd(*pair) != 1:  # also makes u primitive
             continue
         x = _solve_unit_pairing(pair)
         half = K.norm(x) // 2
         uprime = tuple(xi - half * ui for xi, ui in zip(x, u))
-        # complement of the plane <u, u'> inside K
-        cond = mat((mat_vec(K.gram, u), mat_vec(K.gram, uprime)))
-        wbasis = intmat.row_basis(intmat.kernel_int(cond))
+        # K = <u, u'> + W with W the image of the orthogonal projection
+        # x -> x - <x,u'> u - <x,u> u'; the plane is unimodular, so the
+        # change of basis to (u, u', W) is too
+        pair2 = mat_vec(K.gram, uprime)
+        wbasis = intmat.row_basis(tuple(
+            tuple(int(i == j) - pair2[j] * u[i] - pair[j] * uprime[i]
+                  for i in range(n)) for j in range(n)))
         gw = mat_mul(mat_mul(wbasis, K.gram), transpose(wbasis))
         if len(wbasis) == 2:
             gw, p = _reduce_gram2(gw)
             wbasis = mat_mul(transpose(p), wbasis)
-        newbasis = mat((u, uprime) + tuple(wbasis))
-        if abs(intmat.det(newbasis)) != 1:
-            continue
         if gw in seen:
             continue
         seen.add(gw)
         block = IntegerLattice(_block_diag(U_GRAM, gw), label="U+W")
-        from_block = Isometry(block, K, transpose(newbasis))
+        from_block = Isometry(block, K, transpose((u, uprime) + wbasis))
         yield Split(K, block, from_block, from_block.inverse(), gw)
 
 

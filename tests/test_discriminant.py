@@ -5,18 +5,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mukailat.intmat import solve_rational, to_int, transpose
+from mukailat.intmat import (det, inv_rational, mat, mat_vec, snf,
+                             solve_rational, to_int, transpose)
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
-from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
-                                 minus_identity, reflection)
+from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
+                                 reflection)
 from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    identity_disc_map, enum_disc_autos,
                                    count_distinct_primes, index_monodromy,
                                    glue, extend_isometry, ExtensionObstructed,
                                    NotFound, in_W, in_N)
-from mukailat.lemsimo import AMBIENT, LemsimoProblem, solve
+from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
+                              _integral_reflections)
 from mukailat.verify import sample_admissible_pair
 
 
@@ -49,13 +52,13 @@ def test_class_of_and_lift_are_inverse():
     lat = rank_one(-8)
     data = DiscriminantData(lat)
     for c in range(8):
-        assert data.class_of(data.lift((c,))) == (c % 8,)
+        assert data.class_of(*data.lift((c,))) == (c % 8,)
 
 
 def test_class_of_rejects_non_dual_points():
     data = DiscriminantData(rank_one(-8))
     with pytest.raises(LatticeError):
-        data.class_of((Fraction(1, 3),))
+        data.class_of((1,), 3)
 
 
 def test_enum_disc_autos_small_cases():
@@ -93,6 +96,94 @@ def test_disc_map_compose_and_inverse():
     assert identity_disc_map(data).sign() == 1
 
 
+def _frac_mod(x, modulus):
+    x = Fraction(x)
+    return x - (x / modulus).__floor__() * modulus
+
+
+class _FractionLifts:
+    """The former presentation of a discriminant group, kept as the
+    reference for the integer one: Fraction generator lifts v_i / d_i from
+    snf(gram) = (d, u, v), and the class of a dual point y read from the
+    integer vector gram * y."""
+
+    def __init__(self, lat):
+        d, u, v = snf(lat.gram)
+        dall = [d[i][i] for i in range(lat.rank)]
+        self.keep = [i for i in range(lat.rank) if dall[i] > 1]
+        self.invariants = tuple(dall[i] for i in self.keep)
+        vt = transpose(v)
+        self.lifts = [tuple(Fraction(x, dall[i]) for x in vt[i])
+                      for i in self.keep]
+        self.lat, self.u, self.dall = lat, u, dall
+
+    def class_of(self, y):
+        w = mat_vec(self.lat.gram, y)
+        assert all(Fraction(x).denominator == 1 for x in w)
+        coords = mat_vec(self.u, tuple(int(x) for x in w))
+        return tuple(int(coords[i]) % self.dall[i] for i in self.keep)
+
+    def lift(self, cls):
+        out = tuple(Fraction(0) for _ in range(self.lat.rank))
+        for c, gen in zip(cls, self.lifts):
+            out = tuple(o + c * g for o, g in zip(out, gen))
+        return out
+
+    def q(self, cls):
+        return _frac_mod(self.lat.norm(self.lift(cls)), 2)
+
+    def b(self, cls1, cls2):
+        return _frac_mod(self.lat.inner(self.lift(cls1), self.lift(cls2)), 1)
+
+    def disc_images(self, g):
+        return tuple(self.class_of(mat_vec(g.matrix, y)) for y in self.lifts)
+
+
+@st.composite
+def small_even_grams(draw):
+    """Symmetric, even, nondegenerate grams of rank 1..4, small entries."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-4, 4))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    assume(det(g) != 0)
+    return mat(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=small_even_grams(), data=st.data())
+def test_integer_layer_matches_fraction_lifts(gram, data):
+    lat = IntegerLattice(gram)
+    disc = DiscriminantData(lat)
+    ref = _FractionLifts(lat)
+    assert disc.invariants == ref.invariants
+    elems = list(itertools.islice(disc.elements(), 12))
+    for cls in elems:
+        assert disc.class_of(*disc.lift(cls)) == cls
+        assert disc.q(cls) == ref.q(cls)
+        for cls2 in elems[:4]:
+            assert disc.b(cls, cls2) == ref.b(cls, cls2)
+    # classes of dual points gram^-1 z
+    z = data.draw(st.lists(st.integers(-9, 9), min_size=lat.rank,
+                           max_size=lat.rank))
+    y = mat_vec(inv_rational(lat.gram), z)
+    num = tuple(int(x * disc.exponent) for x in y)
+    assert disc.class_of(num, disc.exponent) == ref.class_of(y)
+    # induced maps of words in -1 and integral reflections
+    gens = [minus_identity(lat)] + _integral_reflections(lat, 1)
+    word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
+    g = identity_isometry(lat)
+    for h in word:
+        assert disc_map(h.compose(g), disc, disc) == \
+            disc_map(h, disc, disc).compose(disc_map(g, disc, disc))
+        g = h.compose(g)
+    d = disc_map(g, disc, disc)
+    assert d.images == ref.disc_images(g)
+    assert disc_map(g.inverse(), disc, disc) == d.inverse()
+
+
 def orth_group_elements(data, cap=2000):
     """Brute-force list of all quadratic-form automorphisms of a discriminant
     group, as DiscMaps.  Errors if the group order exceeds the cap."""
@@ -100,15 +191,18 @@ def orth_group_elements(data, cap=2000):
         raise ValueError("discriminant group too large for brute force")
     gcount = len(data.invariants)
     out = []
+    gens = [tuple(int(i == a) for a in range(gcount)) for i in range(gcount)]
     for images in itertools.product(data.elements(), repeat=gcount):
-        try:
-            m = DiscMap(data, data, images)
-        except IsometryError:
+        m = DiscMap(data, data, images)
+        # must preserve q and b on generators, be invertible and be a
+        # homomorphism respecting orders
+        if any(data.q(e) != data.q(m.apply(e)) for e in gens):
             continue
-        # must be invertible and a homomorphism respecting orders
+        if any(data.b(e, f) != data.b(m.apply(e), m.apply(f))
+               for e, f in itertools.combinations(gens, 2)):
+            continue
         ok = True
-        for i in range(gcount):
-            ei = tuple(int(i == a) for a in range(gcount))
+        for i, ei in enumerate(gens):
             order = data.invariants[i]
             scaled = data.reduce(tuple(order * x for x in m.apply(ei)))
             if any(scaled):

@@ -1,5 +1,7 @@
 """Box searches: squares, ordering, guard rails."""
 
+import itertools
+
 import pytest
 
 from mukailat import kernels
@@ -44,3 +46,9 @@ def test_overflow_guard_raises():
 def test_box_size_guard():
     with pytest.raises(MemoryError):
         kernels._box(8, 50)
+
+
+def test_box_is_the_lexicographic_product():
+    for n, b in ((1, 0), (1, 3), (2, 2), (3, 1), (4, 2)):
+        ref = list(itertools.product(range(-b, b + 1), repeat=n))
+        assert kernels._box(n, b).tolist() == [list(v) for v in ref]

@@ -7,21 +7,23 @@ import os
 import random
 import subprocess
 import sys
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import mukailat
-from mukailat.intmat import mat, mat_mul, mat_vec, transpose, det
+from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
+                             kernel_int)
 from mukailat.discriminant import NotFound
 from mukailat.isometries import Isometry, ori_char, reflection
-from mukailat.kernels import vectors_with_square
+from mukailat.kernels import vectors_with_square, isotropic_vectors
 from mukailat.lattices import IntegerLattice
 import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, TargetsNotIntegral,
                               split_off_U, iter_splits, AMBIENT, U3_DATUM,
-                              F_VEC, _reduce_gram2, _gram2_maps,
+                              F_VEC, MAX_SPLITS, _reduce_gram2, _gram2_maps,
                               _block_iso_search, _integral_reflections)
 from mukailat.verify import sample_admissible_pair
 
@@ -125,6 +127,51 @@ def test_split_off_U_produces_unimodular_change():
     assert abs(det(split.to_block.matrix)) == 1
     # several inequivalent splittings can exist
     assert len(list(iter_splits(k1, 10))) >= 1
+
+
+def _reference_splits(K, bound):
+    """The former split enumeration, kept as a reference: W is the saturated
+    kernel of the pairings with u and u', every sign of u is tried, and a
+    non-unimodular change of basis is skipped.  Yields (from_block matrix,
+    w_gram) pairs."""
+    seen = set()
+    for u in isotropic_vectors(K.gram, bound):
+        if gcd(*[abs(c) for c in u]) != 1:
+            continue
+        pair = mat_vec(K.gram, u)
+        if gcd(*[abs(int(c)) for c in pair]) != 1:
+            continue
+        x = lemsimo._solve_unit_pairing(pair)
+        half = K.norm(x) // 2
+        uprime = tuple(xi - half * ui for xi, ui in zip(x, u))
+        cond = mat((mat_vec(K.gram, u), mat_vec(K.gram, uprime)))
+        wbasis = row_basis(kernel_int(cond))
+        gw = mat_mul(mat_mul(wbasis, K.gram), transpose(wbasis))
+        if len(wbasis) == 2:
+            gw, p = _reduce_gram2(gw)
+            wbasis = mat_mul(transpose(p), wbasis)
+        newbasis = mat((u, uprime) + tuple(wbasis))
+        if abs(det(newbasis)) != 1:
+            continue
+        if gw in seen:
+            continue
+        seen.add(gw)
+        yield transpose(newbasis), gw
+
+
+def test_splits_match_reference_enumeration():
+    rng = random.Random(17)
+    for i in range(10):
+        k = 3 + i % 3
+        xi1, xi2 = sample_admissible_pair(rng, k)
+        _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
+        for s in (phi.source, phi.target):
+            comp = AMBIENT.orth_complement(s)
+            got = [(sp.from_block.matrix, sp.w_gram) for sp in
+                   itertools.islice(iter_splits(comp, 10), MAX_SPLITS)]
+            ref = list(itertools.islice(_reference_splits(comp, 10),
+                                        MAX_SPLITS))
+            assert got and got == ref
 
 
 def test_solve_fixture():
