@@ -6,6 +6,7 @@ here can silently overflow or round.
 """
 
 from fractions import Fraction
+from math import gcd
 
 
 def mat(rows):
@@ -49,19 +50,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def is_integral(a):
-    """True if every entry (int or Fraction) is an integer."""
-    for row in a:
-        for x in row:
-            if isinstance(x, Fraction) and x.denominator != 1:
-                return False
-    return True
-
-
-def to_int(a):
-    return tuple(tuple(int(x) for x in row) for row in a)
 
 
 def det(a):
@@ -319,39 +307,50 @@ def kernel_int(a):
     return tuple(vt[j] for j in range(rank, cols))
 
 
-def signature(g):
-    """Exact signature (p, q) of a nondegenerate symmetric integer matrix,
-    by congruent diagonalization over Q."""
-    n = len(g)
-    m = [[Fraction(x) for x in row] for row in g]
-    p = q = 0
-    idx = list(range(n))
-    work = m
-    while work:
-        k = len(work)
-        if work[0][0] == 0:
-            j = next((j for j in range(1, k) if work[0][j] != 0), None)
-            if j is None:
-                raise ValueError("degenerate form")
-            # replace basis vector e0 by e0 + ej to create a nonzero diagonal
-            for i in range(k):
-                work[i][0] += work[i][j]
-            work[0] = [work[0][c] + work[j][c] for c in range(k)]
-            if work[0][0] == 0:
-                # e0, ej hyperbolic-like: e0 + ej still isotropic; use e0 - ej
-                for i in range(k):
-                    work[i][0] -= 2 * work[i][j]
-                work[0] = [work[0][c] - 2 * work[j][c] for c in range(k)]
-        a = work[0][0]
-        if a > 0:
-            p += 1
-        else:
-            q += 1
-        nxt = []
-        for i in range(1, k):
-            f = work[i][0] / a
-            row = [work[i][c] - f * work[0][c] for c in range(1, k)]
-            nxt.append(row)
-        work = nxt
-    return (p, q)
+def orthogonal_basis(g):
+    """Pairwise-orthogonal integer vectors spanning Q^n for a nondegenerate
+    symmetric integer matrix g, with their squares: [(v, v^T g v), ...].
 
+    Symmetric Gram-Schmidt on the standard basis, over Z: after each pivot
+    v of square a, every remaining vector w becomes |a| w - sign(a) <w, v> v
+    (a positive multiple of its projection orthogonal to v) divided by the
+    gcd of its entries.  An isotropic pivot is first replaced by v + w, or
+    v - w if that is isotropic too, for the first remaining w it pairs
+    with; ValueError if there is none (g is degenerate)."""
+    n = len(g)
+    work = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    out = []
+    while work:
+        v = work[0]
+        gv = mat_vec(g, v)
+        a = _dot(v, gv)
+        if a == 0:
+            w = next((w for w in work[1:] if _dot(w, gv) != 0), None)
+            if w is None:
+                raise ValueError("degenerate form")
+            v = tuple(x + y for x, y in zip(v, w))
+            if _dot(v, mat_vec(g, v)) == 0:
+                v = tuple(x - 2 * y for x, y in zip(v, w))
+            gv = mat_vec(g, v)
+            a = _dot(v, gv)
+        out.append((v, a))
+        s = 1 if a > 0 else -1
+        rest = []
+        for w in work[1:]:
+            b = s * _dot(w, gv)
+            w = tuple(abs(a) * x - b * y for x, y in zip(w, v))
+            d = gcd(*w)
+            rest.append(tuple(x // d for x in w))
+        work = rest
+    return out
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def signature(g):
+    """Exact signature (p, q) of a nondegenerate symmetric integer matrix:
+    the signs of the squares of an orthogonal basis."""
+    p = sum(1 for _, a in orthogonal_basis(g) if a > 0)
+    return (p, len(g) - p)

@@ -7,8 +7,6 @@ checked at construction.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, transpose, inv_unimodular,
@@ -102,27 +100,21 @@ def minus_identity(lat):
 
 @dataclass(frozen=True)
 class OrientationDatum:
-    """Spanning set of a maximal positive-definite subspace, as columns in
-    lattice coordinates.  Rational columns are scaled by the lcm of their
-    denominators: a positive multiple spans the same oriented line, and the
-    stored columns are integral."""
+    """Spanning set of a maximal positive-definite subspace, as integer
+    columns in lattice coordinates."""
     lattice: IntegerLattice
     columns: tuple  # p vectors, each of length rank
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(
-            _clear_denominators(col) for col in self.columns))
+        if any(type(x) is not int for col in self.columns for x in col):
+            raise IsometryError("orientation datum columns must be integer")
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         g = gram_of_columns(self.lattice, self.columns)
         if not _is_positive_definite(g):
             raise IsometryError("orientation datum must span a positive subspace")
         sig = self.lattice.signature()
         if len(self.columns) != sig[0]:
             raise IsometryError("orientation datum has wrong dimension")
-
-
-def _clear_denominators(col):
-    scale = lcm(*(x.denominator for x in col))
-    return tuple(int(x * scale) for x in col)
 
 
 def gram_of_columns(lat, cols):
@@ -139,33 +131,11 @@ def _is_positive_definite(g):
 
 
 def positive_frame(lat):
-    """Rational basis of a maximal positive-definite subspace, found by
-    exact symmetric orthogonalization of the standard basis.  Any such frame
-    gives the same orientation character values."""
-    n = lat.rank
-    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
-    out = []
-    work = list(basis)
-    while work:
-        v0 = work[0]
-        if lat.norm(v0) == 0:
-            j = next((j for j in range(1, len(work))
-                      if lat.inner(v0, work[j]) != 0), None)
-            if j is None:
-                raise IsometryError("degenerate form")
-            cand = tuple(a + b for a, b in zip(v0, work[j]))
-            if lat.norm(cand) == 0:
-                cand = tuple(a - b for a, b in zip(v0, work[j]))
-            v0 = cand
-        nv = lat.norm(v0)
-        if nv > 0:
-            out.append(v0)
-        rest = []
-        for w in work[1:]:
-            f = Fraction(lat.inner(w, v0), 1) / nv
-            rest.append(tuple(a - f * b for a, b in zip(w, v0)))
-        work = rest
-    return OrientationDatum(lat, tuple(out))
+    """The vectors of positive square in the orthogonal basis of the
+    lattice's form: an integer basis of a maximal positive-definite
+    subspace.  Any such frame gives the same orientation character values."""
+    return OrientationDatum(lat, tuple(
+        v for v, a in intmat.orthogonal_basis(lat.gram) if a > 0))
 
 
 def det_char(g):

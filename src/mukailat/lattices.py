@@ -7,7 +7,6 @@ ambient coordinates.  All arithmetic is exact.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
@@ -32,7 +31,7 @@ class IntegerLattice:
     """Even nondegenerate lattice over Z.
 
     gram[i][j] is the pairing of basis vectors i and j.  Vectors are tuples
-    of ints (or Fractions, for points of the dual) in basis coordinates.
+    of ints in basis coordinates.
     """
 
     def __init__(self, gram, label=None, embedding=None):
@@ -169,13 +168,15 @@ class IntegerLattice:
         return mat_mul(mat_mul(v, scaled_u), bg), den
 
     def from_ambient(self, w):
-        """Express an ambient vector in this lattice's basis (exact; may be
-        rational for dual points).  Raises if w is not in the rational span."""
+        """Integer coordinates of an ambient vector in this lattice's basis;
+        LatticeError unless w lies in the sublattice.  The floor of the
+        projection maps back to w exactly when the projection is integral
+        and w is in the span, since to_ambient is injective."""
         num, den = self.projection
-        c = mat_vec(num, w)
-        if self.to_ambient(c) != tuple(den * x for x in w):
-            raise LatticeError("vector is not in the span of the sublattice")
-        return tuple(Fraction(x, den) for x in c)
+        c = tuple(x // den for x in mat_vec(num, w))
+        if self.to_ambient(c) != tuple(w):
+            raise LatticeError("vector is not in the sublattice")
+        return c
 
     # --- JSON interchange ---
 

@@ -16,9 +16,8 @@ from math import gcd
 import numpy as np
 
 from . import intmat, kernels
-from .intmat import (mat, mat_vec, mat_mul, transpose, is_integral, to_int,
-                     solve_rational)
-from .lattices import IntegerLattice
+from .intmat import mat, mat_vec, mat_mul, transpose, solve_rational
+from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, OrientationDatum, ori_char,
                          identity_isometry, minus_identity)
 from .discriminant import (NotFound, glue, extend_isometry, disc_map,
@@ -107,10 +106,11 @@ def build_targets(problem):
     s2 = AMBIENT.span(ys, label="S2")
     if not AMBIENT.is_primitive(s2):
         raise TargetsNotIntegral("target span fails to be primitive")
-    cols = [s2.from_ambient(y) for y in ys]
-    if not is_integral(cols):
-        raise TargetsNotIntegral("target span basis mismatch")
-    phi = Isometry(s1, s2, transpose(to_int(cols)))
+    try:
+        cols = [s2.from_ambient(y) for y in ys]
+    except LatticeError:
+        raise TargetsNotIntegral("target span basis mismatch") from None
+    phi = Isometry(s1, s2, transpose(cols))
     for xi, beta in ((problem.xi1, beta1), (problem.xi2, beta2)):
         src = s1.from_ambient(xi)
         expect = tuple(b - fv for b, fv in zip(beta, F_VEC))

@@ -10,8 +10,8 @@ determinant, orientation, and discriminant characters.
 
 from dataclasses import dataclass, field
 
-from .intmat import (mat, transpose, is_integral, to_int, int_matrix,
-                     int_vector, json_object)
+from .intmat import mat, transpose, int_matrix, int_vector, json_object
+from .lattices import LatticeError
 from .isometries import (Isometry, IsometryError, OrientationDatum,
                          det_char, ori_char, identity_isometry)
 from .discriminant import disc_map, in_N as disc_in_N, DiscriminantData
@@ -140,11 +140,11 @@ def restrict(g, sub, sign=1):
     for j in range(sub.rank):
         e = tuple(int(i == j) for i in range(sub.rank))
         im = g.apply(sub.to_ambient(e))
-        cols.append(sub.from_ambient(tuple(sign * x for x in im)))
-    m = transpose(cols)
-    if not is_integral(m):
-        raise WordError("restriction left the sublattice")
-    return Isometry(sub, sub, to_int(m))
+        try:
+            cols.append(sub.from_ambient(tuple(sign * x for x in im)))
+        except LatticeError:
+            raise WordError("restriction left the sublattice") from None
+    return Isometry(sub, sub, transpose(cols))
 
 
 def psi_restrict(g, triple, model=None, vp=None):

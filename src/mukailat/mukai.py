@@ -12,10 +12,9 @@ implementations of the orientation character.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 
-from .intmat import mat, mat_vec, transpose, solve_rational
+from .intmat import mat, mat_vec, transpose, json_object
 from .lattices import IntegerLattice, Embedding
 from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 
@@ -156,7 +155,12 @@ class MkTriple:
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["m"], d["k"], d.get("t", 2))
+        """Triple from a JSON document; TypeError unless m, k and t are
+        ints, so no float or bool reaches the exact core."""
+        vals = (json_object(d, "triple")["m"], d["k"], d.get("t", 2))
+        if any(type(x) is not int for x in vals):
+            raise TypeError("m, k and t must be integers, got %r" % (vals,))
+        return cls(*vals)
 
 
 def v_perp(model, v):
@@ -256,13 +260,11 @@ def hodge_ori(model, phi):
     """
     if phi.source.gram != MUKAI_GRAM or phi.target.gram != MUKAI_GRAM:
         raise IsometryError("expected an isometry of the rank-8 lattice")
-    rho1 = (0, 0, 0, 1, 1, 0, 0, 0)
-    rho2 = (0, 0, 0, 0, 0, 1, 1, 0)
-    for rho in (rho1, rho2):
+    for rho in ((0, 0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)):
         im = phi.apply(rho)
-        # image must stay in the symplectic plane
-        coeffs = solve_rational(transpose((rho1, rho2)), im)
-        del coeffs
+        # the symplectic plane is spanned by e2+f2 and e3+f3
+        if im != (0, 0, 0, im[3], im[3], im[5], im[5], 0):
+            raise IsometryError("phi moves rho out of the symplectic plane")
     t = model.t
     omega8 = (0, 1, t, 0, 0, 0, 0, -t)  # (0, omega, -omega^2/2)
     e0 = tuple(int(i == 0) for i in range(8))
@@ -273,8 +275,10 @@ def hodge_ori(model, phi):
     u0 = (-r, 0, 0, 0, 0, 0, 0, chi)
     u1 = (0, -r, -r * t, 0, 0, 0, 0, r * t + chi_om)
     if r != 0:
-        c1 = Fraction(chi_om, r) + t
-        c2 = Fraction(chi, r) - t
+        # r times the test class, which is integral; the sign of r enters
+        # the cone test below
+        c1 = chi_om + r * t
+        c2 = chi - r * t
         cls = tuple(c1 * x - c2 * y
                     for x, y in zip(phi.apply(u0)[1:7], phi.apply(u1)[1:7]))
     else:
@@ -287,4 +291,4 @@ def hodge_ori(model, phi):
     sq = h2_inner(cls, cls)
     if sq <= 0:
         raise DecisionDegenerate("test class has nonpositive square")
-    return 0 if h2_inner(cls, model.omega) > 0 else 1
+    return 0 if (r or 1) * h2_inner(cls, model.omega) > 0 else 1

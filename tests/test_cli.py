@@ -142,6 +142,11 @@ def test_word(tmp_path, capsys):
     for tokens in (doc["tokens"], [5]):
         bad.write_text(json.dumps(dict(doc, tokens=tokens)))
         assert_bad_input(capsys, "word", str(bad))
+    # a float or bool in the triple must not reach the exact core
+    for key, value in (("t", 2.5), ("k", 3.0), ("m", 1.5), ("m", True)):
+        bad_triple = dict(triple.to_json(), **{key: value})
+        bad.write_text(json.dumps(dict(word.to_json(), triple=bad_triple)))
+        assert_bad_input(capsys, "word", str(bad))
 
 
 def test_lemsimo(capsys):
@@ -199,6 +204,15 @@ PINNED_OUTPUTS = (
     # taken before the discriminant group was read off the cached Smith form
     (("verify", "--only", "character-table,nikulin-suite,similitude"),
      "6f7d3060e31a87ad1f4366b5557176b7ec76ea0fefde148dd3c36c60ec385eae"),
+    # taken before signature and positive frames came from one integer
+    # orthogonal basis
+    (("verify", "--only",
+      "fm-orientation,involution-identity,elliptic-constraints"),
+     "8436048ae2491a7634e87826f7bfbf86d5e8a9e4ab2016d1fd3b72d1ae07c7c0"),
+    (("fm", "poincare_dual", "--t", "3"),
+     "24de8ef9d0c58e4369d88b9699a082e6899a45dbe240b92e2c66f458d11e3cfb"),
+    (("info", "--m", "2", "--k", "7"),
+     "6b2650ea3c92faa1875a896feb62b642666bc664284314e32d2d9d45e5d4ae02"),
 )
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mukailat.intmat import (det, inv_rational, mat, mat_vec, snf,
-                             solve_rational, to_int, transpose)
+                             solve_rational, transpose)
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
@@ -273,7 +273,9 @@ def _restriction(g, sub1, sub2):
     for j in range(sub1.rank):
         e = tuple(int(i == j) for i in range(sub1.rank))
         cols.append(solve_rational(bt, g.apply(sub1.to_ambient(e))))
-    return Isometry(sub1, sub2, to_int(transpose(cols)))
+    assert all(x.denominator == 1 for col in cols for x in col)
+    return Isometry(sub1, sub2, tuple(tuple(int(x) for x in row)
+                                      for row in transpose(cols)))
 
 
 def test_extend_restrictions_of_solve_outputs_returns_g():

@@ -4,13 +4,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import intmat
 from mukailat.intmat import (mat, identity, transpose, mat_mul, mat_vec, det,
                              hnf_row, row_basis, snf, solve_integer,
                              solve_rational, inv_unimodular, inv_rational,
-                             kernel_int, signature, is_integral, to_int)
+                             kernel_int, orthogonal_basis, signature)
 
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -143,12 +143,18 @@ def _random_unimodular(rng, n, steps=12):
     return a
 
 
+def _to_int(a):
+    """A rational matrix with integral entries as an integer matrix."""
+    assert all(Fraction(x).denominator == 1 for row in a for x in row)
+    return tuple(tuple(int(x) for x in row) for row in a)
+
+
 def test_inv_unimodular_matches_rational_inverse():
     rng = random.Random(7)
     for n in (1, 2, 3, 4, 6, 8):
         for _ in range(5):
             a = _random_unimodular(rng, n)
-            assert inv_unimodular(a) == to_int(inv_rational(a))
+            assert inv_unimodular(a) == _to_int(inv_rational(a))
 
 
 @pytest.mark.parametrize("a", [
@@ -205,7 +211,58 @@ def test_signature_examples():
         signature(((0, 0), (0, 2)))
 
 
-def test_integrality_helpers():
-    assert is_integral(((Fraction(2, 1), 3),))
-    assert not is_integral(((Fraction(1, 2),),))
-    assert to_int(((Fraction(4, 2), 1),)) == ((2, 1),)
+def _fraction_signature(g):
+    """The former signature routine, congruent diagonalisation over Q: the
+    reference for the integer orthogonal basis."""
+    work = [[Fraction(x) for x in row] for row in g]
+    p = q = 0
+    while work:
+        k = len(work)
+        if work[0][0] == 0:
+            j = next((j for j in range(1, k) if work[0][j] != 0), None)
+            if j is None:
+                raise ValueError("degenerate form")
+            # replace e0 by e0 + ej, or by e0 - ej if that is isotropic too
+            for i in range(k):
+                work[i][0] += work[i][j]
+            work[0] = [work[0][c] + work[j][c] for c in range(k)]
+            if work[0][0] == 0:
+                for i in range(k):
+                    work[i][0] -= 2 * work[i][j]
+                work[0] = [work[0][c] - 2 * work[j][c] for c in range(k)]
+        a = work[0][0]
+        if a > 0:
+            p += 1
+        else:
+            q += 1
+        work = [[work[i][c] - work[i][0] / a * work[0][c] for c in range(1, k)]
+                for i in range(1, k)]
+    return (p, q)
+
+
+@st.composite
+def even_grams(draw):
+    """Symmetric, even, nondegenerate grams of rank 1..8; the small entries
+    make isotropic pivots common."""
+    n = draw(st.integers(1, 8))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-2, 2))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-2, 2))
+    assume(det(g) != 0)
+    return mat(g)
+
+
+@given(even_grams())
+@settings(max_examples=200, deadline=None)
+def test_orthogonal_basis_diagonalises(g):
+    basis = orthogonal_basis(g)
+    vecs = [v for v, _ in basis]
+    assert all(type(x) is int for v in vecs for x in v)
+    gram = mat_mul(mat_mul(mat(vecs), g), transpose(vecs))
+    for i, (v, a) in enumerate(basis):
+        assert a != 0
+        assert gram[i] == tuple(a if j == i else 0 for j in range(len(g)))
+    assert det(mat(vecs)) != 0
+    assert signature(g) == _fraction_signature(g)

@@ -102,6 +102,11 @@ def test_orientation_datum_validation():
         OrientationDatum(lat, ((1, -1, 0, 0, 0, 0, 0),))  # negative square
     with pytest.raises(IsometryError):
         OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),))   # wrong dimension
+    frame = ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
+             (0, 0, 0, 0, 1, 1, 0))
+    for x in (Fraction(1), 1.0, True):  # only int columns are accepted
+        with pytest.raises(IsometryError):
+            OrientationDatum(lat, ((x, 1, 0, 0, 0, 0, 0),) + frame[1:])
 
 
 def test_isometry_json_roundtrip():
@@ -147,7 +152,7 @@ def _fraction_det(a):
 
 def _reference_ori_char(g, lat, cols):
     """The former formula: the sign of det(gp^-1 * rhs) over Q, with the
-    datum columns taken as given (rational entries allowed)."""
+    datum columns taken as given."""
     gp = gram_of_columns(lat, cols)
     rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
     d = _fraction_det(mat_mul(inv_rational(gp), rhs))
@@ -163,8 +168,8 @@ def test_ori_char_matches_rational_reference():
         lat = direct_sum(hyperbolic_sum(3), rank_one(-2 * k))
         frame = positive_frame(lat)
         assert all(isinstance(x, int) for col in frame.columns for x in col)
-        # positive rational multiples of the frame columns
-        scaled = tuple(tuple(Fraction(x, d) for x in col)
+        # positive multiples of the frame columns
+        scaled = tuple(tuple(d * x for x in col)
                        for col, d in zip(frame.columns, (2, 3, 7)))
         data = ((OrientationDatum(lat, fixed), fixed),
                 (frame, frame.columns),

@@ -78,7 +78,8 @@ def test_from_ambient_inverts_to_ambient():
     u3 = hyperbolic_sum(3)
     s = u3.saturate(((1, 2, 3, 0, 0, 0), (0, 1, 0, 1, 0, 0)))
     for v in ((1, 0), (0, 1), (3, -2)):
-        assert tuple(int(c) for c in s.from_ambient(s.to_ambient(v))) == v
+        c = s.from_ambient(s.to_ambient(v))
+        assert c == v and all(type(x) is int for x in c)
 
 
 def test_from_ambient_rejects_out_of_span_vector():
@@ -87,6 +88,11 @@ def test_from_ambient_rejects_out_of_span_vector():
     for w in ((1, 0, 0, 0, 0, 0), (0, 0, 0, 0, 1, 0)):
         with pytest.raises(LatticeError):
             s.from_ambient(w)
+    # in the rational span of an index-2 sublattice, but not in it
+    half = u3.span(((2, 4, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)))
+    with pytest.raises(LatticeError):
+        half.from_ambient((1, 2, 0, 0, 0, 0))
+    assert half.from_ambient((2, 4, 1, 1, 0, 0)) == (1, 1)
     with pytest.raises(LatticeError):
         u3.from_ambient((1, 0, 0, 0, 0, 0))  # no embedding
 

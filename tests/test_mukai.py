@@ -6,8 +6,9 @@ import pytest
 
 from mukailat.intmat import mat_mul, transpose
 from mukailat.mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing,
-                            v_perp, fm_action, hodge_ori, epsilon_ori,
-                            DecisionDegenerate, H2_GRAM, MUKAI_GRAM, h2_inner)
+                            v_perp, fm_action, h2_lift, hodge_ori,
+                            epsilon_ori, DecisionDegenerate, H2_GRAM,
+                            MUKAI_GRAM, h2_inner)
 from mukailat.discriminant import DiscriminantData
 
 
@@ -143,6 +144,15 @@ def test_orientation_table():
         phi = fm_action(model, kind, c)
         assert epsilon_ori(model, phi) == w
         assert hodge_ori(model, phi) == w
+
+
+def test_hodge_ori_names_a_phi_that_moves_the_symplectic_plane():
+    from mukailat.isometries import IsometryError, reflection
+    model = MukaiModel(2)
+    # the reflection in (1, 1, 1, 0, 0, 0) sends e2+f2 to (-1, -1, 0, 1, 0, 0)
+    phi = h2_lift(model, reflection(model.h2_lattice, (1, 1, 1, 0, 0, 0)))
+    with pytest.raises(IsometryError, match="symplectic plane"):
+        hodge_ori(model, phi)
 
 
 def test_hodge_ori_rejects_wrong_lattice():
