@@ -8,12 +8,12 @@ from .isometries import (Isometry, IsometryError, OrientationDatum,
                          identity_isometry, minus_identity, positive_frame)
 from .discriminant import (DiscriminantData, DiscMap, GlueData, disc_map,
                            enum_disc_autos, glue, extend_isometry,
-                           ExtensionObstructed, NotFound, in_W, in_N,
-                           index_monodromy)
+                           ExtensionObstructed, NotFound, characters, in_W,
+                           in_N, index_monodromy)
 from .mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing, v_perp,
                     fm_action, hodge_ori, epsilon_ori, DecisionDegenerate)
 from .monodromy import (GroupoidWord, MonodromyCertificate, eval_phi_tilde,
-                        psi_restrict, certify, propdual_word,
+                        complement, psi_restrict, certify, propdual_word,
                         surface_lift_in_N, istar_similitude, isharp)
 from .lemsimo import (LemsimoProblem, LemsimoSolution, build_targets,
                       find_companion, solve, TargetsNotIntegral)

@@ -11,13 +11,13 @@ import sys
 
 from .intmat import int_matrix, json_object
 from .lattices import IntegerLattice, LatticeError
-from .isometries import (Isometry, IsometryError, ori_char, det_char,
-                         minus_reflection, positive_frame)
-from .discriminant import (DiscriminantData, disc_map, index_monodromy,
+from .isometries import (Isometry, IsometryError, minus_reflection,
+                         positive_frame)
+from .discriminant import (DiscriminantData, characters, index_monodromy,
                            enum_disc_autos, in_W, in_N, NotFound)
-from .mukai import MukaiModel, MkTriple, fm_action, v_perp, \
-    hodge_ori, epsilon_ori, DecisionDegenerate
-from .monodromy import GroupoidWord, certify
+from .mukai import MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori, \
+    DecisionDegenerate
+from .monodromy import GroupoidWord, certify, complement
 from .lemsimo import LemsimoProblem, solve, TargetsNotIntegral
 from .verify import VerifyConfig, run_suite, CHECKS
 
@@ -51,12 +51,10 @@ def _ints(text):
 
 def cmd_info(args):
     try:
-        model = MukaiModel(args.t)
         triple = MkTriple(args.m, args.k, args.t)
+        vp, _, data = complement(triple)
     except ValueError as exc:
         return _bad_input(exc)
-    vp = v_perp(model, triple.v)
-    data = DiscriminantData(vp)
     _dump({
         "m": args.m, "k": args.k, "t": args.t,
         "mukai_vector": triple.v.to_json(),
@@ -89,17 +87,8 @@ def cmd_characters(args):
         return 1
     except (KeyError, TypeError, ValueError) as exc:
         return _bad_input("bad document: %r" % (exc,))
-    datum = positive_frame(lat)
-    data = DiscriminantData(lat)
-    d = disc_map(g, data, data)
-    sign = d.sign()
-    _dump({
-        "det": -1 if det_char(g) else 1,
-        "ori": ori_char(g, datum),
-        "disc": {1: "+id", -1: "-id", None: "other"}[sign],
-        "in_W": in_W(g, datum, disc=d),
-        "in_N": in_N(g, datum, disc=d),
-    }, args)
+    chars = characters(g, positive_frame(lat), DiscriminantData(lat))
+    _dump(dict(chars, in_W=in_W(chars), in_N=in_N(chars)), args)
     return 0
 
 

@@ -14,7 +14,7 @@ from math import gcd
 from . import intmat
 from .intmat import mat, mat_mul, mat_vec, transpose, snf, inv_unimodular
 from .lattices import IntegerLattice, LatticeError
-from .isometries import Isometry, IsometryError
+from .isometries import Isometry, IsometryError, det_char, ori_char
 
 
 class ExtensionObstructed(ValueError):
@@ -352,26 +352,28 @@ def extend_isometry(phi, psi, glue1, glue2):
     return out
 
 
-def in_W(g, datum, disc=None):
-    """Membership in the subgroup of orientation-preserving isometries acting
-    as plus or minus the identity on the discriminant group."""
-    from .isometries import ori_char
-    if ori_char(g, datum) != 0:
-        return False
-    d = disc if disc is not None else disc_map(g)
-    return d.sign() is not None
+def characters(g, datum, data):
+    """Determinant, orientation and discriminant characters of an isometry g
+    of a lattice with positive frame `datum` and discriminant group `data`:
+    det and disc as signs ("other" when g is not +-1 on the discriminant
+    group), ori as 0 or 1."""
+    return {"det": -1 if det_char(g) else 1,
+            "ori": ori_char(g, datum),
+            "disc": {1: "+id", -1: "-id", None: "other"}[
+                disc_map(g, data, data).sign()]}
 
 
-def in_N(g, datum, disc=None):
-    """Membership in the index-2 subgroup where det times the discriminant
-    sign is +1."""
-    from .isometries import det_char
-    d = disc if disc is not None else disc_map(g)
-    if not in_W(g, datum, disc=d):
-        return False
-    s = d.sign()
-    det_sign = 1 if det_char(g) == 0 else -1
-    return det_sign * s == 1
+def in_W(chars):
+    """Membership, read off `characters`, in the subgroup of orientation-
+    preserving isometries acting as plus or minus the identity on the
+    discriminant group."""
+    return chars["ori"] == 0 and chars["disc"] != "other"
+
+
+def in_N(chars):
+    """Membership, read off `characters`, in the index-2 subgroup of W where
+    det times the discriminant sign is +1."""
+    return in_W(chars) and (chars["det"] == 1) == (chars["disc"] == "+id")
 
 
 def index_monodromy(k):

@@ -9,12 +9,13 @@ determinant, orientation, and discriminant characters.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .intmat import mat, transpose, int_matrix, int_vector, json_object
 from .lattices import LatticeError
-from .isometries import (Isometry, IsometryError, OrientationDatum,
-                         det_char, ori_char, identity_isometry)
-from .discriminant import disc_map, in_N as disc_in_N, DiscriminantData
+from .isometries import (Isometry, IsometryError, OrientationDatum, ori_char,
+                         identity_isometry)
+from .discriminant import DiscriminantData, characters, in_N
 from .mukai import MkTriple, fm_action, v_perp, epsilon_ori, h2_lift
 
 
@@ -22,10 +23,28 @@ class WordError(ValueError):
     pass
 
 
+# triples whose complement data is kept for reuse
+COMPLEMENT_CACHE_SIZE = 64
+NULLARY_KINDS = ("poincare", "poincare_dual", "elliptic", "congruence")
+
+
 @dataclass(frozen=True)
 class Token:
+    """One elementary equivalence; ValueError for an unknown kind, a tensor
+    class without 6 entries or a surface lift that is not 6 x 6."""
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        if self.kind == "surface_lift":
+            m = self.params[0]
+            if len(m) != 6 or any(len(row) != 6 for row in m):
+                raise WordError("surface lift matrix must be 6 x 6")
+        elif self.kind == "tensor":
+            if len(self.params[0]) != 6:
+                raise WordError("tensor class must have 6 entries")
+        elif self.kind != "inverse" and self.kind not in NULLARY_KINDS:
+            raise WordError("unknown token kind: %r" % (self.kind,))
 
     def to_json(self):
         if self.kind == "surface_lift":
@@ -97,9 +116,8 @@ def _token_isometry(token, model):
         return fm_action(model, "elliptic")
     if token.kind == "congruence":
         return identity_isometry(model.lattice)
-    if token.kind == "inverse":
-        return _token_isometry(token.params[0], model).inverse()
-    raise WordError("unknown token kind: %r" % (token.kind,))
+    # the only kind left is "inverse"
+    return _token_isometry(token.params[0], model).inverse()
 
 
 @dataclass(frozen=True)
@@ -117,9 +135,9 @@ class GroupoidWord:
                    tuple(Token.from_json(t) for t in d["tokens"]))
 
 
-def eval_phi_tilde(word, model=None):
+def eval_phi_tilde(word):
     """Composite rank-8 isometry of a word (tokens applied in path order)."""
-    model = model or word.triple.model()
+    model = word.triple.model()
     comp = identity_isometry(model.lattice)
     for tok in word.tokens:
         comp = _token_isometry(tok, model).compose(comp)
@@ -131,6 +149,14 @@ def vperp_datum(lat):
     return OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
                                   (0, 0, 1, 1, 0, 0, 0),
                                   (0, 0, 0, 0, 1, 1, 0)))
+
+
+@lru_cache(maxsize=COMPLEMENT_CACHE_SIZE)
+def complement(triple):
+    """(v_perp, its positive 3-frame, its discriminant group) of a triple,
+    built once per triple and shared by its certificates."""
+    vp = v_perp(triple.model(), triple.v)
+    return vp, vperp_datum(vp), DiscriminantData(vp)
 
 
 def restrict(g, sub, sign=1):
@@ -147,15 +173,14 @@ def restrict(g, sub, sign=1):
     return Isometry(sub, sub, transpose(cols))
 
 
-def psi_restrict(g, triple, model=None, vp=None):
+def psi_restrict(g, triple):
     """Sign-twisted restriction to the complement of the Mukai vector:
     (-1)^ori(g) times g restricted to the canonical complement basis."""
-    model = model or triple.model()
     v8 = triple.v.vec8()
     if g.apply(v8) != v8:
         raise WordError("isometry does not fix the Mukai vector")
-    vp = vp or v_perp(model, triple.v)
-    return restrict(g, vp, -1 if epsilon_ori(model, g) else 1)
+    sign = -1 if epsilon_ori(triple.model(), g) else 1
+    return restrict(g, complement(triple)[0], sign)
 
 
 @dataclass(frozen=True)
@@ -175,56 +200,43 @@ class MonodromyCertificate:
                 "in_N": self.in_N}
 
 
-def certify(word, model=None):
+def certify(word):
     """Evaluate a word and certify membership of its sign-twisted restriction
     in the index-2 monodromy subgroup."""
-    model = model or word.triple.model()
-    comp = eval_phi_tilde(word, model)
-    ori = epsilon_ori(model, comp)
-    vp = v_perp(model, word.triple.v)
-    restr = psi_restrict(comp, word.triple, model, vp)
-    datum = vperp_datum(vp)
-    data = DiscriminantData(vp)
-    d = disc_map(restr, data, data)
-    sign = d.sign()
-    chars = {
-        "det": -1 if det_char(restr) else 1,
-        "ori": ori_char(restr, datum),
-        "disc": {1: "+id", -1: "-id", None: "other"}[sign],
-    }
-    member = disc_in_N(restr, datum, disc=d)
-    return MonodromyCertificate(word, comp, ori, restr, chars, member)
+    comp = eval_phi_tilde(word)
+    ori = epsilon_ori(word.triple.model(), comp)
+    restr = psi_restrict(comp, word.triple)
+    _, datum, data = complement(word.triple)
+    chars = characters(restr, datum, data)
+    return MonodromyCertificate(word, comp, ori, restr, chars, in_N(chars))
 
 
-def propdual_word(triple, p=1, model=None):
+def propdual_word(triple, p=1):
     """The four-token word whose sign-twisted restriction is the designated
     determinant -1 generator (minus the dual action on the complement)."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    model = model or triple.model()
     h = (p, p * triple.t, 0, 0, 0, 0)  # p times the polarization class
     word = GroupoidWord(triple, (tensor_l(h), poincare_dual(),
                                  inverse(poincare()), tensor_l(h)))
-    return certify(word, model)
+    return certify(word)
 
 
-def surface_lift_in_N(h_matrix, triple, model=None):
+def surface_lift_in_N(h_matrix, triple):
     """Certificate for the extension of a determinant-1 orientation-preserving
     degree-2 isometry by the identity in degrees 0 and 4."""
-    model = model or triple.model()
-    word = GroupoidWord(triple, (surface_lift(h_matrix),))
-    return certify(word, model)
+    return certify(GroupoidWord(triple, (surface_lift(h_matrix),)))
 
 
-def minus_dual_restricted(triple, model=None):
+def minus_dual_restricted(triple):
     """Exact matrix of minus-the-dual-action on the canonical complement
     basis (the reflection composite in the square -2 vectors (1,0,1) and
     (1,0,-1), restricted)."""
-    model = model or triple.model()
-    minus_dual = Isometry(model.lattice, model.lattice, tuple(
+    lat = triple.model().lattice
+    minus_dual = Isometry(lat, lat, tuple(
         tuple((-1 if i in (0, 7) else 1) * int(i == j) for j in range(8))
         for i in range(8)))
-    return restrict(minus_dual, v_perp(model, triple.v))
+    return restrict(minus_dual, complement(triple)[0])
 
 
 def istar_similitude(x, m):

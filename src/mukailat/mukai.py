@@ -12,6 +12,7 @@ implementations of the orientation character.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .intmat import mat, mat_vec, transpose, json_object
@@ -126,6 +127,11 @@ class MukaiModel:
         return self.strictly_effective(v.xi) or (not any(v.xi) and v.a > 0)
 
 
+# polarization parameters whose model is kept for reuse
+MODEL_CACHE_SIZE = 8
+_shared_model = lru_cache(maxsize=MODEL_CACHE_SIZE)(MukaiModel)
+
+
 @dataclass(frozen=True)
 class MkTriple:
     """Multiplicity m >= 1 and a primitive square-2k vector with k > 2."""
@@ -140,7 +146,8 @@ class MkTriple:
             raise ValueError("k must be > 2")
 
     def model(self):
-        return MukaiModel(self.t)
+        """The model for this triple's t, shared by every triple with that t."""
+        return _shared_model(self.t)
 
     @property
     def w(self):

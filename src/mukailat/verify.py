@@ -12,18 +12,18 @@ from fractions import Fraction
 from . import intmat
 from .intmat import transpose
 from .lattices import LatticeError, direct_sum, hyperbolic_sum, rank_one
-from .isometries import (ori_char, det_char, reflection, minus_reflection,
+from .isometries import (ori_char, reflection, minus_reflection,
                          identity_isometry, minus_identity)
 from .discriminant import (DiscriminantData, disc_map, count_distinct_primes,
                            index_monodromy, glue, extend_isometry,
-                           ExtensionObstructed, NotFound)
+                           ExtensionObstructed, NotFound, characters)
 from .mukai import (MukaiModel, MukaiVector, MkTriple, v_perp, fm_action,
                     hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM,
                     h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         restrict, istar_similitude, isharp, vperp_datum,
                         tensor_l, poincare, poincare_dual, elliptic,
-                        surface_lift, eval_phi_tilde)
+                        surface_lift, eval_phi_tilde, complement)
 from .lemsimo import (LemsimoProblem, solve, check_bound, AMBIENT, U3_DATUM,
                       F_VEC)
 
@@ -204,7 +204,7 @@ def check_fm_orientation(cfg):
                             "decided": decided, "skipped": skipped}
         toks = _random_word_tokens(rng, model, rng.randint(1, 5))
         word = GroupoidWord(triple, toks)
-        phi = eval_phi_tilde(word, model)
+        phi = eval_phi_tilde(word)
         try:
             h = hodge_ori(model, phi)
         except DecisionDegenerate:
@@ -246,7 +246,7 @@ def check_propdual(cfg):
     for (m, k) in ((2, 3), (2, 5), (3, 4)):
         triple = MkTriple(m, k, cfg.t)
         model = triple.model()
-        target = minus_dual_restricted(triple, model)
+        target = minus_dual_restricted(triple)
         # the same matrix obtained from the actual reflection composite
         s = (1, 0, 0, 0, 0, 0, 0, 1)
         s1 = (1, 0, 0, 0, 0, 0, 0, -1)
@@ -255,7 +255,7 @@ def check_propdual(cfg):
         if restrict(comp, target.source).matrix != target.matrix:
             return "fail", {"m": m, "k": k, "case": "reflection-vs-dual"}
         for p in (1, 2):
-            cert = propdual_word(triple, p, model)
+            cert = propdual_word(triple, p)
             if cert.restricted.matrix != target.matrix:
                 return "fail", {"m": m, "k": k, "p": p, "case": "restricted"}
             if not cert.in_N or cert.ori != 1:
@@ -412,11 +412,7 @@ def check_lemsimo(cfg):
 def check_similitude(cfg):
     rng = _rng(cfg, 9)
     k = 3
-    triple = MkTriple(1, k, cfg.t)
-    model = triple.model()
-    vp = v_perp(model, triple.v)
-    datum = vperp_datum(vp)
-    data = DiscriminantData(vp)
+    vp, datum, data = complement(MkTriple(1, k, cfg.t))
     for m in (2, 3, 5):
         for _ in range(cfg.similitude_samples):
             x = tuple(rng.randint(-9, 9) for _ in range(7))
@@ -428,9 +424,7 @@ def check_similitude(cfg):
         u = _sample_pm2_vector(rng, k, coord_bound=8)
         r = minus_reflection(vp, u)
         r2 = isharp(r, vp)
-        trip = lambda h: (det_char(h), ori_char(h, datum),
-                          disc_map(h, data, data).sign())
-        if trip(r) != trip(r2):
+        if characters(r, datum, data) != characters(r2, datum, data):
             return "fail", {"u": u, "case": "isharp-characters"}
     return "pass", {"pairs": 3 * cfg.similitude_samples}
 

@@ -139,9 +139,19 @@ def test_word(tmp_path, capsys):
     assert_bad_input(capsys, "word", str(bad))
     doc = word.to_json()
     doc["tokens"][0]["params"]["c"] = [1.0, 2, 0, 0, 0, 0]
-    for tokens in (doc["tokens"], [5]):
+    # an unknown kind, a tensor class without 6 entries and a surface lift
+    # that is not 6 x 6 are malformed documents
+    for tokens in (doc["tokens"], [5], [{"kind": "foo"}],
+                   [{"kind": "tensor", "params": {"c": [1, 2, 3]}}],
+                   [{"kind": "surface_lift",
+                     "params": {"matrix": [[1, 0], [0, 1]]}}]):
         bad.write_text(json.dumps(dict(doc, tokens=tokens)))
         assert_bad_input(capsys, "word", str(bad))
+    # a well-formed class outside the Neron-Severi block fails to certify
+    off_ns = [{"kind": "tensor", "params": {"c": [0, 0, 1, 0, 0, 0]}}]
+    bad.write_text(json.dumps(dict(doc, tokens=off_ns)))
+    code, _, err = run_cli(capsys, "word", str(bad))
+    assert code == 1 and "Neron-Severi" in err
     # a float or bool in the triple must not reach the exact core
     for key, value in (("t", 2.5), ("k", 3.0), ("m", 1.5), ("m", True)):
         bad_triple = dict(triple.to_json(), **{key: value})
@@ -219,6 +229,84 @@ PINNED_OUTPUTS = (
 @pytest.mark.parametrize("argv,digest", PINNED_OUTPUTS)
 def test_outputs_are_pinned(capsys, argv, digest):
     code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _word_documents():
+    from mukailat.mukai import MkTriple
+    from mukailat.isometries import minus_reflection
+    from mukailat.monodromy import (GroupoidWord, tensor_l, poincare_dual,
+                                    inverse, poincare, surface_lift,
+                                    congruence_id)
+    h2 = hyperbolic_sum(3)
+    lift = surface_lift(minus_reflection(h2, (1, 1, 0, 0, 0, 0)).compose(
+        minus_reflection(h2, (0, 0, 1, 1, 0, 0))).matrix)
+    h1, h2 = (1, 2, 0, 0, 0, 0), (2, 6, 0, 0, 0, 0)
+    return {
+        "propdual": GroupoidWord(MkTriple(2, 3, 2), (
+            tensor_l(h1), poincare_dual(), inverse(poincare()),
+            tensor_l(h1))).to_json(),
+        "mixed": GroupoidWord(MkTriple(3, 5, 3), (
+            lift, tensor_l(h2), poincare_dual(), inverse(poincare()),
+            tensor_l(h2), congruence_id(), inverse(lift))).to_json(),
+    }
+
+
+def _characters_documents():
+    from mukailat.isometries import reflection, minus_reflection
+    perp = direct_sum(hyperbolic_sum(3), rank_one(-6))
+    rho = reflection(perp, (1, -1, 0, 0, 0, 0, 0))
+    diag = direct_sum(rank_one(2), rank_one(2), rank_one(-2), rank_one(-4))
+    swap = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    comp = minus_reflection(perp, (1, 1, 0, 0, 0, 0, 0)).compose(
+        minus_reflection(perp, (0, 0, 1, -1, 0, 0, 0)))
+    return {
+        "reflection": (perp.to_json(), rho.matrix),
+        "swap": (diag.to_json(), swap),
+        "product": (perp.to_json(), comp.matrix),
+    }
+
+
+# SHA-256 of the stdout of `word` and `characters` on documents written to
+# disk, taken before the three characters were spelled in one function
+PINNED_DOCUMENT_OUTPUTS = (
+    ("word", "propdual", "json",
+     "ebc1f29b0e36022a64b5ada8fa36b190f1c3b887199561afbf255abd70cc245f"),
+    ("word", "propdual", "text",
+     "3e1430afaf3f074ed72e928d28f5e2d2b4de1d718dfc787264543960bde04d9b"),
+    ("word", "mixed", "json",
+     "ffa8c8ace97df0d43e185f71347a5498ede6ae79e96fd080d212e81f791c41ca"),
+    ("word", "mixed", "text",
+     "96e21919e08049067bf6d02b3bfed81aefd013a4b238f4fe2e12ecf9ac314508"),
+    ("characters", "reflection", "json",
+     "f92317c99fbd9f165135d7fed6fcf2643b75eb5927b1c4e8927e0dc9dbb94099"),
+    ("characters", "reflection", "text",
+     "c065b340bbb9903b3f254b990926075ab4b641b034cd01c17d0ea771925fd569"),
+    ("characters", "swap", "json",
+     "66f3bed2e7a9597cf2909b2ab45f4b8ec48d8da8eaa033792b21e69d62b02f39"),
+    ("characters", "swap", "text",
+     "e8e3c0266f6eec2334becdba79608087ee795339802ed40ae1c16f240486cf43"),
+    ("characters", "product", "json",
+     "0ac5cb05fd11324aecee478c2c2d11b6ec426f33238e9cee3744eb185b54b6a9"),
+    ("characters", "product", "text",
+     "4f0318c85bf1f6a47d2c6395850b6a10b2ce3dfa9bbedee880890f231de81f7a"),
+)
+
+
+@pytest.mark.parametrize("command,name,fmt,digest", PINNED_DOCUMENT_OUTPUTS)
+def test_document_outputs_are_pinned(tmp_path, capsys, command, name, fmt,
+                                     digest):
+    if command == "word":
+        paths = [tmp_path / "word.json"]
+        paths[0].write_text(json.dumps(_word_documents()[name]))
+    else:
+        lat, matrix = _characters_documents()[name]
+        paths = [tmp_path / "lat.json", tmp_path / "iso.json"]
+        paths[0].write_text(json.dumps(lat))
+        paths[1].write_text(json.dumps({"matrix": [list(r) for r in matrix]}))
+    code, out, _ = run_cli(capsys, "--format", fmt, command,
+                           *(str(p) for p in paths))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

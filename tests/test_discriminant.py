@@ -17,7 +17,7 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    identity_disc_map, enum_disc_autos,
                                    count_distinct_primes, index_monodromy,
                                    glue, extend_isometry, ExtensionObstructed,
-                                   NotFound, in_W, in_N)
+                                   NotFound, characters, in_W, in_N)
 from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
                               _integral_reflections)
 from mukailat.verify import sample_admissible_pair
@@ -312,14 +312,13 @@ def test_in_W_and_in_N_for_signed_reflections():
     rneg = minus_reflection(lat, (1, -1, 0, 0, 0, 0, 0))  # square -2
     rpos = minus_reflection(lat, (1, 1, 0, 0, 0, 0, 0))   # square +2
     for r in (rneg, rpos):
-        d = disc_map(r, data, data)
-        assert in_W(r, datum, disc=d)
+        chars = characters(r, datum, data)
+        assert in_W(chars)
         # a single signed reflection has det * disc-sign == -1, so it
         # generates W over its index-2 subgroup but is not in it
-        assert not in_N(r, datum, disc=d)
+        assert not in_N(chars)
     # the product of two signed reflections is in the subgroup
-    comp = rneg.compose(rpos)
-    assert in_N(comp, datum, disc=disc_map(comp, data, data))
+    assert in_N(characters(rneg.compose(rpos), datum, data))
 
 
 def test_not_found_carries_bound_and_stage():

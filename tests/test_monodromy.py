@@ -1,8 +1,14 @@
 """Words of elementary equivalences, certificates, and similitude transport."""
 
+import hashlib
+import json
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mukailat.mukai import MukaiModel, MkTriple, v_perp, fm_action
+from mukailat import monodromy
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
                                 congruence_id, inverse, eval_phi_tilde,
@@ -12,7 +18,8 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
 from mukailat.isometries import (Isometry, det_char, ori_char,
                                  identity_isometry)
 from mukailat.lattices import hyperbolic_sum
-from mukailat.discriminant import DiscriminantData, disc_map
+from mukailat.discriminant import DiscriminantData, disc_map, characters
+from mukailat.verify import _random_surface_lift
 
 
 def _triple():
@@ -44,21 +51,20 @@ def test_eval_composes_in_path_order():
     model = MukaiModel(2)
     t = tensor_l((0, 1, 0, 0, 0, 0))
     word = GroupoidWord(_triple(), (t, poincare()))
-    got = eval_phi_tilde(word, model)
+    got = eval_phi_tilde(word)
     want = fm_action(model, "poincare").compose(
         fm_action(model, "tensor", (0, 1, 0, 0, 0, 0)))
     assert got.matrix == want.matrix
 
 
 def test_surface_lift_validation():
-    model = MukaiModel(2)
     # determinant -1 matrix must be rejected
     swap = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
     for i in range(2, 6):
         swap.append([int(i == j) for j in range(6)])
     word = GroupoidWord(_triple(), (surface_lift(swap),))
     with pytest.raises(WordError):
-        eval_phi_tilde(word, model)
+        eval_phi_tilde(word)
 
 
 def test_restrict_rejects_a_non_integral_result():
@@ -80,18 +86,17 @@ def test_psi_restrict_requires_fixed_vector():
     triple = _triple()
     phi = fm_action(model, "tensor", (0, 1, 0, 0, 0, 0))
     with pytest.raises(WordError):
-        psi_restrict(phi, triple, model)
+        psi_restrict(phi, triple)
 
 
 def test_certify_functorial_on_concatenation():
     triple = _triple()
-    model = triple.model()
     h = (1, 2, 0, 0, 0, 0)
     w1 = GroupoidWord(triple, (tensor_l(h), poincare_dual(),
                                inverse(poincare()), tensor_l(h)))
     w2 = GroupoidWord(triple, w1.tokens + w1.tokens)
-    c1 = certify(w1, model)
-    c2 = certify(w2, model)
+    c1 = certify(w1)
+    c2 = certify(w2)
     # sign-twisted restriction is multiplicative: the orientation signs of
     # the two halves multiply along with the restrictions
     r1 = c1.restricted
@@ -102,10 +107,9 @@ def test_certify_functorial_on_concatenation():
 def test_propdual_certificate_characters():
     for (m, k) in ((2, 3), (3, 4)):
         triple = MkTriple(m, k, 2)
-        model = triple.model()
-        target = minus_dual_restricted(triple, model)
+        target = minus_dual_restricted(triple)
         for p in (1, 2):
-            cert = propdual_word(triple, p, model)
+            cert = propdual_word(triple, p)
             assert cert.ori == 1
             assert cert.restricted.matrix == target.matrix
             assert cert.characters["det"] == -1
@@ -119,12 +123,11 @@ def test_propdual_certificate_characters():
 def test_surface_lift_certificate_in_N():
     from mukailat.isometries import minus_reflection
     triple = _triple()
-    model = triple.model()
-    h2 = model.h2_lattice
+    h2 = triple.model().h2_lattice
     h = minus_reflection(h2, (1, 1, 0, 0, 0, 0)).compose(
         minus_reflection(h2, (0, 0, 1, 1, 0, 0)))
     assert h.det() == 1
-    cert = surface_lift_in_N(h.matrix, triple, model)
+    cert = surface_lift_in_N(h.matrix, triple)
     assert cert.ori == 0
     assert cert.in_N
 
@@ -152,3 +155,98 @@ def test_isharp_preserves_character_triple():
     assert det_char(r) == det_char(r2)
     assert ori_char(r, datum) == ori_char(r2, datum)
     assert disc_map(r, data, data).sign() == disc_map(r2, data, data).sign()
+
+
+def _propdual_block(p, t):
+    """Four tokens whose composite fixes v and restricts to minus the dual
+    action on the complement."""
+    h = (p, p * t, 0, 0, 0, 0)
+    return (tensor_l(h), poincare_dual(), inverse(poincare()), tensor_l(h))
+
+
+def _seeded_words(seed, count):
+    """Words of 1..4 segments on triples with m in 1..3, k in 3..8 and t = 2;
+    each segment is a surface lift or a propdual block with p in 1..3, so
+    every word fixes the Mukai vector."""
+    rng = random.Random(seed)
+    model = MukaiModel(2)
+    words = []
+    for _ in range(count):
+        triple = MkTriple(rng.randint(1, 3), rng.randint(3, 8), 2)
+        tokens = ()
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                tokens += (surface_lift(_random_surface_lift(rng, model)),)
+            else:
+                tokens += _propdual_block(rng.randint(1, 3), 2)
+        words.append(GroupoidWord(triple, tokens))
+    return words
+
+
+# SHA-256 of the certificate JSON of 200 seeded words, taken before each
+# triple's model, complement and discriminant group were built once
+CERTIFICATES_DIGEST = \
+    "681064fffa0c30746ea14356c873395068463c52d8d2fb7a9e3a488499dd2710"
+
+
+def test_certificates_are_pinned():
+    digest = hashlib.sha256()
+    for word in _seeded_words(7, 200):
+        doc = certify(word).to_json()
+        digest.update(json.dumps(doc, sort_keys=True).encode())
+    assert digest.hexdigest() == CERTIFICATES_DIGEST
+
+
+_LIFTS = tuple(_random_surface_lift(random.Random(seed), MukaiModel(2))
+               for seed in range(8))
+_TRIPLES = st.builds(MkTriple, st.integers(1, 3), st.integers(3, 8),
+                     st.sampled_from((2, 3)))
+
+
+def _words(triple):
+    """Words fixing the Mukai vector of `triple`: 0..3 segments, each a
+    surface lift from a fixed pool or a propdual block."""
+    segment = st.one_of(
+        st.sampled_from(_LIFTS).map(lambda m: (surface_lift(m),)),
+        st.integers(1, 3).map(lambda p: _propdual_block(p, triple.t)))
+    return st.lists(segment, max_size=3).map(lambda segs: sum(segs, ()))
+
+
+@settings(max_examples=25, deadline=None)
+@given(triples=st.lists(_TRIPLES, min_size=2, max_size=2, unique=True),
+       data=st.data())
+def test_certify_is_functorial(triples, data):
+    """The sign-twisted restriction of w1 + w2 is that of w2 after that of
+    w1 and ori adds mod 2.  Certificates of two triples are interleaved, so
+    complement data shared across triples shows as a wrong lattice or wrong
+    characters."""
+    words = [(t, data.draw(_words(t)), data.draw(_words(t))) for t in triples]
+    certs = {}
+    for step in range(3):
+        for triple, w1, w2 in words:
+            tokens = (w1, w2, w1 + w2)[step]
+            certs[triple, step] = certify(GroupoidWord(triple, tokens))
+    for triple, _, _ in words:
+        c1, c2, c12 = (certs[triple, step] for step in range(3))
+        assert c12.restricted.matrix == \
+            c2.restricted.compose(c1.restricted).matrix
+        assert c12.ori == (c1.ori + c2.ori) % 2
+        vp = v_perp(MukaiModel(triple.t), triple.v)
+        for cert in (c1, c2, c12):
+            assert cert.restricted.source.gram == vp.gram
+            assert cert.characters == characters(
+                cert.restricted, vperp_datum(vp), DiscriminantData(vp))
+
+
+def test_complement_is_built_once_per_triple(monkeypatch):
+    calls = []
+
+    def counting_v_perp(model, v):
+        calls.append(v)
+        return v_perp(model, v)
+
+    monkeypatch.setattr(monodromy, "v_perp", counting_v_perp)
+    triple = MkTriple(4, 13, 5)  # certified by no other test
+    for p in (1, 2):
+        assert certify(GroupoidWord(triple, _propdual_block(p, 5))).in_N
+    assert len(calls) == 1
