@@ -7,6 +7,7 @@ here can silently overflow or round.
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def mat(rows):
@@ -43,13 +44,21 @@ def transpose(a):
     return tuple(zip(*a)) if a else ()
 
 
+# The one dot-product kernel, sum(map(mul, u, v)), spelled out in the two
+# hot loops: Python ints (or Fractions) throughout, so nothing wraps; like
+# zip, map stops at the shorter operand.
+
 def mat_mul(a, b):
     bt = transpose(b)
-    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+    return tuple(tuple([sum(map(mul, row, col)) for col in bt]) for row in a)
 
 
 def mat_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return tuple([sum(map(mul, row, v)) for row in a])
+
+
+def dot(u, v):
+    return sum(map(mul, u, v))
 
 
 def det(a):
@@ -323,30 +332,26 @@ def orthogonal_basis(g):
     while work:
         v = work[0]
         gv = mat_vec(g, v)
-        a = _dot(v, gv)
+        a = dot(v, gv)
         if a == 0:
-            w = next((w for w in work[1:] if _dot(w, gv) != 0), None)
+            w = next((w for w in work[1:] if dot(w, gv) != 0), None)
             if w is None:
                 raise ValueError("degenerate form")
             v = tuple(x + y for x, y in zip(v, w))
-            if _dot(v, mat_vec(g, v)) == 0:
+            if dot(v, mat_vec(g, v)) == 0:
                 v = tuple(x - 2 * y for x, y in zip(v, w))
             gv = mat_vec(g, v)
-            a = _dot(v, gv)
+            a = dot(v, gv)
         out.append((v, a))
         s = 1 if a > 0 else -1
         rest = []
         for w in work[1:]:
-            b = s * _dot(w, gv)
+            b = s * dot(w, gv)
             w = tuple(abs(a) * x - b * y for x, y in zip(w, v))
             d = gcd(*w)
             rest.append(tuple(x // d for x in w))
         work = rest
     return out
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
 
 
 def signature(g):

@@ -159,9 +159,10 @@ def ori_char(g, datum):
         raise IsometryError("orientation character needs an endomorphism")
     if datum.lattice.gram != g.source.gram:
         raise IsometryError("datum belongs to a different lattice")
-    lat = datum.lattice
     cols = datum.columns
-    rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
+    # rhs = C^T G (g C) for the column matrix C: each image g(col_j) once
+    rhs = mat_mul(mat_mul(cols, datum.lattice.gram),
+                  mat_mul(g.matrix, transpose(cols)))
     d = intmat.det(rhs)
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")

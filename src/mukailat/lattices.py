@@ -11,7 +11,7 @@ from functools import cached_property
 from math import gcd
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, transpose, row_basis, snf,
+from .intmat import (mat, mat_mul, mat_vec, dot, transpose, row_basis, snf,
                      kernel_int, int_matrix, json_object)
 
 
@@ -70,7 +70,7 @@ class IntegerLattice:
         return hash(self.gram)
 
     def inner(self, u, v):
-        return sum(ui * x for ui, x in zip(u, mat_vec(self.gram, v)))
+        return dot(u, mat_vec(self.gram, v))
 
     def norm(self, u):
         return self.inner(u, u)
@@ -141,8 +141,7 @@ class IntegerLattice:
         """Coordinates of v (in this lattice's basis) inside the ambient lattice."""
         if self.embedding is None:
             raise LatticeError("lattice has no embedding")
-        return tuple(sum(c * b for c, b in zip(v, col))
-                     for col in transpose(self.embedding.basis))
+        return mat_vec(transpose(self.embedding.basis), v)
 
     @cached_property
     def smith(self):

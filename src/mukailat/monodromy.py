@@ -174,13 +174,14 @@ def restrict(g, sub, sign=1):
 
 
 def psi_restrict(g, triple):
-    """Sign-twisted restriction to the complement of the Mukai vector:
-    (-1)^ori(g) times g restricted to the canonical complement basis."""
+    """(ori(g), sign-twisted restriction to the complement of the Mukai
+    vector): the restriction is (-1)^ori(g) times g on the canonical
+    complement basis."""
     v8 = triple.v.vec8()
     if g.apply(v8) != v8:
         raise WordError("isometry does not fix the Mukai vector")
-    sign = -1 if epsilon_ori(triple.model(), g) else 1
-    return restrict(g, complement(triple)[0], sign)
+    ori = epsilon_ori(triple.model(), g)
+    return ori, restrict(g, complement(triple)[0], -1 if ori else 1)
 
 
 @dataclass(frozen=True)
@@ -204,8 +205,7 @@ def certify(word):
     """Evaluate a word and certify membership of its sign-twisted restriction
     in the index-2 monodromy subgroup."""
     comp = eval_phi_tilde(word)
-    ori = epsilon_ori(word.triple.model(), comp)
-    restr = psi_restrict(comp, word.triple)
+    ori, restr = psi_restrict(comp, word.triple)
     _, datum, data = complement(word.triple)
     chars = characters(restr, datum, data)
     return MonodromyCertificate(word, comp, ori, restr, chars, in_N(chars))

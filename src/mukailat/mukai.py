@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import mat, mat_vec, transpose, json_object
+from .intmat import mat, mat_vec, dot, transpose, json_object
 from .lattices import IntegerLattice, Embedding
 from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 
@@ -47,7 +47,7 @@ MUKAI_GRAM = _mukai_gram()
 
 
 def h2_inner(x, y):
-    return sum(xi * v for xi, v in zip(x, mat_vec(H2_GRAM, y)))
+    return dot(x, mat_vec(H2_GRAM, y))
 
 
 @dataclass(frozen=True)
@@ -197,15 +197,24 @@ def v_perp(model, v):
     return model.lattice.orth_complement(sub, label="v_perp")
 
 
+# (model, kind, class) keys whose checked action is kept for reuse
+FM_ACTION_CACHE_SIZE = 128
+
+
 def fm_action(model, kind, c=None):
     """Cohomological action of an elementary derived equivalence, as an
-    isometry of the rank-8 lattice."""
+    isometry of the rank-8 lattice.  The action is built and checked once
+    per (model, kind, c) and shared: callers must not mutate it."""
+    return _fm_action(model, kind, None if c is None else tuple(c))
+
+
+@lru_cache(maxsize=FM_ACTION_CACHE_SIZE)
+def _fm_action(model, kind, c):
     n = 8
     cols = []
     if kind == "tensor":
         if c is None:
             raise ValueError("tensor action needs a class")
-        c = tuple(c)
         if len(c) != 6 or not model.is_ns(c):
             raise ValueError("tensor class must lie in the Neron-Severi block")
         csq = h2_inner(c, c)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import intmat
+from mukailat.lattices import IntegerLattice, Embedding
 from mukailat.intmat import (mat, identity, transpose, mat_mul, mat_vec, det,
                              hnf_row, row_basis, snf, solve_integer,
                              solve_rational, inv_unimodular, inv_rational,
@@ -266,3 +267,108 @@ def test_orthogonal_basis_diagonalises(g):
         assert gram[i] == tuple(a if j == i else 0 for j in range(len(g)))
     assert det(mat(vecs)) != 0
     assert signature(g) == _fraction_signature(g)
+
+
+# Entries far beyond int64, where a wrapping kernel would go wrong, and
+# exact fractions; rows and vectors have independent lengths, so the
+# references below also pin how the kernel truncates mismatched operands:
+# it stops at the shorter one, as zip does.
+big_ints = st.integers(min_value=-2 ** 200, max_value=2 ** 200)
+exact_entries = st.one_of(big_ints, st.fractions(max_denominator=12))
+
+
+def ragged(entries, max_len=4):
+    return st.lists(st.lists(entries, max_size=max_len),
+                    max_size=max_len).map(mat)
+
+
+def _mat_mul_loops(a, b):
+    cols = min((len(r) for r in b), default=0)
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(cols):
+            s = 0
+            for k in range(min(len(row), len(b))):
+                s += row[k] * b[k][j]
+            out_row.append(s)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def _mat_vec_loops(a, v):
+    out = []
+    for row in a:
+        s = 0
+        for k in range(min(len(row), len(v))):
+            s += row[k] * v[k]
+        out.append(s)
+    return tuple(out)
+
+
+def _all_int(m):
+    return all(type(x) is int for row in m for x in row)
+
+
+@given(ragged(exact_entries), ragged(exact_entries))
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_matches_triple_loop(a, b):
+    got = mat_mul(a, b)
+    assert got == _mat_mul_loops(a, b)
+    if _all_int(a) and _all_int(b):
+        assert _all_int(got)
+
+
+@given(ragged(exact_entries), st.lists(exact_entries, max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_mat_vec_matches_loop(a, v):
+    got = mat_vec(a, tuple(v))
+    assert got == _mat_vec_loops(a, v)
+    if _all_int(a) and all(type(x) is int for x in v):
+        assert all(type(x) is int for x in got)
+
+
+@st.composite
+def big_even_grams(draw, max_n=4):
+    """Symmetric, even, nondegenerate grams with entries up to 2^201."""
+    n = draw(st.integers(1, max_n))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(big_ints)
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(big_ints)
+    assume(det(g) != 0)
+    return mat(g)
+
+
+@given(big_even_grams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_inner_matches_double_loop(g, data):
+    n = len(g)
+    vectors = st.lists(exact_entries, max_size=n + 1).map(tuple)
+    u, v = data.draw(vectors), data.draw(vectors)
+    want = 0
+    for i in range(min(len(u), n)):
+        for j in range(min(len(v), n)):
+            want += u[i] * g[i][j] * v[j]
+    assert IntegerLattice(g).inner(u, v) == want
+
+
+@given(big_even_grams(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_to_ambient_matches_loop(g, data):
+    n = len(g)
+    r = data.draw(st.integers(1, n))
+    basis = data.draw(st.lists(st.lists(big_ints, min_size=n, max_size=n),
+                               min_size=r, max_size=r).map(mat))
+    sub_gram = mat_mul(mat_mul(basis, g), transpose(basis))
+    assume(det(sub_gram) != 0)
+    sub = IntegerLattice(sub_gram, embedding=Embedding(IntegerLattice(g), basis))
+    c = data.draw(st.lists(exact_entries, max_size=r + 1))
+    want = []
+    for j in range(n):
+        s = 0
+        for i in range(min(len(c), r)):
+            s += c[i] * basis[i][j]
+        want.append(s)
+    assert sub.to_ambient(tuple(c)) == tuple(want)

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mukailat.mukai import MukaiModel, MkTriple, v_perp, fm_action
+from mukailat.mukai import MukaiModel, MkTriple, v_perp, fm_action, epsilon_ori
 from mukailat import monodromy
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
@@ -250,3 +250,19 @@ def test_complement_is_built_once_per_triple(monkeypatch):
     for p in (1, 2):
         assert certify(GroupoidWord(triple, _propdual_block(p, 5))).in_N
     assert len(calls) == 1
+
+
+def test_certify_computes_the_orientation_once(monkeypatch):
+    calls = []
+
+    def counting_epsilon_ori(model, phi):
+        calls.append(phi)
+        return epsilon_ori(model, phi)
+
+    monkeypatch.setattr(monodromy, "epsilon_ori", counting_epsilon_ori)
+    triple = _triple()
+    cert = certify(GroupoidWord(triple, _propdual_block(1, triple.t)))
+    assert len(calls) == 1
+    assert cert.ori == epsilon_ori(triple.model(), cert.composite) == 1
+    # psi_restrict hands back the character it twisted by
+    assert psi_restrict(cert.composite, triple) == (cert.ori, cert.restricted)

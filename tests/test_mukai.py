@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from mukailat import mukai
 from mukailat.intmat import mat_mul, transpose
 from mukailat.mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing,
                             v_perp, fm_action, h2_lift, hodge_ori,
@@ -90,6 +91,31 @@ def test_tensor_action_cocycle():
     csum = tuple(a + b for a, b in zip(c1, c2))
     lhs = fm_action(model, "tensor", c1).compose(fm_action(model, "tensor", c2))
     assert lhs.matrix == fm_action(model, "tensor", csum).matrix
+
+
+def test_fm_action_is_built_once_and_shared():
+    model = MukaiModel(2)
+    lat = model.lattice
+    for kind, c, same_c in (("tensor", [1, 2, 0, 0, 0, 0], (1, 2, 0, 0, 0, 0)),
+                            ("poincare", None, None),
+                            ("elliptic", None, None)):
+        phi = fm_action(model, kind, c)
+        assert fm_action(model, kind, same_c) is phi
+        assert fm_action(model, kind, c) is phi
+        # the shared action equals a fresh, checked build of the same key
+        fresh = mukai._fm_action.__wrapped__(model, kind, same_c)
+        assert fresh is not phi and fresh == phi
+        matrix = phi.matrix
+        phi.inverse().compose(phi).compose(phi.inverse())
+        phi.power(3)
+        assert phi.matrix == matrix and phi.source is lat
+        assert fm_action(model, kind, c) is phi
+    # another model gets its own action on its own lattice
+    other = MukaiModel(2)
+    phi = fm_action(other, "poincare")
+    assert phi is not fm_action(model, "poincare")
+    assert phi.source is other.lattice
+    assert phi.matrix == fm_action(model, "poincare").matrix
 
 
 def test_tensor_action_on_rank_one():
