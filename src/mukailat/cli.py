@@ -15,7 +15,7 @@ from .isometries import (Isometry, IsometryError, minus_reflection,
                          positive_frame)
 from .discriminant import (DiscriminantData, characters, index_monodromy,
                            enum_disc_autos, in_W, in_N, NotFound)
-from .mukai import MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori, \
+from .mukai import shared_model, MkTriple, fm_action, hodge_ori, epsilon_ori, \
     DecisionDegenerate
 from .monodromy import GroupoidWord, certify, complement
 from .lemsimo import LemsimoProblem, solve, TargetsNotIntegral
@@ -111,7 +111,7 @@ def cmd_reflect(args):
 
 def cmd_fm(args):
     try:
-        model = MukaiModel(args.t)
+        model = shared_model(args.t)
         c = _ints(args.c) if args.c else None
     except ValueError as exc:
         return _bad_input(exc)

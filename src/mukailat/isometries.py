@@ -60,14 +60,15 @@ class Isometry:
         return Isometry(self.target, self.source, inv)
 
     def power(self, n):
+        """The n-fold product, checked once (a negative n inverts first)."""
         if self.source.gram != self.target.gram:
             raise IsometryError("powers need an endomorphism")
         if n < 0:
             return self.inverse().power(-n)
-        out = identity_isometry(self.source)
+        m = intmat.identity(len(self.matrix))
         for _ in range(n):
-            out = self.compose(out)
-        return out
+            m = mat_mul(self.matrix, m)
+        return Isometry(self.source, self.target, m)
 
     def det(self):
         return intmat.det(self.matrix)

@@ -9,12 +9,11 @@ determinant, orientation, and discriminant characters.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .intmat import mat, transpose, int_matrix, int_vector, json_object
-from .lattices import LatticeError
-from .isometries import (Isometry, IsometryError, OrientationDatum, ori_char,
-                         identity_isometry)
+from .intmat import (mat, mat_mul, transpose, identity, inv_unimodular,
+                     int_matrix, int_vector, json_object)
+from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 from .discriminant import DiscriminantData, characters, in_N
 from .mukai import MkTriple, fm_action, v_perp, epsilon_ori, h2_lift
 
@@ -98,26 +97,22 @@ def inverse(token):
     return Token("inverse", (token,))
 
 
-def _token_isometry(token, model):
+def _token_matrix(token, model):
+    """Integer matrix of a token's action on the rank-8 lattice.  FM actions
+    are the shared checked isometries and a surface lift is checked as an
+    isometry of U^3 and of the rank-8 lattice."""
     if token.kind == "surface_lift":
         h = Isometry(model.h2_lattice, model.h2_lattice, token.params[0])
         if h.det() != 1:
             raise WordError("surface lift must have determinant 1")
         if ori_char(h, model.h2_datum) != 0:
             raise WordError("surface lift must be orientation preserving")
-        return h2_lift(model, h)
-    if token.kind == "tensor":
-        return fm_action(model, "tensor", token.params[0])
-    if token.kind == "poincare":
-        return fm_action(model, "poincare")
-    if token.kind == "poincare_dual":
-        return fm_action(model, "poincare_dual")
-    if token.kind == "elliptic":
-        return fm_action(model, "elliptic")
+        return h2_lift(model, h).matrix
     if token.kind == "congruence":
-        return identity_isometry(model.lattice)
-    # the only kind left is "inverse"
-    return _token_isometry(token.params[0], model).inverse()
+        return identity(8)
+    if token.kind == "inverse":
+        return inv_unimodular(_token_matrix(token.params[0], model))
+    return fm_action(model, token.kind, *token.params).matrix
 
 
 @dataclass(frozen=True)
@@ -136,12 +131,12 @@ class GroupoidWord:
 
 
 def eval_phi_tilde(word):
-    """Composite rank-8 isometry of a word (tokens applied in path order)."""
+    """Composite rank-8 isometry of a word (tokens applied in path order):
+    the product of the token matrices, checked once."""
     model = word.triple.model()
-    comp = identity_isometry(model.lattice)
-    for tok in word.tokens:
-        comp = _token_isometry(tok, model).compose(comp)
-    return comp
+    mats = [_token_matrix(tok, model) for tok in word.tokens]
+    m = reduce(mat_mul, reversed(mats)) if mats else identity(8)
+    return Isometry(model.lattice, model.lattice, m)
 
 
 def vperp_datum(lat):
@@ -161,16 +156,17 @@ def complement(triple):
 
 def restrict(g, sub, sign=1):
     """sign * g restricted to a sublattice `sub` of its lattice, in the
-    basis of `sub`; WordError if it does not map `sub` into itself."""
-    cols = []
-    for j in range(sub.rank):
-        e = tuple(int(i == j) for i in range(sub.rank))
-        im = g.apply(sub.to_ambient(e))
-        try:
-            cols.append(sub.from_ambient(tuple(sign * x for x in im)))
-        except LatticeError:
-            raise WordError("restriction left the sublattice") from None
-    return Isometry(sub, sub, transpose(cols))
+    basis of `sub`; WordError if it does not map `sub` into itself.  R is
+    the floor of the projection of the images sign * g * B^T, and B^T * R
+    equals them exactly when they lie in `sub`, since B^T is injective."""
+    num, den = sub.projection
+    bt = transpose(sub.embedding.basis)
+    images = tuple(tuple(sign * x for x in row)
+                   for row in mat_mul(g.matrix, bt))
+    r = tuple(tuple(x // den for x in row) for row in mat_mul(num, images))
+    if mat_mul(bt, r) != images:
+        raise WordError("restriction left the sublattice")
+    return Isometry(sub, sub, r)
 
 
 def psi_restrict(g, triple):

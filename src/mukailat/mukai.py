@@ -127,9 +127,10 @@ class MukaiModel:
         return self.strictly_effective(v.xi) or (not any(v.xi) and v.a > 0)
 
 
-# polarization parameters whose model is kept for reuse
+# polarization parameters whose model is kept for reuse; shared_model(t) is
+# the one MukaiModel(t) of the process, so actions cached per model are reused
 MODEL_CACHE_SIZE = 8
-_shared_model = lru_cache(maxsize=MODEL_CACHE_SIZE)(MukaiModel)
+shared_model = lru_cache(maxsize=MODEL_CACHE_SIZE)(MukaiModel)
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ class MkTriple:
 
     def model(self):
         """The model for this triple's t, shared by every triple with that t."""
-        return _shared_model(self.t)
+        return shared_model(self.t)
 
     @property
     def w(self):

@@ -11,19 +11,19 @@ from fractions import Fraction
 
 from . import intmat
 from .intmat import transpose
-from .lattices import LatticeError, direct_sum, hyperbolic_sum, rank_one
+from .lattices import LatticeError
 from .isometries import (ori_char, reflection, minus_reflection,
                          identity_isometry, minus_identity)
 from .discriminant import (DiscriminantData, disc_map, count_distinct_primes,
                            index_monodromy, glue, extend_isometry,
                            ExtensionObstructed, NotFound, characters)
-from .mukai import (MukaiModel, MukaiVector, MkTriple, v_perp, fm_action,
+from .mukai import (shared_model, MukaiVector, MkTriple, v_perp, fm_action,
                     hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM,
                     h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
-                        restrict, istar_similitude, isharp, vperp_datum,
-                        tensor_l, poincare, poincare_dual, elliptic,
-                        surface_lift, eval_phi_tilde, complement)
+                        restrict, istar_similitude, isharp, tensor_l,
+                        poincare, poincare_dual, elliptic, surface_lift,
+                        eval_phi_tilde, complement)
 from .lemsimo import (LemsimoProblem, solve, check_bound, AMBIENT, U3_DATUM,
                       F_VEC)
 
@@ -42,7 +42,7 @@ class VerifyConfig:
     similitude_samples: int = 100
 
     def __post_init__(self):
-        MukaiModel(self.t)  # ValueError unless t >= 2
+        shared_model(self.t)  # ValueError unless t >= 2
         check_bound(self.bound)
 
     def to_json(self):
@@ -54,11 +54,6 @@ class VerifyConfig:
 
 def _rng(cfg, idx):
     return random.Random(cfg.seed * 1009 + idx)
-
-
-def _perp_lattice(k):
-    return direct_sum(hyperbolic_sum(3), rank_one(-2 * k),
-                      label="U^3+<-%d>" % (2 * k))
 
 
 def _sample_pm2_vector(rng, k, coord_bound=20):
@@ -92,9 +87,7 @@ def check_character_table(cfg):
     per_k = max(1, cfg.char_samples // 8)
     tested = 0
     for k in range(3, 11):
-        lat = _perp_lattice(k)
-        datum = vperp_datum(lat)
-        data = DiscriminantData(lat)
+        lat, datum, data = complement(MkTriple(1, k, cfg.t))
         for _ in range(per_k):
             u = _sample_pm2_vector(rng, k)
             uu = lat.norm(u)
@@ -112,7 +105,7 @@ def check_character_table(cfg):
 
 
 def check_involution(cfg):
-    model = MukaiModel(cfg.t)
+    model = shared_model(cfg.t)
     s = (1, 0, 0, 0, 0, 0, 0, 1)    # square -2
     s1 = (1, 0, 0, 0, 0, 0, 0, -1)  # square +2
     rs = reflection(model.lattice, s)
@@ -183,7 +176,7 @@ def _random_word_tokens(rng, model, length):
 
 
 def check_fm_orientation(cfg):
-    model = MukaiModel(cfg.t)
+    model = shared_model(cfg.t)
     table = [("tensor", 0), ("poincare", 0), ("elliptic", 0),
              ("poincare_dual", 1)]
     for kind, want in table:
@@ -219,7 +212,7 @@ def check_fm_orientation(cfg):
 
 
 def check_elliptic(cfg):
-    model = MukaiModel(cfg.t)
+    model = shared_model(cfg.t)
     ell = fm_action(model, "elliptic")
     for m in (1, 2, 3):
         for k in (3, 4, 5):
@@ -384,7 +377,7 @@ def check_lemsimo(cfg):
     if cfg.bound == 0:
         return "skipped", {"bound": 0}
     rng = _rng(cfg, 8)
-    model = MukaiModel(cfg.t)
+    model = shared_model(cfg.t)
     solved = 0
     for k in (3, 4, 5):
         for _ in range(cfg.lemsimo_samples):
@@ -430,7 +423,7 @@ def check_similitude(cfg):
 
 
 def check_vperp_structure(cfg):
-    model = MukaiModel(cfg.t)
+    model = shared_model(cfg.t)
     for k in range(3, 21):
         for m in (1, 2):
             v = MukaiVector(m, (0,) * 6, -m * k)

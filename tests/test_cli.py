@@ -116,6 +116,7 @@ def test_fm(capsys):
     code, _, err = run_cli(capsys, "fm", "tensor", "--c", "0,0,1,0,0,0")
     assert code == 1
     assert_bad_input(capsys, "fm", "tensor", "--c", "1,x")
+    assert_bad_input(capsys, "fm", "poincare", "--t", "1")
 
 
 def test_word(tmp_path, capsys):

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mukailat.mukai import MukaiModel, MkTriple, v_perp, fm_action, epsilon_ori
+from mukailat.mukai import (MukaiModel, MkTriple, v_perp, fm_action,
+                           epsilon_ori, h2_lift)
 from mukailat import monodromy
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
@@ -15,9 +16,11 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 restrict, psi_restrict, certify, propdual_word,
                                 surface_lift_in_N, minus_dual_restricted,
                                 vperp_datum, istar_similitude, isharp)
-from mukailat.isometries import (Isometry, det_char, ori_char,
-                                 identity_isometry)
-from mukailat.lattices import hyperbolic_sum
+from mukailat.isometries import (Isometry, IsometryError, det_char,
+                                 ori_char, identity_isometry)
+from mukailat.intmat import transpose
+from mukailat.lattices import LatticeError, hyperbolic_sum
+from mukailat.cli import main
 from mukailat.discriminant import DiscriminantData, disc_map, characters
 from mukailat.verify import _random_surface_lift
 
@@ -57,14 +60,27 @@ def test_eval_composes_in_path_order():
     assert got.matrix == want.matrix
 
 
-def test_surface_lift_validation():
-    # determinant -1 matrix must be rejected
-    swap = [[0, 1, 0, 0, 0, 0], [1, 0, 0, 0, 0, 0]]
-    for i in range(2, 6):
-        swap.append([int(i == j) for j in range(6)])
-    word = GroupoidWord(_triple(), (surface_lift(swap),))
-    with pytest.raises(WordError):
-        eval_phi_tilde(word)
+def test_surface_lift_validation(tmp_path, capsys):
+    """A non-isometric, a determinant -1 and an orientation-reversing lift
+    each fail with their own exception and message, alone or inverted, and
+    `mukailat word` exits 1 on them."""
+    rows = [[int(i == j) for j in range(6)] for i in range(6)]
+    swap = [rows[1], rows[0]] + rows[2:]
+    minus_id = [[-x for x in r] for r in rows]
+    stretch = [[2, 0, 0, 0, 0, 0]] + rows[1:]
+    cases = ((stretch, IsometryError, "matrix does not intertwine the forms"),
+             (swap, WordError, "surface lift must have determinant 1"),
+             (minus_id, WordError,
+              "surface lift must be orientation preserving"))
+    path = tmp_path / "word.json"
+    for matrix, exc, message in cases:
+        lift = surface_lift(matrix)
+        for tok in (lift, inverse(lift)):
+            with pytest.raises(exc, match="^%s$" % message):
+                eval_phi_tilde(GroupoidWord(_triple(), (poincare(), tok)))
+        path.write_text(json.dumps(GroupoidWord(_triple(), (lift,)).to_json()))
+        assert main(["word", str(path)]) == 1
+        assert capsys.readouterr().err == "error: %s\n" % message
 
 
 def test_restrict_rejects_a_non_integral_result():
@@ -266,3 +282,101 @@ def test_certify_computes_the_orientation_once(monkeypatch):
     assert cert.ori == epsilon_ori(triple.model(), cert.composite) == 1
     # psi_restrict hands back the character it twisted by
     assert psi_restrict(cert.composite, triple) == (cert.ori, cert.restricted)
+
+
+def _restrict_columnwise(g, sub, sign=1):
+    """Reference: the image of each basis vector of `sub`, read back in the
+    basis of `sub` one column at a time (LatticeError if one leaves it)."""
+    cols = []
+    for j in range(sub.rank):
+        e = tuple(int(i == j) for i in range(sub.rank))
+        im = g.apply(sub.to_ambient(e))
+        cols.append(sub.from_ambient(tuple(sign * x for x in im)))
+    return transpose(cols)
+
+
+_BASE_TOKENS = st.one_of(
+    st.sampled_from(_LIFTS).map(surface_lift),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
+        lambda ab: tensor_l(ab + (0,) * 4)),
+    st.sampled_from((poincare(), poincare_dual(), elliptic(),
+                     congruence_id())))
+_TOKENS = st.one_of(_BASE_TOKENS, _BASE_TOKENS.map(inverse))
+
+
+def _stepwise_token(token, model):
+    if token.kind == "surface_lift":
+        return h2_lift(model, Isometry(model.h2_lattice, model.h2_lattice,
+                                       token.params[0]))
+    if token.kind == "congruence":
+        return identity_isometry(model.lattice)
+    if token.kind == "inverse":
+        return _stepwise_token(token.params[0], model).inverse()
+    return fm_action(model, token.kind, *token.params)
+
+
+def _stepwise_eval(word):
+    """Reference: compose the checked isometry of each token onto the
+    identity, one token at a time."""
+    model = word.triple.model()
+    comp = identity_isometry(model.lattice)
+    for tok in word.tokens:
+        comp = _stepwise_token(tok, model).compose(comp)
+    return comp
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_TRIPLES, tokens=st.lists(_TOKENS, max_size=6))
+def test_eval_matches_stepwise_composition(triple, tokens):
+    word = GroupoidWord(triple, tuple(tokens))
+    got = eval_phi_tilde(word)
+    assert got == _stepwise_eval(word)
+    assert got.source is got.target is triple.model().lattice
+
+
+def test_eval_checks_the_composite_once(monkeypatch):
+    h = (1, 2, 0, 0, 0, 0)
+    word = GroupoidWord(_triple(), (
+        tensor_l(h), poincare_dual(), inverse(poincare()), congruence_id(),
+        elliptic(), inverse(tensor_l(h)), inverse(congruence_id())))
+    want = _stepwise_eval(word)  # builds the shared FM actions
+    made = []
+    init = Isometry.__init__
+
+    def counting_init(self, *args):
+        made.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(Isometry, "__init__", counting_init)
+    assert eval_phi_tilde(word) == want
+    assert len(made) == 1
+
+
+def _sublattices(triple):
+    """The complement of the Mukai vector and the two index-2 sublattices
+    of the rank-8 lattice with 2r in place of r and 2e in place of e."""
+    lat = triple.model().lattice
+    rows = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+    return (monodromy.complement(triple)[0],
+            lat.span([(2,) + (0,) * 7] + rows[1:]),
+            lat.span(rows[:1] + [(0, 2) + (0,) * 6] + rows[2:]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_TRIPLES, data=st.data(), sign=st.sampled_from((1, -1)))
+def test_restrict_matches_columnwise_reference(triple, data, sign):
+    """Words fixing the Mukai vector restrict to its complement; arbitrary
+    words may leave a sublattice, and then both raise."""
+    any_word = st.lists(_TOKENS, max_size=4).map(tuple)
+    tokens = data.draw(st.one_of(_words(triple), any_word))
+    g = eval_phi_tilde(GroupoidWord(triple, tokens))
+    for sub in _sublattices(triple):
+        try:
+            want = _restrict_columnwise(g, sub, sign)
+        except LatticeError:
+            with pytest.raises(WordError):
+                restrict(g, sub, sign)
+        else:
+            got = restrict(g, sub, sign)
+            assert got.matrix == want
+            assert got.source is got.target is sub

@@ -1,6 +1,8 @@
 """Verification-suite plumbing: config, registry, report shape."""
 
-from mukailat.verify import VerifyConfig, CHECKS, run_suite
+from mukailat import mukai
+from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
+                             check_fm_orientation)
 
 
 def test_registry_names_are_unique():
@@ -33,3 +35,15 @@ def test_lemsimo_check_skips_at_bound_zero():
     status, witness = check_lemsimo(VerifyConfig(bound=0))
     assert status == "skipped"
     assert witness == {"bound": 0}
+
+
+def test_fm_orientation_passes_reuse_one_model():
+    """Every pass reads the one model per t, so the FM actions built by the
+    first pass serve the later ones and the cache stops growing."""
+    mukai._fm_action.cache_clear()
+    cfg = VerifyConfig(word_samples=20)
+    sizes = []
+    for _ in range(3):
+        assert check_fm_orientation(cfg)[0] == "pass"
+        sizes.append(mukai._fm_action.cache_info().currsize)
+    assert sizes == [sizes[0]] * 3
