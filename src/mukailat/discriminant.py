@@ -11,8 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import intmat
-from .intmat import mat, mat_mul, mat_vec, transpose, snf, inv_unimodular
+from .intmat import mat_mul, mat_vec, transpose, snf
 from .lattices import IntegerLattice, LatticeError
 from .isometries import Isometry, IsometryError, det_char, ori_char
 
@@ -222,15 +221,19 @@ class GlueData:
     comp: IntegerLattice
     disc_sub: DiscriminantData
     disc_comp: DiscriminantData
-    glue_gens: tuple   # ambient vectors generating H = L/(S+K)
-    glue_orders: tuple
     gamma: DiscMap     # anti-isometry A_S -> A_K
 
 
 def glue(S, K):
-    """Glue data of a primitive sublattice S of a unimodular lattice and its
+    """Glue data of a primitive sublattice S of a unimodular lattice L and its
     orthogonal complement K.  The anti-isometry it returns controls which
-    isometry pairs on (S, K) extend to the ambient lattice."""
+    isometry pairs on (S, K) extend to L.
+
+    L is unimodular, so w -> (w . s_j)_j maps L onto the dual S^* exactly
+    when S is primitive: then the one Smith form u * (B_S G) * v == d has
+    every invariant factor 1, and R = v[:, :r] * u is a right inverse of
+    B_S G.  The vector w_i = R (gram_S y_i) of L projects to the generator
+    y_i of A_S, and gamma(y_i) is the class of its projection to K."""
     if S.embedding is None or K.embedding is None:
         raise LatticeError("S and K must be embedded")
     L = S.embedding.ambient
@@ -238,70 +241,28 @@ def glue(S, K):
         raise LatticeError("S and K must share an ambient lattice")
     if abs(L.det()) != 1:
         raise LatticeError("ambient lattice must be unimodular")
-    if not L.is_primitive(S):
+    r = S.rank
+    d, u, v = snf(mat_mul(S.embedding.basis, L.gram))
+    if any(d[i][i] != 1 for i in range(r)):
         raise LatticeError("S must be primitive")
-    n = L.rank
-    if S.rank + K.rank != n:
+    if r + K.rank != L.rank:
         raise LatticeError("S + K must have full rank")
-
-    bs, bk = S.embedding.basis, K.embedding.basis
-    stacked = mat(list(bs) + list(bk))  # rows generate S + K inside L
-    cmat = transpose(stacked)           # columns generate; coker via SNF
-    d, u, v = snf(cmat)
-    uinv = inv_unimodular(u)
-    dall = tuple(d[i][i] for i in range(n))
-    keep = tuple(i for i in range(n) if dall[i] > 1)
-    gens = tuple(tuple(uinv[r][i] for r in range(n)) for i in keep)
-    orders = tuple(dall[i] for i in keep)
 
     disc_s = DiscriminantData(S)
     disc_k = DiscriminantData(K)
-
-    h_order = 1
-    for o in orders:
-        h_order *= o
-    if h_order != disc_s.order or h_order != disc_k.order:
-        raise LatticeError("glue group order does not match the discriminants")
-
-    def proj_classes(lat, data):
-        """Classes of the orthogonal projections of the glue generators."""
-        num, den = lat.projection
-        return [data.class_of(mat_vec(num, h), den) for h in gens]
-
-    im_s = proj_classes(S, disc_s)
-    im_k = proj_classes(K, disc_k)
-
-    def generator_matrix(images, data):
-        """Columns: the images, then the relations d_i * e_i of the group."""
-        t = len(data.invariants)
-        cols = [tuple(im) for im in images]
-        cols += [tuple(data.invariants[i] if a == i else 0 for i in range(t))
-                 for a in range(t)]
-        return transpose(cols)
-
-    m_s = generator_matrix(im_s, disc_s)
-    for m, side in ((m_s, "A_S"), (generator_matrix(im_k, disc_k), "A_K")):
-        d, _, _ = snf(m)
-        if any(d[i][i] != 1 for i in range(len(m))):
-            raise LatticeError("projection to %s is not surjective" % side)
-
-    # gamma on each generator of A_S: write it through the projection images
-    # of the glue generators, then push the same combination into A_K
-    gcount = len(disc_s.invariants)
+    if disc_s.order != disc_k.order:
+        raise LatticeError("discriminant groups of S and K differ in order")
+    right_inv = mat_mul(tuple(row[:r] for row in v), u)
+    num_k, den_k = K.projection
     images = []
-    for i in range(gcount):
-        ei = tuple(int(i == a) for a in range(gcount))
-        x = intmat.solve_integer(m_s, ei)
-        if x is None:
-            raise LatticeError("glue generator expression failed")
-        coeffs = x[:len(gens)]
-        img = [0] * len(disc_k.invariants)
-        for c, imk in zip(coeffs, im_k):
-            for a in range(len(img)):
-                img[a] += c * imk[a]
-        images.append(disc_k.reduce(img))
+    for y, dy in zip(disc_s.generators, disc_s.invariants):
+        w = mat_vec(right_inv, tuple(x // dy for x in mat_vec(S.gram, y)))
+        images.append(disc_k.class_of(mat_vec(num_k, w), den_k))
     gamma = DiscMap(disc_s, disc_k, images)
-    # anti-isometry on generators (quadratic values and cross pairings)
+    # anti-isometry on generators (quadratic values and cross pairings);
+    # with the equal orders above this makes gamma bijective, since the
+    # pairing on A_S is nondegenerate
+    gcount = len(disc_s.invariants)
     for i in range(gcount):
         ei = tuple(int(i == a) for a in range(gcount))
         if (disc_s.q(ei) + disc_k.q(gamma.apply(ei))) % 2 != 0:
@@ -311,7 +272,7 @@ def glue(S, K):
             if (disc_s.b(ei, ej)
                     + disc_k.b(gamma.apply(ei), gamma.apply(ej))) % 1 != 0:
                 raise LatticeError("glue pairing is not anti-preserved")
-    return GlueData(S, K, disc_s, disc_k, gens, orders, gamma)
+    return GlueData(S, K, disc_s, disc_k, gamma)
 
 
 def extend_isometry(phi, psi, glue1, glue2):
@@ -331,8 +292,10 @@ def extend_isometry(phi, psi, glue1, glue2):
     # extension is (dk * B_S2^T phi num_S1 + ds * B_K2^T psi num_K1) / (ds dk)
     num_s, ds = S1.projection
     num_k, dk = K1.projection
-    on_s = mat_mul(mat_mul(transpose(S2.embedding.basis), phi.matrix), num_s)
-    on_k = mat_mul(mat_mul(transpose(K2.embedding.basis), psi.matrix), num_k)
+    phi_amb = mat_mul(transpose(S2.embedding.basis), phi.matrix)
+    psi_amb = mat_mul(transpose(K2.embedding.basis), psi.matrix)
+    on_s = mat_mul(phi_amb, num_s)
+    on_k = mat_mul(psi_amb, num_k)
     den = ds * dk
     m = tuple(tuple(dk * a + ds * b for a, b in zip(rs, rk))
               for rs, rk in zip(on_s, on_k))
@@ -340,15 +303,12 @@ def extend_isometry(phi, psi, glue1, glue2):
         raise ExtensionInternalError("rational extension is not integral")
     out = Isometry(S1.embedding.ambient, S2.embedding.ambient,
                    tuple(tuple(x // den for x in row) for row in m))
-    # the restrictions must reproduce phi and psi exactly
-    for j in range(S1.rank):
-        e = tuple(int(i == j) for i in range(S1.rank))
-        if out.apply(S1.to_ambient(e)) != S2.to_ambient(phi.apply(e)):
-            raise ExtensionInternalError("extension does not restrict to phi")
-    for j in range(K1.rank):
-        e = tuple(int(i == j) for i in range(K1.rank))
-        if out.apply(K1.to_ambient(e)) != K2.to_ambient(psi.apply(e)):
-            raise ExtensionInternalError("extension does not restrict to psi")
+    # the restrictions must reproduce phi and psi exactly:
+    # out B_S1^T == B_S2^T phi and out B_K1^T == B_K2^T psi
+    if mat_mul(out.matrix, transpose(S1.embedding.basis)) != phi_amb:
+        raise ExtensionInternalError("extension does not restrict to phi")
+    if mat_mul(out.matrix, transpose(K1.embedding.basis)) != psi_amb:
+        raise ExtensionInternalError("extension does not restrict to psi")
     return out
 
 

@@ -289,24 +289,6 @@ def solve_rational(a, b):
     return tuple(x)
 
 
-def solve_integer(a, b):
-    """Integer solution x of a @ x = b, or None if none exists."""
-    d, u, v = snf(a)
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    y = mat_vec(u, b)
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
-    z = [0] * cols
-    for i in range(rows):
-        if i < rank:
-            if y[i] % d[i][i] != 0:
-                return None
-            z[i] = y[i] // d[i][i]
-        elif y[i] != 0:
-            return None
-    return mat_vec(v, z)
-
-
 def kernel_int(a):
     """Saturated basis (as rows) of {x : a @ x == 0} over Z."""
     d, _, v = snf(a)

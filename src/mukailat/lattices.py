@@ -131,11 +131,13 @@ class IntegerLattice:
                               embedding=Embedding(self, basis))
 
     def is_primitive(self, sub):
-        """True if the embedded sublattice equals its saturation."""
+        """True if the embedded sublattice equals its saturation: Z^n / B is
+        torsion-free, i.e. every invariant factor of the embedding basis B
+        is 1."""
         if sub.embedding is None or sub.embedding.ambient is not self:
             raise LatticeError("sublattice is not embedded in this lattice")
-        sat = self.saturate(sub.embedding.basis)
-        return row_basis(sub.embedding.basis) == row_basis(sat.embedding.basis)
+        d, _, _ = snf(sub.embedding.basis)
+        return all(d[i][i] == 1 for i in range(sub.rank))
 
     def to_ambient(self, v):
         """Coordinates of v (in this lattice's basis) inside the ambient lattice."""

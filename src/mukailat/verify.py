@@ -363,12 +363,13 @@ def _conjugation_identity(g, xi1, xi2, beta1, beta2, k, model):
     u2 = (1,) + tuple(xi2) + (k,)
     t1 = (1,) + tuple(b - f for b, f in zip(beta1, F_VEC)) + (k,)
     t2 = (1,) + tuple(b - f for b, f in zip(beta2, F_VEC)) + (k,)
+    gt_inv = gt.inverse()
     for u, t in ((u1, t1), (u2, t2)):
-        conj = gt.compose(reflection(lat, u)).compose(gt.inverse())
+        conj = gt.compose(reflection(lat, u)).compose(gt_inv)
         if conj.matrix != reflection(lat, t).matrix:
             return False
     lhs = gt.compose(reflection(lat, u1)).compose(reflection(lat, u2)) \
-            .compose(gt.inverse())
+            .compose(gt_inv)
     rhs = reflection(lat, t1).compose(reflection(lat, t2))
     return lhs.matrix == rhs.matrix
 

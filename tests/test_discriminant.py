@@ -7,8 +7,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mukailat.intmat import (det, inv_rational, mat, mat_vec, snf,
-                             solve_rational, transpose)
+from mukailat import discriminant, intmat, lattices
+from mukailat.intmat import (det, inv_rational, inv_unimodular, mat, mat_vec,
+                             snf, solve_rational, transpose)
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
@@ -20,7 +21,8 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    NotFound, characters, in_W, in_N)
 from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
                               _integral_reflections)
-from mukailat.verify import sample_admissible_pair
+from mukailat.mukai import MkTriple, v_perp
+from mukailat.verify import _random_primitive_sublattice, sample_admissible_pair
 
 
 def _perp(k):
@@ -246,8 +248,93 @@ def test_glue_requires_primitive_sublattice():
     u3 = hyperbolic_sum(3)
     s = u3.span(((2, 4, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)))
     k = u3.orth_complement(s)
-    with pytest.raises(LatticeError):
+    with pytest.raises(LatticeError, match="S must be primitive"):
         glue(s, k)
+
+
+def _solve_integer(a, b):
+    """Integer solution x of a @ x = b, or None if none exists."""
+    d, u, v = snf(a)
+    rows, cols = len(a), len(a[0])
+    y = mat_vec(u, b)
+    rank = sum(1 for i in range(min(rows, cols)) if d[i][i] != 0)
+    z = [0] * cols
+    for i in range(rows):
+        if i < rank:
+            if y[i] % d[i][i] != 0:
+                return None
+            z[i] = y[i] // d[i][i]
+        elif y[i] != 0:
+            return None
+    return mat_vec(v, z)
+
+
+def _glue_group_gamma(S, K):
+    """Images of gamma by the former algorithm, kept as the reference: the
+    glue group H = L/(S+K) from the Smith form of the stacked bases, the
+    classes of the projections of its generators in A_S and A_K, and each
+    generator of A_S written through the A_S classes by an integer solve,
+    the same combination then taken in A_K."""
+    n = S.embedding.ambient.rank
+    d, u, _ = snf(transpose(S.embedding.basis + K.embedding.basis))
+    uinv = inv_unimodular(u)
+    gens = [tuple(uinv[r][i] for r in range(n))
+            for i in range(n) if d[i][i] > 1]
+    disc_s, disc_k = DiscriminantData(S), DiscriminantData(K)
+
+    def classes(lat, data):
+        num, den = lat.projection
+        return [data.class_of(mat_vec(num, h), den) for h in gens]
+
+    im_s, im_k = classes(S, disc_s), classes(K, disc_k)
+    t = len(disc_s.invariants)
+    m_s = transpose(im_s + [tuple(disc_s.invariants[i] if a == i else 0
+                                  for i in range(t)) for a in range(t)])
+    images = []
+    for i in range(t):
+        x = _solve_integer(m_s, tuple(int(i == a) for a in range(t)))
+        assert x is not None
+        img = [sum(c * imk[a] for c, imk in zip(x, im_k))
+               for a in range(len(disc_k.invariants))]
+        images.append(disc_k.reduce(img))
+    return tuple(images)
+
+
+def test_glue_matches_glue_group_reference():
+    rng = random.Random(7)
+    ranks = set()
+    for _ in range(120):
+        s, k = _random_primitive_sublattice(rng, max_rank=4)
+        ranks.add(s.rank)
+        assert glue(s, k).gamma.images == _glue_group_gamma(s, k)
+    assert ranks == {1, 2, 3, 4}
+    for m in (1, 2):
+        for kk in range(3, 9):
+            triple = MkTriple(m, kk)
+            model = triple.model()
+            s = model.lattice.saturate((triple.v.vec8(),))
+            k = v_perp(model, triple.v)
+            assert glue(s, k).gamma.images == _glue_group_gamma(s, k)
+
+
+def test_glue_reads_one_smith_form(monkeypatch):
+    _, s, k = _glued_pair()
+    glue(s, k)  # caches the Smith forms and projections of S and K
+    calls = {"snf": 0, "hnf_row": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        fn = getattr(intmat, name)
+        for module in (intmat, lattices, discriminant):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    glue(s, k)
+    assert calls == {"snf": 1, "hnf_row": 0}
 
 
 def test_extend_identity_roundtrip():

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mukailat import intmat
 from mukailat.lattices import IntegerLattice, Embedding
 from mukailat.intmat import (mat, identity, transpose, mat_mul, mat_vec, det,
-                             hnf_row, row_basis, snf, solve_integer,
+                             hnf_row, row_basis, snf,
                              solve_rational, inv_unimodular, inv_rational,
                              kernel_int, orthogonal_basis, signature)
 
@@ -98,24 +98,6 @@ def test_snf_properties(a):
             assert y % x == 0
         else:
             assert y == 0
-
-
-@given(rect_matrices(), st.lists(small_entries, min_size=1, max_size=4))
-@settings(max_examples=150, deadline=None)
-def test_solve_integer_solution_is_exact(a, xs):
-    cols = len(a[0])
-    x = tuple((xs * cols)[:cols])
-    b = mat_vec(a, x)
-    got = solve_integer(a, b)
-    assert got is not None
-    assert mat_vec(a, got) == tuple(b)
-
-
-def test_solve_integer_detects_unsolvable():
-    # 2x = 1 has no integer solution
-    assert solve_integer(((2,),), (1,)) is None
-    # inconsistent overdetermined system
-    assert solve_integer(((1,), (1,)), (0, 1)) is None
 
 
 def test_solve_rational_inconsistent_raises():

@@ -4,8 +4,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mukailat.intmat import mat_mul, mat_vec, solve_rational
+from mukailat.intmat import mat_mul, mat_vec, row_basis, solve_rational
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
                                hyperbolic_plane, hyperbolic_sum, direct_sum,
                                rank_one, is_primitive_vector)
@@ -72,6 +73,40 @@ def test_span_keeps_imprimitive_index():
     s = u3.span(((2, 4, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)))
     assert s.rank == 2
     assert not u3.is_primitive(s)
+
+
+def _is_primitive_by_saturation(ambient, sub):
+    """The former primitivity test, kept as the reference: the sublattice
+    equals its saturation, compared by canonical row bases."""
+    sat = ambient.saturate(sub.embedding.basis)
+    return row_basis(sub.embedding.basis) == row_basis(sat.embedding.basis)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gens=st.lists(st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+                     min_size=1, max_size=4),
+       scale=st.sampled_from((1, 1, 2, 3)), twist=st.booleans())
+def test_is_primitive_matches_saturation(gens, scale, twist):
+    ambient = (direct_sum(hyperbolic_sum(2), rank_one(-4), rank_one(2))
+               if twist else hyperbolic_sum(3))
+    gens = [tuple(scale * x for x in gens[0])] + [tuple(g) for g in gens[1:]]
+    try:
+        sub = ambient.span(gens)
+    except LatticeError:
+        assume(False)
+    assert ambient.is_primitive(sub) == _is_primitive_by_saturation(ambient,
+                                                                    sub)
+
+
+def test_is_primitive_on_fixed_spans():
+    u3 = hyperbolic_sum(3)
+    for gens, want in ((((2, 4, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)), False),
+                       (((1, 2, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0)), True),
+                       (((1, 1, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0)), False),
+                       (((3, 3, 3, 3, 0, 0),), False)):
+        sub = u3.span(gens)
+        assert u3.is_primitive(sub) is want
+        assert _is_primitive_by_saturation(u3, sub) is want
 
 
 def test_from_ambient_inverts_to_ambient():

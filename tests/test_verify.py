@@ -1,8 +1,8 @@
 """Verification-suite plumbing: config, registry, report shape."""
 
-from mukailat import mukai
+from mukailat import isometries, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
-                             check_fm_orientation)
+                             check_fm_orientation, check_lemsimo)
 
 
 def test_registry_names_are_unique():
@@ -31,7 +31,6 @@ def test_run_suite_subset_and_shape():
 
 
 def test_lemsimo_check_skips_at_bound_zero():
-    from mukailat.verify import check_lemsimo
     status, witness = check_lemsimo(VerifyConfig(bound=0))
     assert status == "skipped"
     assert witness == {"bound": 0}
@@ -47,3 +46,28 @@ def test_fm_orientation_passes_reuse_one_model():
         assert check_fm_orientation(cfg)[0] == "pass"
         sizes.append(mukai._fm_action.cache_info().currsize)
     assert sizes == [sizes[0]] * 3
+
+
+def test_conjugation_identity_inverts_each_lift_once(monkeypatch):
+    """Six solves, one lifted isometry each, inverted once per lift; the
+    inversions that solve makes itself are not counted."""
+    count = {"inside": 0, "inverses": 0}
+    inv, conj = isometries.inv_unimodular, verify._conjugation_identity
+
+    def counting_inv(a):
+        if count["inside"]:
+            count["inverses"] += 1
+        return inv(a)
+
+    def counting_conj(*args):
+        count["inside"] += 1
+        try:
+            return conj(*args)
+        finally:
+            count["inside"] -= 1
+
+    monkeypatch.setattr(isometries, "inv_unimodular", counting_inv)
+    monkeypatch.setattr(verify, "_conjugation_identity", counting_conj)
+    assert check_lemsimo(VerifyConfig(lemsimo_samples=2)) \
+        == ("pass", {"solved": 6})
+    assert count["inverses"] == 6
