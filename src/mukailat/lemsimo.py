@@ -3,9 +3,10 @@ U^3 onto a normal form by a determinant-1, orientation-preserving isometry.
 
 Stages: build the target pair and the rank-2 isometry between the spans,
 split a hyperbolic plane off each rank-4 complement by bounded search, find a
-companion isometry of the complements matching the glue condition, extend to
-the full lattice, then correct determinant (swap the isotropic generators of
-the split-off plane) and orientation (minus the identity on that plane).
+companion isometry of the complements matching the glue condition, and extend
+to the full lattice.  A wrong determinant or orientation is fixed on the
+companion (swap the isotropic generators of the split-off plane, then minus
+the identity on that plane) and the fixed companion is extended once more.
 Every search is bounded and reports honest exhaustion.
 """
 
@@ -20,8 +21,8 @@ from .intmat import mat, mat_vec, mat_mul, transpose, solve_rational
 from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, OrientationDatum, ori_char,
                          identity_isometry, minus_identity)
-from .discriminant import (NotFound, glue, extend_isometry, disc_map,
-                           identity_disc_map)
+from .discriminant import (NotFound, ExtensionObstructed, glue,
+                           extend_isometry, disc_map, identity_disc_map)
 from .mukai import H2_GRAM
 
 
@@ -123,7 +124,6 @@ def build_targets(problem):
 class Split:
     """A hyperbolic plane split off a rank-4 lattice: change of basis to
     (u, u', w1, w2) with u, u' the standard isotropic pair."""
-    lattice: IntegerLattice
     block: IntegerLattice     # gram U + gram(W)
     from_block: Isometry      # block -> lattice, columns u, u', w1, w2
     to_block: Isometry        # lattice -> block
@@ -179,7 +179,7 @@ def iter_splits(K, bound):
         seen.add(gw)
         block = IntegerLattice(_block_diag(U_GRAM, gw), label="U+W")
         from_block = Isometry(block, K, transpose((u, uprime) + wbasis))
-        yield Split(K, block, from_block, from_block.inverse(), gw)
+        yield Split(block, from_block, from_block.inverse(), gw)
 
 
 def _first_splits(K, bound):
@@ -249,14 +249,16 @@ def _reduce_gram2(g):
         p[0][0], p[0][1] = p[0][1], p[0][0]
         p[1][0], p[1][1] = p[1][1], p[1][0]
 
-    from fractions import Fraction
     for _ in range(256):
         if a == 0 and d == 0:
             break
         if a == 0 or (d != 0 and abs(d) < abs(a)):
             swap()
             continue
-        q = round(Fraction(b, a))
+        # b / a rounded half to even
+        q, r = divmod(b, a)
+        if 2 * abs(r) > abs(a) or (2 * abs(r) == abs(a) and q % 2):
+            q += 1
         if q != 0:
             shear(q)
             continue
@@ -299,12 +301,6 @@ def find_companion(phi, glue1, glue2, splits2, bound):
     K1, K2 = glue1.comp, glue2.comp
     phibar = disc_map(phi, glue1.disc_sub, glue2.disc_sub)
     target = glue2.gamma.compose(phibar).compose(glue1.gamma.inverse())
-
-    # fast path: identity works
-    if K1.gram == K2.gram:
-        ident = Isometry(K1, K2, intmat.identity(K1.rank))
-        if disc_map(ident, glue1.disc_comp, glue2.disc_comp) == target:
-            return ident
     if bound <= 0:
         raise NotFound(bound, stage="companion")
 
@@ -314,23 +310,17 @@ def find_companion(phi, glue1, glue2, splits2, bound):
 
     # rank-2 complements of different splittings can be inequivalent even
     # when the full lattices are isometric, so scan pairs of splittings
-    split1 = split2 = full = None
-    for s1, s2 in itertools.product(splits1, splits2):
-        if s1.w_gram == s2.w_gram:
-            pmat = intmat.identity(K1.rank - 2)
+    for split1, split2 in itertools.product(splits1, splits2):
+        if split1.w_gram == split2.w_gram:
+            pmat = intmat.identity(2)
         else:
-            pmat = next(_gram2_maps(s2.w_gram, s1.w_gram, bound), None)
-            if pmat is None:
-                continue
-        split1, split2 = s1, s2
-        full = _block_diag(intmat.identity(2), pmat)
-        break
-    if full is None:
-        split1, split2 = splits1[0], splits2[0]
-        full = _block_iso_search(split1.block.gram, split2.block.gram, bound)
-        if full is None:
-            raise NotFound(bound, stage="companion-w")
-    mid = Isometry(split1.block, split2.block, full)
+            pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound), None)
+        if pmat is not None:
+            break
+    else:
+        raise NotFound(bound, stage="companion-w")
+    mid = Isometry(split1.block, split2.block,
+                   _block_diag(intmat.identity(2), pmat))
     psi0 = split2.from_block.compose(mid).compose(split1.to_block)
 
     d_k1 = glue1.disc_comp
@@ -361,11 +351,10 @@ def _disc_generators(K, split, data, bound):
     cands = [minus_identity(K)]
     for base in (_swap_iso(split.block), _minus_u_iso(split.block)):
         cands.append(split.pull_back(base))
-    if len(split.w_gram) == 2:
-        for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
-            base = Isometry(split.block, split.block,
-                            _block_diag(intmat.identity(2), pm))
-            cands.append(split.pull_back(base))
+    for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
+        base = Isometry(split.block, split.block,
+                        _block_diag(intmat.identity(2), pm))
+        cands.append(split.pull_back(base))
     cands.extend(_integral_reflections(K, bound))
     seen = {}
     for iso in cands:
@@ -373,45 +362,6 @@ def _disc_generators(K, split, data, bound):
         if d.images not in seen:
             seen[d.images] = (d, iso)
     return list(seen.values())
-
-
-def _block_iso_search(g1, g2, bound, node_cap=200_000):
-    """Bounded backtracking search for an integer matrix m with
-    m^T g2 m == g1 and columns in the coordinate box.  Columns are filled in
-    order of increasing candidate-pool size; pairing constraints against the
-    columns already chosen are applied vectorized.  Returns m or None."""
-    n = len(g1)
-    vecs, sqs = kernels.box_squares(g2, bound)
-    g2np = np.asarray(g2, dtype=np.int64)
-    pools = {i: vecs[sqs == g1[i][i]] for i in range(n)}
-    order = sorted(range(n), key=lambda i: len(pools[i]))
-    chosen = {}
-    pairvecs = {}
-    nodes = [0]
-
-    def rec(pos):
-        if pos == n:
-            return True
-        i = order[pos]
-        pool = pools[i]
-        mask = np.ones(len(pool), dtype=bool)
-        for j, pv in pairvecs.items():
-            mask &= (pool @ pv) == g1[i][j]
-        for row in pool[mask]:
-            nodes[0] += 1
-            if nodes[0] > node_cap:
-                return False
-            chosen[i] = row
-            pairvecs[i] = g2np @ row
-            if rec(pos + 1):
-                return True
-            del chosen[i], pairvecs[i]
-        return False
-
-    if not rec(0):
-        return None
-    return mat(tuple(tuple(int(chosen[j][i]) for j in range(n))
-                     for i in range(n)))
 
 
 def _integral_reflections(K, radius):
@@ -488,29 +438,23 @@ def solve(problem):
     g = extend_isometry(phi, psi, glue1, glue2)
     trace.append({"stage": "extend", "det": g.det()})
 
-    if not splits2:
-        raise NotFound(problem.bound, stage="split")
+    # the extension is unique, so extend(id, c) extend(phi, psi) is
+    # extend(phi, c psi): the swap of the split-off plane has det -1 and keeps
+    # the orientation (it fixes u + u'), minus the identity on that plane has
+    # det 1 and reverses it, and neither may act on A_K2
     split2 = splits2[0]
-
-    def lift_correction(base):
-        corr = split2.pull_back(base)
-        if not disc_map(corr, glue2.disc_comp, glue2.disc_comp).is_identity():
-            raise RuntimeError("correction acts on the discriminant")
-        return extend_isometry(identity_isometry(s2), corr, glue2, glue2)
-
+    fixed = psi
     if g.det() == -1:
-        eta = lift_correction(_swap_iso(split2.block))
-        if eta.det() != -1:
-            raise RuntimeError("determinant correction has determinant 1")
-        g = eta.compose(g)
+        fixed = split2.pull_back(_swap_iso(split2.block)).compose(fixed)
         trace.append({"stage": "det-fix"})
     if ori_char(g, U3_DATUM) == 1:
-        theta = lift_correction(_minus_u_iso(split2.block))
-        if theta.det() != 1 or ori_char(theta, U3_DATUM) != 1:
-            raise RuntimeError("orientation correction is not a pure "
-                               "orientation flip")
-        g = theta.compose(g)
+        fixed = split2.pull_back(_minus_u_iso(split2.block)).compose(fixed)
         trace.append({"stage": "ori-fix"})
+    if fixed is not psi:
+        try:
+            g = extend_isometry(phi, fixed, glue1, glue2)
+        except ExtensionObstructed:
+            raise RuntimeError("correction acts on the discriminant") from None
 
     if g.det() != 1:
         raise RuntimeError("pipeline produced determinant %d" % g.det())

@@ -179,6 +179,15 @@ def test_lemsimo_bad_input_exit_2(capsys):
                          "--xi2", "0,0,1,2,0,0", "--bound", bound)
 
 
+def test_lemsimo_not_found_exit_1(capsys):
+    # a vector that starts with "-" is passed as --xi1=...
+    code, out, _ = run_cli(capsys, "lemsimo", "--k", "10",
+                           "--xi1=-5,-2,-1,1,0,-2", "--xi2", "2,4,-1,-1,-1,0")
+    assert code == 1
+    assert out == ('{"bound": 10, "stage": "companion:companion", '
+                   '"status": "not-found"}\n')
+
+
 def test_verify_subset_and_determinism(capsys):
     argv = ["verify", "--only", "index-formula,vperp-structure"]
     code1, out1, _ = run_cli(capsys, *argv)

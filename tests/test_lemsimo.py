@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -14,9 +15,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mukailat
 from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
-                             kernel_int)
+                             kernel_int, identity)
 from mukailat.discriminant import NotFound
-from mukailat.isometries import Isometry, ori_char, reflection
+from mukailat.isometries import Isometry, ori_char, reflection, minus_identity
 from mukailat.kernels import vectors_with_square, isotropic_vectors
 from mukailat.lattices import IntegerLattice
 import mukailat.lemsimo as lemsimo
@@ -24,7 +25,7 @@ from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, TargetsNotIntegral,
                               split_off_U, iter_splits, AMBIENT, U3_DATUM,
                               F_VEC, MAX_SPLITS, _reduce_gram2, _gram2_maps,
-                              _block_iso_search, _integral_reflections)
+                              _integral_reflections)
 from mukailat.verify import sample_admissible_pair
 
 
@@ -89,6 +90,38 @@ def test_reduce_gram2_is_congruent_and_small():
             assert abs(gr[0][0]) <= max(abs(g[0][0]), abs(g[1][1]))
 
 
+def _reference_reduce_gram2(g):
+    """The former reduction, rounding b / a through Fraction, kept as a
+    reference for the integer rounding of _reduce_gram2."""
+    a, b, d = g[0][0], g[0][1], g[1][1]
+    p = [[1, 0], [0, 1]]
+    for _ in range(256):
+        if a == 0 and d == 0:
+            break
+        if a == 0 or (d != 0 and abs(d) < abs(a)):
+            a, d = d, a
+            p = [[p[0][1], p[0][0]], [p[1][1], p[1][0]]]
+            continue
+        q = round(Fraction(b, a))
+        if q == 0:
+            break
+        d, b = d - 2 * q * b + q * q * a, b - q * a
+        p[0][1] -= q * p[0][0]
+        p[1][1] -= q * p[1][0]
+    return mat(((a, b), (b, d))), mat(p)
+
+
+# small entries make ties (b / a halfway between integers) common
+_ENTRIES = st.one_of(st.integers(-12, 12), st.integers(-10**12, 10**12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_ENTRIES, b=_ENTRIES, d=_ENTRIES)
+def test_reduce_gram2_matches_fraction_rounding(a, b, d):
+    g = mat(((a, b), (b, d)))
+    assert _reduce_gram2(g) == _reference_reduce_gram2(g)
+
+
 def test_match_gram2_finds_congruence():
     g = ((2, 1), (1, -10))
     p0 = ((1, 1), (0, 1))
@@ -105,16 +138,6 @@ def test_gram2_autos_contains_signs():
     assert ((-1, 0), (0, -1)) in autos
     assert ((1, 0), (0, -1)) in autos
     assert ((0, 1), (1, 0)) in autos
-
-
-def test_block_iso_search_identity_and_conjugate():
-    g = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (0, 0, 1, -104))
-    assert _block_iso_search(g, g, 3) is not None
-    p = ((1, 0, 1, 0), (2, 1, 0, 0), (0, 1, 1, 1), (1, 0, 0, 1))
-    gconj = mat_mul(mat_mul(transpose(p), mat(g)), p)
-    m = _block_iso_search(gconj, g, 6)
-    assert m is not None
-    assert mat_mul(mat_mul(transpose(m), mat(g)), m) == mat(gconj)
 
 
 def test_split_off_U_produces_unimodular_change():
@@ -209,6 +232,36 @@ def test_solve_answers_are_pinned():
             digest.update(repr((sol.g.matrix, sol.trace)).encode())
     assert digest.hexdigest() == \
         "cf36e7a60bdb95f98e28b633b5895f6d139e5f206826e9eeaaa85e75aa0e10ec"
+
+
+def test_wide_solves_are_pinned():
+    """One pair per k = 3..20 with coordinates up to 20: g and the trace of
+    each answer, or the stage and bound of each NotFound, hash to the value
+    taken before the companion stage lost its fallbacks and the det and
+    orientation fixes were composed onto the companion."""
+    rng = random.Random(2026)
+    digest = hashlib.sha256()
+    stages = []
+    for k in range(3, 21):
+        xi1, xi2 = sample_admissible_pair(rng, k, coord_bound=20)
+        try:
+            sol = solve(LemsimoProblem(k, xi1, xi2))
+            item = (sol.g.matrix, sol.trace)
+        except NotFound as exc:
+            stages.append(exc.stage)
+            item = ("not-found", exc.stage, exc.bound)
+        digest.update(repr(item).encode())
+    assert stages == ["companion:companion"] * 2
+    assert digest.hexdigest() == \
+        "e1078efc8c0d35a6f4c01c2a0b57f6931602da60f348487e35c27df2dd17142d"
+
+
+def test_solve_of_the_targets_is_the_identity():
+    for k, l in ((3, 0), (3, 1), (4, 5), (5, -3)):
+        xis = [tuple(b - f for b, f in zip(beta, F_VEC))
+               for beta in target_betas(k, l)]
+        sol = solve(LemsimoProblem(k, *xis))
+        assert sol.g.matrix == identity(6)
 
 
 def test_solve_lists_the_splits_of_k2_once(monkeypatch):
@@ -320,3 +373,11 @@ else:
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert out.stdout.startswith("RuntimeError"), out.stdout
+
+
+def test_a_correction_acting_on_the_discriminant_is_a_bug(monkeypatch):
+    """A determinant fix must act trivially on A_K2; one that does not is a
+    fault of the pipeline, reported as RuntimeError, not as an obstruction."""
+    monkeypatch.setattr(lemsimo, "_swap_iso", minus_identity)
+    with pytest.raises(RuntimeError, match="discriminant"):
+        solve(LemsimoProblem(**FIXTURE))
