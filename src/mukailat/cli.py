@@ -2,24 +2,42 @@
 
 Subcommands: info, disc-group, characters, reflect, fm, word, lemsimo,
 index, verify.  Exit codes: 0 success (all checks passed or skipped),
-1 a computation or check failed, 2 malformed input or usage error.
+1 a condition or check failed on well-formed input, 2 malformed input or
+usage error.  Each command reads its arguments and documents inside
+`reading()`, and `main` alone turns an exception into an exit code.
 """
 
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
 from .intmat import int_matrix, json_object
-from .lattices import IntegerLattice, LatticeError
-from .isometries import (Isometry, IsometryError, minus_reflection,
-                         positive_frame)
+from .lattices import IntegerLattice
+from .isometries import Isometry, minus_reflection, positive_frame
 from .discriminant import (DiscriminantData, characters, index_monodromy,
                            enum_disc_autos, in_W, in_N, NotFound)
 from .mukai import shared_model, MkTriple, fm_action, hodge_ori, epsilon_ori, \
     DecisionDegenerate
 from .monodromy import GroupoidWord, certify, complement
-from .lemsimo import LemsimoProblem, solve, TargetsNotIntegral
+from .lemsimo import LemsimoProblem, solve
 from .verify import VerifyConfig, run_suite, CHECKS
+
+
+class BadInput(ValueError):
+    """Malformed input: exit code 2."""
+
+
+@contextmanager
+def reading():
+    """The one boundary where arguments and documents become inputs: a
+    KeyError, TypeError or ValueError raised in it is malformed input."""
+    try:
+        yield
+    except KeyError as exc:
+        raise BadInput("missing field %s" % exc) from None
+    except (TypeError, ValueError) as exc:
+        raise BadInput(exc) from None
 
 
 def _dump(obj, args):
@@ -34,27 +52,27 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, ValueError) as exc:
-        print("error: cannot read %s: %s" % (path, exc), file=sys.stderr)
-        sys.exit(2)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise BadInput("cannot read %s: %s" % (path, exc)) from None
 
 
-def _bad_input(exc):
-    """Report malformed input on one stderr line; exit code 2."""
-    print("error: %s" % exc, file=sys.stderr)
-    return 2
+def _lattice(path):
+    return IntegerLattice.from_json(_load_json(path))
 
 
-def _ints(text):
-    return tuple(int(x) for x in text.split(","))
+def _ints(text, n):
+    """A vector of n comma-separated integers."""
+    u = tuple(int(x) for x in text.split(","))
+    if len(u) != n:
+        raise BadInput("expected %d comma-separated integers, got %d"
+                       % (n, len(u)))
+    return u
 
 
 def cmd_info(args):
-    try:
+    with reading():
         triple = MkTriple(args.m, args.k, args.t)
         vp, _, data = complement(triple)
-    except ValueError as exc:
-        return _bad_input(exc)
     _dump({
         "m": args.m, "k": args.k, "t": args.t,
         "mukai_vector": triple.v.to_json(),
@@ -66,100 +84,70 @@ def cmd_info(args):
 
 
 def cmd_disc_group(args):
-    data = _load_json(args.lattice)
-    try:
-        lat = IntegerLattice.from_json(data)
-    except (LatticeError, KeyError, TypeError) as exc:
-        return _bad_input("bad lattice: %s" % exc)
+    with reading():
+        lat = _lattice(args.lattice)
     _dump(DiscriminantData(lat).to_json(), args)
     return 0
 
 
 def cmd_characters(args):
-    lat_json = _load_json(args.lattice)
-    iso_json = _load_json(args.isometry)
-    try:
-        lat = IntegerLattice.from_json(lat_json)
-        matrix = int_matrix(json_object(iso_json, "isometry")["matrix"])
-        g = Isometry(lat, lat, matrix)
-    except IsometryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except (KeyError, TypeError, ValueError) as exc:
-        return _bad_input("bad document: %r" % (exc,))
+    with reading():
+        lat = _lattice(args.lattice)
+        matrix = int_matrix(json_object(_load_json(args.isometry),
+                                        "isometry")["matrix"])
+        if len(matrix) != lat.rank or any(len(r) != lat.rank for r in matrix):
+            raise BadInput("isometry matrix must be %d x %d"
+                           % (lat.rank, lat.rank))
+    g = Isometry(lat, lat, matrix)
     chars = characters(g, positive_frame(lat), DiscriminantData(lat))
     _dump(dict(chars, in_W=in_W(chars), in_N=in_N(chars)), args)
     return 0
 
 
 def cmd_reflect(args):
-    lat_json = _load_json(args.lattice)
-    try:
-        lat = IntegerLattice.from_json(lat_json)
-        u = _ints(args.u)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _bad_input(exc)
-    try:
-        rho = minus_reflection(lat, u)
-    except IsometryError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    with reading():
+        lat = _lattice(args.lattice)
+        u = _ints(args.u, lat.rank)
+    rho = minus_reflection(lat, u)
     _dump({"matrix": [list(r) for r in rho.matrix],
            "square": lat.norm(u)}, args)
     return 0
 
 
 def cmd_fm(args):
-    try:
+    with reading():
         model = shared_model(args.t)
-        c = _ints(args.c) if args.c else None
-    except ValueError as exc:
-        return _bad_input(exc)
+        if (args.kind == "tensor") != (args.c is not None):
+            raise BadInput("--c is required for tensor and only for tensor")
+        c = None if args.c is None else _ints(args.c, 6)
+    phi = fm_action(model, args.kind, c)
+    out = {"kind": args.kind,
+           "matrix": [list(r) for r in phi.matrix],
+           "epsilon_ori": epsilon_ori(model, phi)}
     try:
-        phi = fm_action(model, args.kind, c)
-        out = {"kind": args.kind,
-               "matrix": [list(r) for r in phi.matrix],
-               "epsilon_ori": epsilon_ori(model, phi)}
-        try:
-            out["hodge_ori"] = hodge_ori(model, phi)
-        except (DecisionDegenerate, ValueError):
-            out["hodge_ori"] = None
-    except (ValueError, IsometryError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+        out["hodge_ori"] = hodge_ori(model, phi)
+    except DecisionDegenerate:
+        out["hodge_ori"] = None
     _dump(out, args)
     return 0
 
 
 def cmd_word(args):
-    doc = _load_json(args.word)
-    try:
-        word = GroupoidWord.from_json(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        return _bad_input("bad word: %r" % (exc,))
-    try:
-        cert = certify(word)
-    except (KeyError, TypeError, ValueError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    _dump(cert.to_json(), args)
+    with reading():
+        word = GroupoidWord.from_json(_load_json(args.word))
+    _dump(certify(word).to_json(), args)
     return 0
 
 
 def cmd_lemsimo(args):
-    try:
-        problem = LemsimoProblem(args.k, _ints(args.xi1), _ints(args.xi2),
-                                 bound=args.bound)
-    except ValueError as exc:
-        return _bad_input(exc)
+    with reading():
+        problem = LemsimoProblem(args.k, _ints(args.xi1, 6),
+                                 _ints(args.xi2, 6), bound=args.bound)
     try:
         sol = solve(problem)
     except NotFound as nf:
         _dump({"status": "not-found", "stage": nf.stage, "bound": nf.bound},
               args)
-        return 1
-    except TargetsNotIntegral as exc:
-        print("error: %s" % exc, file=sys.stderr)
         return 1
     _dump({"status": "ok",
            "g": [list(r) for r in sol.g.matrix],
@@ -169,26 +157,20 @@ def cmd_lemsimo(args):
 
 
 def cmd_index(args):
-    try:
+    with reading():
         index = index_monodromy(args.k)
-    except ValueError as exc:
-        return _bad_input(exc)
     _dump({"k": args.k, "index": index,
            "residues": enum_disc_autos(args.k)}, args)
     return 0
 
 
 def cmd_verify(args):
-    try:
+    with reading():
         cfg = VerifyConfig(seed=args.seed, bound=args.bound, t=args.t)
-    except ValueError as exc:
-        return _bad_input(exc)
-    names = set(args.only.split(",")) if args.only else None
-    if names:
-        known = {n for n, _ in CHECKS}
-        bad = names - known
+        names = set(args.only.split(",")) if args.only else None
+        bad = (names or set()) - {n for n, _ in CHECKS}
         if bad:
-            return _bad_input("unknown checks: %s" % ", ".join(sorted(bad)))
+            raise BadInput("unknown checks: %s" % ", ".join(sorted(bad)))
     report = run_suite(cfg, names)
     if args.format == "text":
         for c in report["checks"]:
@@ -257,9 +239,14 @@ def build_parser():
 
 
 def main(argv=None):
-    # argparse exits with code 2 on usage errors
+    """Exit code 2 for malformed input (argparse exits 2 on usage errors
+    itself), 1 for a condition that fails on well-formed input."""
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (KeyError, TypeError, ValueError) as exc:
+        print("error: %s" % " ".join(str(exc).split()), file=sys.stderr)
+        return 2 if isinstance(exc, BadInput) else 1
 
 
 if __name__ == "__main__":

@@ -49,26 +49,12 @@ class Isometry:
             raise IsometryError("composition mismatch")
         return Isometry(other.source, self.target, mat_mul(self.matrix, other.matrix))
 
-    def __matmul__(self, other):
-        return self.compose(other)
-
     def inverse(self):
         try:
             inv = inv_unimodular(self.matrix)
         except ValueError:
             raise IsometryError("inverse is not integral") from None
         return Isometry(self.target, self.source, inv)
-
-    def power(self, n):
-        """The n-fold product, checked once (a negative n inverts first)."""
-        if self.source.gram != self.target.gram:
-            raise IsometryError("powers need an endomorphism")
-        if n < 0:
-            return self.inverse().power(-n)
-        m = intmat.identity(len(self.matrix))
-        for _ in range(n):
-            m = mat_mul(self.matrix, m)
-        return Isometry(self.source, self.target, m)
 
     def det(self):
         return intmat.det(self.matrix)

@@ -51,6 +51,9 @@ class IntegerLattice:
         if embedding is not None:
             b = mat(embedding.basis)
             ga = embedding.ambient.gram
+            if len(b) != n or any(len(row) != len(ga) for row in b):
+                raise LatticeError("embedding basis must be rank x ambient "
+                                   "rank")
             expect = mat_mul(mat_mul(b, ga), transpose(b))
             if expect != g:
                 raise LatticeError("embedding basis does not reproduce gram")

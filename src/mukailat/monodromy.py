@@ -11,11 +11,12 @@ determinant, orientation, and discriminant characters.
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
-from .intmat import (mat, mat_mul, transpose, identity, inv_unimodular,
-                     int_matrix, int_vector, json_object)
+from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
+                     int_vector, json_object)
 from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 from .discriminant import DiscriminantData, characters, in_N
-from .mukai import MkTriple, fm_action, v_perp, epsilon_ori, h2_lift
+from .mukai import MkTriple, MUKAI_GRAM, fm_action, v_perp, epsilon_ori, \
+    h2_lift
 
 
 class WordError(ValueError):
@@ -97,10 +98,18 @@ def inverse(token):
     return Token("inverse", (token,))
 
 
+# (column, sign) of the one nonzero entry in each row of MUKAI_GRAM
+_GRAM_ENTRIES = tuple(next((j, x) for j, x in enumerate(row) if x)
+                      for row in MUKAI_GRAM)
+
+
 def _token_matrix(token, model):
     """Integer matrix of a token's action on the rank-8 lattice.  FM actions
     are the shared checked isometries and a surface lift is checked as an
-    isometry of U^3 and of the rank-8 lattice."""
+    isometry of U^3 and of the rank-8 lattice.  Every token matrix M is an
+    isometry of G = MUKAI_GRAM, and G is its own inverse, so an inverse
+    token is G * M^T * G; G is a signed permutation, so its entry (i, j) is
+    G[i][p(i)] * G[j][p(j)] * M[p(j)][p(i)]."""
     if token.kind == "surface_lift":
         h = Isometry(model.h2_lattice, model.h2_lattice, token.params[0])
         if h.det() != 1:
@@ -111,7 +120,9 @@ def _token_matrix(token, model):
     if token.kind == "congruence":
         return identity(8)
     if token.kind == "inverse":
-        return inv_unimodular(_token_matrix(token.params[0], model))
+        m = _token_matrix(token.params[0], model)
+        return tuple(tuple(si * sj * m[pj][pi] for pj, sj in _GRAM_ENTRIES)
+                     for pi, si in _GRAM_ENTRIES)
     return fm_action(model, token.kind, *token.params).matrix
 
 

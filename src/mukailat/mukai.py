@@ -103,7 +103,6 @@ class MukaiModel:
         self.lattice = IntegerLattice(MUKAI_GRAM, label="mukai")
         self.h2_lattice = IntegerLattice(H2_GRAM, label="h2")
         self.omega = (1, t, 0, 0, 0, 0)
-        self.sigma_plane = ((0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))
         omega8 = (0, 1, t, 0, 0, 0, 0, 0)
         rho1 = (0, 0, 0, 1, 1, 0, 0, 0)
         rho2 = (0, 0, 0, 0, 0, 1, 1, 0)

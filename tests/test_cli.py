@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from mukailat.cli import main
+from mukailat.cli import build_parser, main
 from mukailat.lattices import hyperbolic_sum, direct_sum, rank_one
 
 
@@ -15,12 +15,18 @@ def run_cli(capsys, *argv):
     return code, out.out, out.err
 
 
-def assert_bad_input(capsys, *argv):
-    """Malformed input exits 2 with one error line and no traceback."""
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 2
+def assert_one_error_line(capsys, code, *argv):
+    """The command exits with `code`, prints nothing on stdout and one
+    error line on stderr, with no traceback."""
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def assert_bad_input(capsys, *argv):
+    """Malformed input exits 2 with one error line and no traceback."""
+    assert_one_error_line(capsys, 2, *argv)
 
 
 def test_info(capsys):
@@ -55,14 +61,19 @@ def test_disc_group(tmp_path, capsys):
 
 def test_disc_group_bad_input_exit_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(SystemExit) as exc:
-        main(["disc-group", str(path)])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    for text in ("{not json", "[" * 100000 + "]" * 100000):  # too deep
+        path.write_text(text)
+        assert_bad_input(capsys, "disc-group", str(path))
     line = hyperbolic_sum(3).saturate(((1, 2, 0, 0, 0, 0),)).to_json()
     line["embedding"]["basis"] = [[1.0, 2, 0, 0, 0, 0]]
-    for doc in ([1, 2], {"gram": [[2.0, 1.0], [1.0, 2.0]]}, line):
+    # embedding bases that are not rank x ambient rank
+    wide = {"gram": [[2]], "embedding": {"ambient": {"gram": [[2]]},
+                                         "basis": [[1, 5]]}}
+    short = {"gram": [[0, 1], [1, 0]],
+             "embedding": {"ambient": hyperbolic_sum(2).to_json(),
+                           "basis": [[1, 0], [0, 1]]}}
+    for doc in ([1, 2], {"gram": [[2.0, 1.0], [1.0, 2.0]]}, line, wide,
+                short):
         path.write_text(json.dumps(doc))
         assert_bad_input(capsys, "disc-group", str(path))
 
@@ -87,8 +98,9 @@ def test_characters(tmp_path, capsys):
     bad.write_text(json.dumps({"rows": [[1]]}))
     assert_bad_input(capsys, "characters", str(lpath), str(bad))
     assert_bad_input(capsys, "characters", str(bad), str(ipath))
+    # float entries, a bare list, and a 2 x 2 matrix on a rank-7 lattice
     for doc in ({"matrix": [[float(x) for x in r] for r in rho.matrix]},
-                [list(r) for r in rho.matrix]):
+                [list(r) for r in rho.matrix], {"matrix": [[1, 0], [0, 1]]}):
         bad.write_text(json.dumps(doc))
         assert_bad_input(capsys, "characters", str(lpath), str(bad))
 
@@ -105,6 +117,9 @@ def test_reflect(tmp_path, capsys):
     code, _, err = run_cli(capsys, "reflect", str(path), "--u", "1,2,0,0,0,0")
     assert code == 1
     assert_bad_input(capsys, "reflect", str(path), "--u", "1,x,0,0,0,0")
+    # a vector whose length is not the rank of the lattice
+    for u in ("1", "1,-1,0,0,0,0,0"):
+        assert_bad_input(capsys, "reflect", str(path), "--u", u)
 
 
 def test_fm(capsys):
@@ -117,6 +132,10 @@ def test_fm(capsys):
     assert code == 1
     assert_bad_input(capsys, "fm", "tensor", "--c", "1,x")
     assert_bad_input(capsys, "fm", "poincare", "--t", "1")
+    # tensor needs a class of 6 entries, and no other kind takes one
+    assert_bad_input(capsys, "fm", "tensor")
+    assert_bad_input(capsys, "fm", "tensor", "--c", "1,2,3")
+    assert_bad_input(capsys, "fm", "poincare", "--c", "1,2,0,0,0,0")
 
 
 def test_word(tmp_path, capsys):
@@ -186,6 +205,61 @@ def test_lemsimo_not_found_exit_1(capsys):
     assert code == 1
     assert out == ('{"bound": 10, "stage": "companion:companion", '
                    '"status": "not-found"}\n')
+
+
+def _audit_documents(tmp_path):
+    """The documents that EXIT_CODE_AUDIT names, written to disk."""
+    docs = {
+        "u": json.dumps(hyperbolic_sum(1).to_json()),
+        "stretch": '{"matrix": [[2, 0], [0, 1]]}',
+        "no-triple": '{"tokens": []}',
+        # the Poincare action sends v = (1, 0, -3) to (-3, 0, 1)
+        "unfixed": '{"triple": {"m": 1, "k": 3}, '
+                   '"tokens": [{"kind": "poincare"}]}',
+        "not-json": "{not json",
+    }
+    for name, text in docs.items():
+        (tmp_path / name).write_text(text)
+    return {name: str(tmp_path / name) for name in docs}
+
+
+# One malformed input per subcommand (exit 2) and, where a command can refuse
+# a well-formed input, one such input (exit 1); "{name}" is a document of
+# _audit_documents
+EXIT_CODE_AUDIT = (
+    ("info", 2, ("--m", "0")),
+    ("index", 2, ("--k", "0")),
+    ("disc-group", 2, ("{not-json}",)),
+    ("characters", 2, ("{u}", "{no-triple}")),
+    ("characters", 1, ("{u}", "{stretch}")),
+    ("reflect", 2, ("{u}", "--u", "1")),
+    ("reflect", 1, ("{u}", "--u", "1,0")),
+    ("fm", 2, ("tensor", "--c", "1,2,3")),
+    ("fm", 1, ("tensor", "--c", "0,0,1,0,0,0")),
+    ("word", 2, ("{no-triple}",)),
+    ("word", 1, ("{unfixed}",)),
+    ("lemsimo", 2, ("--k", "3", "--xi1", "1,2,0", "--xi2", "0,0,1,2,0,0")),
+    # a span that is not primitive, and a degenerate span
+    ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
+                    "--xi2=3,2,2,-2,0,0")),
+    ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
+                    "--xi2", "1,2,2,0,0,0")),
+    ("verify", 2, ("--only", "nope")),
+)
+
+
+@pytest.mark.parametrize("command,code,argv", EXIT_CODE_AUDIT)
+def test_exit_code_audit(tmp_path, capsys, command, code, argv):
+    paths = _audit_documents(tmp_path)
+    assert_one_error_line(capsys, code, command,
+                          *(a.format(**paths) for a in argv))
+
+
+def test_exit_code_audit_covers_every_subcommand():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if a.dest == "command")
+    assert {c for c, code, _ in EXIT_CODE_AUDIT if code == 2} == \
+        set(sub.choices)
 
 
 def test_verify_subset_and_determinism(capsys):

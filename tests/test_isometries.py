@@ -30,36 +30,7 @@ def test_compose_inverse_power():
     u = hyperbolic_plane()
     swap = Isometry(u, u, ((0, 1), (1, 0)))
     assert swap.compose(swap).is_identity()
-    assert (swap @ swap).is_identity()
     assert swap.inverse().matrix == swap.matrix
-    assert swap.power(3).matrix == swap.matrix
-    assert swap.power(0).is_identity()
-    assert swap.power(-1).matrix == swap.matrix
-
-
-def test_power_is_the_product_checked_once(monkeypatch):
-    """power(n) equals n compositions and builds one checked isometry; a
-    negative n inverts once more."""
-    u3 = hyperbolic_sum(3)
-    g = reflection(u3, (1, 1, 0, 0, 0, 0)).compose(
-        reflection(u3, (3, 0, 1, 1, 0, 0)))
-    steps = {0: identity_isometry(u3)}
-    for n in range(1, 5):
-        steps[n] = g.compose(steps[n - 1])
-        steps[-n] = g.inverse().compose(steps[1 - n])
-    made = []
-    init = Isometry.__init__
-
-    def counting_init(self, *args):
-        made.append(args)
-        init(self, *args)
-
-    monkeypatch.setattr(Isometry, "__init__", counting_init)
-    for n, want in sorted(steps.items()):
-        del made[:]
-        assert g.power(n) == want
-        assert len(made) == (2 if n < 0 else 1)
-    assert g.power(4) != identity_isometry(u3)
 
 
 def test_det_char_values():

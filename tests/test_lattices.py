@@ -49,6 +49,21 @@ def test_saturate_divides_out_imprimitivity():
     assert u3.is_primitive(s)
 
 
+def test_embedding_basis_must_be_rank_by_ambient_rank():
+    """A basis of the wrong shape is refused, not cut to fit by the
+    products that check the gram."""
+    with pytest.raises(LatticeError, match="rank x ambient rank"):
+        IntegerLattice(((2,),), embedding=Embedding(rank_one(2), ((1, 5),)))
+    with pytest.raises(LatticeError, match="rank x ambient rank"):
+        IntegerLattice(((0, 1), (1, 0)),
+                       embedding=Embedding(hyperbolic_sum(2),
+                                           ((1, 0), (0, 1))))
+    with pytest.raises(LatticeError, match="rank x ambient rank"):
+        IntegerLattice(((0, 1), (1, 0)),
+                       embedding=Embedding(hyperbolic_sum(2),
+                                           ((1, 0, 0, 0),)))
+
+
 def test_saturate_rejects_degenerate_span():
     u3 = hyperbolic_sum(3)
     with pytest.raises(LatticeError):

@@ -334,6 +334,26 @@ def test_eval_matches_stepwise_composition(triple, tokens):
     assert got.source is got.target is triple.model().lattice
 
 
+def test_inverse_tokens_need_no_unimodular_inverse(monkeypatch):
+    """An inverse token's matrix is G * M^T * G: certifying a word with one
+    calls no HNF inverse."""
+    import sys
+    from mukailat import intmat
+    inv, calls = intmat.inv_unimodular, []
+
+    def counting_inv(a):
+        calls.append(a)
+        return inv(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("mukailat") and \
+                getattr(mod, "inv_unimodular", None) is inv:
+            monkeypatch.setattr(mod, "inv_unimodular", counting_inv)
+    cert = propdual_word(MkTriple(2, 3, 2))
+    assert cert.characters["det"] == -1
+    assert calls == []
+
+
 def test_eval_checks_the_composite_once(monkeypatch):
     h = (1, 2, 0, 0, 0, 0)
     word = GroupoidWord(_triple(), (

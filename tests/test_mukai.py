@@ -107,7 +107,6 @@ def test_fm_action_is_built_once_and_shared():
         assert fresh is not phi and fresh == phi
         matrix = phi.matrix
         phi.inverse().compose(phi).compose(phi.inverse())
-        phi.power(3)
         assert phi.matrix == matrix and phi.source is lat
         assert fm_action(model, kind, c) is phi
     # another model gets its own action on its own lattice
