@@ -72,13 +72,14 @@ def _ints(text, n):
 def cmd_info(args):
     with reading():
         triple = MkTriple(args.m, args.k, args.t)
+        index = index_monodromy(args.k)
         vp, _, data = complement(triple)
     _dump({
         "m": args.m, "k": args.k, "t": args.t,
         "mukai_vector": triple.v.to_json(),
         "vperp_signature": list(vp.signature()),
         "vperp_disc_invariants": list(data.invariants),
-        "index_over_monodromy": index_monodromy(args.k),
+        "index_over_monodromy": index,
     }, args)
     return 0
 
@@ -158,9 +159,9 @@ def cmd_lemsimo(args):
 
 def cmd_index(args):
     with reading():
-        index = index_monodromy(args.k)
-    _dump({"k": args.k, "index": index,
-           "residues": enum_disc_autos(args.k)}, args)
+        residues = enum_disc_autos(args.k)
+    _dump({"k": args.k, "index": index_monodromy(args.k, residues),
+           "residues": residues}, args)
     return 0
 
 

@@ -132,19 +132,6 @@ class DiscMap:
         return DiscMap(other.source, self.target,
                        tuple(self.apply(im) for im in other.images))
 
-    def inverse(self):
-        table = {}
-        for cls in self.source.elements():
-            table[self.apply(cls)] = cls
-        if len(table) != self.source.order or self.source.order != self.target.order:
-            raise IsometryError("map is not invertible")
-        gens = []
-        g = len(self.target.invariants)
-        for i in range(g):
-            ei = tuple(int(i == a) for a in range(g))
-            gens.append(table[ei])
-        return DiscMap(self.target, self.source, gens)
-
     def __eq__(self, other):
         return (isinstance(other, DiscMap)
                 and self.source.invariants == other.source.invariants
@@ -188,14 +175,18 @@ def disc_map(g, source_data=None, target_data=None):
                                                    src.invariants)))
 
 
+# enum_disc_autos scans all 2k residues, so a larger k is refused
+MAX_K = 10 ** 6
+
+
 def enum_disc_autos(k):
     """All residues a mod 2k with gcd(a, 2k) = 1 and a^2 = 1 mod 4k.
 
     These are exactly the automorphisms of the cyclic discriminant group of
     U^3 + <-2k> that preserve its quadratic form.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    if not 1 <= k <= MAX_K:
+        raise ValueError("k must be in 1..%d, got %d" % (MAX_K, k))
     return [a for a in range(1, 2 * k + 1)
             if gcd(a, 2 * k) == 1 and (a * a - 1) % (4 * k) == 0]
 
@@ -336,13 +327,14 @@ def in_N(chars):
     return in_W(chars) and (chars["det"] == 1) == (chars["disc"] == "+id")
 
 
-def index_monodromy(k):
+def index_monodromy(k, residues=None):
     """Index through the 2^(number of distinct primes of k) count, cross
-    checked against the brute-force residue enumeration."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    checked against the brute-force residue enumeration; `residues` is that
+    enumeration when the caller has it already."""
+    if residues is None:
+        residues = enum_disc_autos(k)
     expected = 2 ** count_distinct_primes(k)
-    actual = len(enum_disc_autos(k))
+    actual = len(residues)
     if expected != actual:
         raise RuntimeError("index formula mismatch at k=%d: %d vs %d"
                            % (k, expected, actual))

@@ -182,10 +182,6 @@ def iter_splits(K, bound):
         yield Split(block, from_block, from_block.inverse(), gw)
 
 
-def _first_splits(K, bound):
-    return list(itertools.islice(iter_splits(K, bound), MAX_SPLITS))
-
-
 def split_off_U(K, bound):
     """First hyperbolic-plane splitting of K found in the box, or NotFound."""
     for split in iter_splits(K, bound):
@@ -293,24 +289,24 @@ def _minus_u_iso(block):
         ((-1, 0), (0, -1)), intmat.identity(block.rank - 2)))
 
 
-def find_companion(phi, glue1, glue2, splits2, bound):
-    """Isometry of the complements glue1.comp -> glue2.comp whose
-    discriminant action matches the glue requirement for phi; bounded
-    search, honest NotFound.  splits2 are the splittings of glue2.comp to
-    pair with those of glue1.comp, in order."""
-    K1, K2 = glue1.comp, glue2.comp
-    phibar = disc_map(phi, glue1.disc_sub, glue2.disc_sub)
-    target = glue2.gamma.compose(phibar).compose(glue1.gamma.inverse())
-    if bound <= 0:
-        raise NotFound(bound, stage="companion")
+def _split_pairs(K1, K2, bound, splits2):
+    """Pairs of splittings of K1 and K2 in (i, j) order, each built when the
+    scan first reaches it.  The first row appends the splittings of K2 to
+    splits2, and every later row rereads that list."""
+    more2 = itertools.islice(iter_splits(K2, bound), MAX_SPLITS)
+    for split1 in itertools.islice(iter_splits(K1, bound), MAX_SPLITS):
+        yield from ((split1, split2) for split2 in splits2)
+        for split2 in more2:
+            splits2.append(split2)
+            yield split1, split2
 
-    splits1 = _first_splits(K1, bound)
-    if not splits1 or not splits2:
-        raise NotFound(bound, stage="split")
 
-    # rank-2 complements of different splittings can be inequivalent even
-    # when the full lattices are isometric, so scan pairs of splittings
-    for split1, split2 in itertools.product(splits1, splits2):
+def _companion_base(K1, K2, bound, splits2):
+    """Isometry K1 -> K2 through the first pair of splittings whose rank-2
+    complements the box shows isometric, and the splitting of K2 it passes
+    through.  Rank-2 complements of different splittings can be inequivalent
+    even when the full lattices are isometric, so pairs are scanned."""
+    for split1, split2 in _split_pairs(K1, K2, bound, splits2):
         if split1.w_gram == split2.w_gram:
             pmat = intmat.identity(2)
         else:
@@ -318,28 +314,39 @@ def find_companion(phi, glue1, glue2, splits2, bound):
         if pmat is not None:
             break
     else:
-        raise NotFound(bound, stage="companion-w")
+        raise NotFound(bound, stage="companion-w" if splits2 else "split")
     mid = Isometry(split1.block, split2.block,
                    _block_diag(intmat.identity(2), pmat))
-    psi0 = split2.from_block.compose(mid).compose(split1.to_block)
+    return split2.from_block.compose(mid).compose(split1.to_block), split2
 
-    d_k1 = glue1.disc_comp
+
+def find_companion(phi, glue1, glue2, bound):
+    """Isometry psi of the complements glue1.comp -> glue2.comp that extends
+    with phi, that is disc(psi) gamma1 == gamma2 disc(phi), and the
+    splittings of glue2.comp that the scan built, in order; bounded search,
+    honest NotFound."""
+    if bound <= 0:
+        raise NotFound(bound, stage="companion")
+    splits2 = []
+    psi0, split2 = _companion_base(glue1.comp, glue2.comp, bound, splits2)
+
     d_k2 = glue2.disc_comp
-    delta = target.compose(disc_map(psi0, d_k1, d_k2).inverse())
-    if delta.is_identity():
-        return psi0
+    have = disc_map(psi0, glue1.disc_comp, d_k2).compose(glue1.gamma)
+    want = glue2.gamma.compose(disc_map(phi, glue1.disc_sub, glue2.disc_sub))
+    if have == want:
+        return psi0, splits2
 
     # reflections in larger boxes are slow, so escalate the radius only
     # when the cheaper generator sets fail to reach the target
     h = None
     for radius in sorted({min(bound, 3), min(bound, 6), bound}):
-        gens = _disc_generators(K2, split2, d_k2, radius)
-        h = _bfs_disc(delta, gens, d_k2)
+        gens = _disc_generators(glue2.comp, split2, d_k2, radius)
+        h = _bfs_disc(have, want, gens, d_k2)
         if h is not None:
             break
     if h is None:
         raise NotFound(bound, stage="companion")
-    return h.compose(psi0)
+    return h.compose(psi0), splits2
 
 
 def _disc_generators(K, split, data, bound):
@@ -391,15 +398,13 @@ def _integral_reflections(K, radius):
     return out
 
 
-def _bfs_disc(target, gens, data):
+def _bfs_disc(have, want, gens, data):
     """Breadth-first search in the subgroup of discriminant automorphisms
-    generated by the given witnesses; returns an isometry mapping to target."""
+    generated by the given witnesses, the first of them minus the identity;
+    returns an isometry h with disc(h) have == want, or None."""
     ident = identity_disc_map(data)
-    start = identity_isometry(gens[0][1].source) if gens else None
-    frontier = [(ident, start)]
+    frontier = [(ident, identity_isometry(gens[0][1].source))]
     seen = {ident.images}
-    if target.is_identity():
-        return start
     while frontier:
         nxt = []
         for d, wit in frontier:
@@ -408,7 +413,7 @@ def _bfs_disc(target, gens, data):
                 if nd.images in seen:
                     continue
                 nwit = giso.compose(wit)
-                if nd == target:
+                if nd.compose(have) == want:
                     return nwit
                 seen.add(nd.images)
                 nxt.append((nd, nwit))
@@ -429,9 +434,8 @@ def solve(problem):
     trace.append({"stage": "glue",
                   "disc_S1": glue1.disc_sub.invariants,
                   "disc_K1": glue1.disc_comp.invariants})
-    splits2 = _first_splits(k2, problem.bound)
     try:
-        psi = find_companion(phi, glue1, glue2, splits2, problem.bound)
+        psi, splits2 = find_companion(phi, glue1, glue2, problem.bound)
     except NotFound as nf:
         raise NotFound(nf.bound, stage="companion:" + nf.stage)
     trace.append({"stage": "companion", "matrix": psi.matrix})

@@ -49,6 +49,23 @@ def test_index(capsys):
     assert_bad_input(capsys, "index", "--k", "0")
 
 
+def test_index_enumerates_the_residues_once(capsys, monkeypatch):
+    import mukailat.cli
+    import mukailat.discriminant
+    calls = []
+    real = mukailat.discriminant.enum_disc_autos
+
+    def counting(k):
+        calls.append(k)
+        return real(k)
+
+    monkeypatch.setattr(mukailat.cli, "enum_disc_autos", counting)
+    monkeypatch.setattr(mukailat.discriminant, "enum_disc_autos", counting)
+    code, out, _ = run_cli(capsys, "index", "--k", "30")
+    assert code == 0 and json.loads(out)["index"] == 8
+    assert calls == [30]
+
+
 def test_disc_group(tmp_path, capsys):
     lat = direct_sum(hyperbolic_sum(3), rank_one(-6))
     path = tmp_path / "lat.json"
@@ -245,6 +262,9 @@ EXIT_CODE_AUDIT = (
     ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
                     "--xi2", "1,2,2,0,0,0")),
     ("verify", 2, ("--only", "nope")),
+    # info and index scan all 2k residues, so k is capped
+    ("info", 2, ("--k", "1000001")),
+    ("index", 2, ("--k", "1000001")),
 )
 
 

@@ -94,7 +94,6 @@ def test_disc_map_compose_and_inverse():
     data = DiscriminantData(lat)
     d = disc_map(minus_identity(lat), data, data)
     assert d.compose(d).is_identity()
-    assert d.inverse() == d
     assert identity_disc_map(data).sign() == 1
 
 
@@ -183,7 +182,7 @@ def test_integer_layer_matches_fraction_lifts(gram, data):
         g = h.compose(g)
     d = disc_map(g, disc, disc)
     assert d.images == ref.disc_images(g)
-    assert disc_map(g.inverse(), disc, disc) == d.inverse()
+    assert disc_map(g.inverse(), disc, disc).compose(d).is_identity()
 
 
 def orth_group_elements(data, cap=2000):

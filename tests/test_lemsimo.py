@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import importlib.util
 import itertools
 import os
 import random
@@ -16,7 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 import mukailat
 from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
                              kernel_int, identity)
-from mukailat.discriminant import NotFound
+from mukailat.discriminant import DiscriminantData, NotFound
 from mukailat.isometries import Isometry, ori_char, reflection, minus_identity
 from mukailat.kernels import vectors_with_square, isotropic_vectors
 from mukailat.lattices import IntegerLattice
@@ -276,6 +277,98 @@ def test_solve_lists_the_splits_of_k2_once(monkeypatch):
     sol = solve(LemsimoProblem(**FIXTURE))
     assert "det-fix" in [s["stage"] for s in sol.trace]
     assert labels.count("K2") == 1
+
+
+def test_solve_builds_one_split_of_each_complement_when_the_first_pair_fits(
+        monkeypatch):
+    built = []
+    real = lemsimo.Split
+
+    def counting(*fields):
+        built.append(fields)
+        return real(*fields)
+
+    monkeypatch.setattr(lemsimo, "Split", counting)
+    solve(LemsimoProblem(3, (5, 1, 2, -1, 1, -1), (-2, -3, -2, 2, 0, 0)))
+    assert len(built) == 2
+
+
+def test_solve_enumerates_no_discriminant_group(monkeypatch):
+    calls = []
+    real = DiscriminantData.elements
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(DiscriminantData, "elements", counting)
+    sol = solve(LemsimoProblem(**FIXTURE))
+    assert "det-fix" in [s["stage"] for s in sol.trace]
+    assert calls == []
+
+
+def _reference_pair_scan(K1, K2, bound):
+    """The former scan, kept as a reference: list up to MAX_SPLITS
+    splittings of each complement, then take the first pair in
+    itertools.product order whose rank-2 complements are isometric in the
+    box.  Returns (i, j, matrix of psi0)."""
+    splits1 = list(itertools.islice(iter_splits(K1, bound), MAX_SPLITS))
+    splits2 = list(itertools.islice(iter_splits(K2, bound), MAX_SPLITS))
+    for (i, split1), (j, split2) in itertools.product(enumerate(splits1),
+                                                      enumerate(splits2)):
+        if split1.w_gram == split2.w_gram:
+            pmat = identity(2)
+        else:
+            pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound), None)
+        if pmat is not None:
+            mid = Isometry(split1.block, split2.block,
+                           lemsimo._block_diag(identity(2), pmat))
+            psi0 = split2.from_block.compose(mid).compose(split1.to_block)
+            return i, j, psi0.matrix
+    return None
+
+
+def _solve_small_problems(seed, count):
+    """The benchmark's solve-small inputs, read from its own generator."""
+    path = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("_bench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.solve_problems(seed, count)
+
+
+def test_lazy_pair_scan_matches_the_product_scan(monkeypatch):
+    """On the 120 seed-1 solve-small inputs the lazy scan matches the same
+    pair (i, j) with the same psi0 as the former eager scan, having built
+    the splittings of K1 up to row i and those of K2 once."""
+    built = []
+    real = lemsimo.iter_splits
+
+    def recording(K, bound):
+        for split in real(K, bound):
+            built.append(K.label)
+            yield split
+
+    matched = set()
+    for k, xi1, xi2 in _solve_small_problems(1, 120):
+        _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
+        k1 = AMBIENT.orth_complement(phi.source, label="K1")
+        k2 = AMBIENT.orth_complement(phi.target, label="K2")
+        i, j, want = _reference_pair_scan(k1, k2, 10)
+        matched.add((i, j))
+        del built[:]
+        splits2 = []
+        with monkeypatch.context() as m:
+            m.setattr(lemsimo, "iter_splits", recording)
+            psi0, split2 = lemsimo._companion_base(k1, k2, 10, splits2)
+        assert psi0.matrix == want
+        assert splits2.index(split2) == j
+        assert built.count("K1") == i + 1
+        assert built.count("K2") == len(splits2)
+        if i == 0:
+            assert len(splits2) == j + 1
+    assert {(3, 0), (0, 29)} <= matched
 
 
 def test_bound_zero_reports_not_found():
