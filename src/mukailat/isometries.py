@@ -3,13 +3,14 @@
 An isometry is stored as an integer matrix whose columns are the images of
 the source basis vectors in target coordinates, so vectors transform by
 matrix * column.  The defining identity M^T * G_target * M == G_source is
-checked at construction.
+checked at construction, on the entries with i <= j: both sides are
+symmetric.
 """
 
 from dataclasses import dataclass
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, transpose, inv_unimodular,
+from .intmat import (mat, mat_mul, mat_vec, dot, transpose, inv_unimodular,
                      int_matrix, json_object)
 from .lattices import IntegerLattice
 
@@ -23,8 +24,12 @@ class Isometry:
         m = mat(matrix)
         if len(m) != target.rank or any(len(r) != source.rank for r in m):
             raise IsometryError("matrix shape does not match lattices")
-        lhs = mat_mul(mat_mul(transpose(m), target.gram), m)
-        if lhs != source.gram:
+        # M^T G M is symmetric like source.gram, so its entries with i <= j
+        # decide the check; a rank-0 target still has source.rank columns
+        cols = transpose(m) or ((),) * source.rank
+        rows = mat_mul(cols, target.gram)
+        if any(dot(rows[i], cols[j]) != source.gram[i][j]
+               for i in range(len(cols)) for j in range(i, len(cols))):
             raise IsometryError("matrix does not intertwine the forms")
         self.source = source
         self.target = target

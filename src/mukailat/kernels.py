@@ -2,9 +2,10 @@
 
 The only numerically hot loops in the package are enumerations of lattice
 vectors with a prescribed square inside a coordinate box.  They are
-evaluated with numpy over the whole box.  Results are int64 numpy arrays in
-lexicographic order; inputs that could overflow int64 are rejected, never
-wrapped.
+evaluated with numpy, and the isotropic search one slab of fixed first
+coordinate at a time, so a caller that stops early evaluates only the slabs
+it reached.  Results come in lexicographic order; inputs that could overflow
+int64 are rejected, never wrapped.
 """
 
 import numpy as np
@@ -29,11 +30,16 @@ def max_box_bound(n):
     return bound
 
 
-def _box(n, bound):
-    """All vectors with coordinates in [-bound, bound], lexicographic order."""
+def _box_size_guard(n, bound):
     side = 2 * bound + 1
     if side ** n > _MAX_BOX:
         raise MemoryError("box of %d^%d vectors is too large" % (side, n))
+
+
+def _box(n, bound):
+    """All vectors with coordinates in [-bound, bound], lexicographic order."""
+    _box_size_guard(n, bound)
+    side = 2 * bound + 1
     box = np.indices((side,) * n, dtype=np.int64).reshape(n, -1)
     box -= bound
     return box.T
@@ -60,5 +66,25 @@ def vectors_with_square(gram, bound, target):
 
 
 def isotropic_vectors(gram, bound):
-    out = vectors_with_square(gram, bound, 0)
-    return [v for v in out if any(v)]
+    """Iterator over the nonzero box vectors of square 0, lexicographic order,
+    as tuples.  The guards run on the call; the box is evaluated one slab of
+    fixed first coordinate a at a time, where a vector (a, r) has square
+    q(r) + a * 2<e0, r> + a^2 * g00 with q(r) from one box of the trailing
+    block."""
+    _overflow_guard(gram, bound)
+    n = len(gram)
+    _box_size_guard(n, bound)
+    g = np.asarray(gram, dtype=np.int64)
+    if n > 1:
+        rest, base = box_squares(g[1:, 1:], bound)
+    else:
+        rest, base = np.zeros((1, 0), np.int64), np.zeros(1, np.int64)
+    return _isotropic_slabs(rest, base, 2 * rest @ g[0, 1:], int(g[0, 0]),
+                            bound)
+
+
+def _isotropic_slabs(rest, base, lin, g00, bound):
+    for a in range(-bound, bound + 1):
+        for r in rest[base + a * lin + a * a * g00 == 0].tolist():
+            if a or any(r):
+                yield (a, *r)

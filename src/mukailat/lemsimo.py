@@ -353,29 +353,30 @@ def _disc_generators(K, split, data, bound):
     """Isometries of K whose discriminant images seed the subgroup search:
     sign flips, the hyperbolic-plane corrections, automorphisms of the rank-2
     block, and the integral reflections in coordinate-box vectors (square 2,
-    then square -2, then the rest).  Deduplicated by discriminant image, so
-    the first witness of each image is kept."""
-    cands = [minus_identity(K)]
-    for base in (_swap_iso(split.block), _minus_u_iso(split.block)):
-        cands.append(split.pull_back(base))
-    for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
-        base = Isometry(split.block, split.block,
-                        _block_diag(intmat.identity(2), pm))
-        cands.append(split.pull_back(base))
-    cands.extend(_integral_reflections(K, bound))
-    seen = {}
-    for iso in cands:
+    then square -2, then the rest).  Yields (disc image, witness) the first
+    time each image appears, each candidate built when it is reached."""
+    def candidates():
+        yield minus_identity(K)
+        for base in (_swap_iso(split.block), _minus_u_iso(split.block)):
+            yield split.pull_back(base)
+        for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
+            yield split.pull_back(Isometry(
+                split.block, split.block, _block_diag(intmat.identity(2), pm)))
+        yield from _integral_reflections(K, bound)
+
+    seen = set()
+    for iso in candidates():
         d = disc_map(iso, data, data)
         if d.images not in seen:
-            seen[d.images] = (d, iso)
-    return list(seen.values())
+            seen.add(d.images)
+            yield d, iso
 
 
 def _integral_reflections(K, radius):
     """Reflections in box vectors of any nonzero square that happen to be
     integral on K (the square divides twice every pairing value).  Square 2
     comes first, then square -2, then every other square, each in
-    lexicographic box order."""
+    lexicographic box order; each reflection is built when it is reached."""
     vecs, sqs = kernels.box_squares(K.gram, radius)
     n = K.rank
     # narrow an index array one gram column at a time: no second full-box
@@ -386,7 +387,6 @@ def _integral_reflections(K, radius):
         idx = idx[pair2 % sqs[idx] == 0]
     hit = sqs[idx]
     idx = np.concatenate((idx[hit == 2], idx[hit == -2], idx[abs(hit) != 2]))
-    out = []
     for u, sq in zip(vecs[idx].tolist(), sqs[idx].tolist()):
         gu = mat_vec(K.gram, u)
         cols = []
@@ -394,21 +394,31 @@ def _integral_reflections(K, radius):
             coef = 2 * gu[j] // sq
             cols.append(tuple((1 if i == j else 0) - coef * u[i]
                               for i in range(n)))
-        out.append(Isometry(K, K, transpose(cols)))
-    return out
+        yield Isometry(K, K, transpose(cols))
 
 
 def _bfs_disc(have, want, gens, data):
     """Breadth-first search in the subgroup of discriminant automorphisms
-    generated by the given witnesses, the first of them minus the identity;
-    returns an isometry h with disc(h) have == want, or None."""
+    generated by the witnesses of the (disc image, witness) iterator gens,
+    the first of them minus the identity; returns an isometry h with
+    disc(h) have == want, or None.  The generators are read into one list as
+    the first node reaches them, and every later node rereads that list, so
+    a target found at depth one builds no generator after its witness."""
     ident = identity_disc_map(data)
-    frontier = [(ident, identity_isometry(gens[0][1].source))]
+    listed = []
+
+    def generators():
+        yield from listed
+        for gen in gens:
+            listed.append(gen)
+            yield gen
+
+    frontier = [(ident, identity_isometry(data.lattice))]
     seen = {ident.images}
     while frontier:
         nxt = []
         for d, wit in frontier:
-            for gd, giso in gens:
+            for gd, giso in generators():
                 nd = gd.compose(d)
                 if nd.images in seen:
                     continue

@@ -173,7 +173,7 @@ def test_integer_layer_matches_fraction_lifts(gram, data):
     num = tuple(int(x * disc.exponent) for x in y)
     assert disc.class_of(num, disc.exponent) == ref.class_of(y)
     # induced maps of words in -1 and integral reflections
-    gens = [minus_identity(lat)] + _integral_reflections(lat, 1)
+    gens = [minus_identity(lat)] + list(_integral_reflections(lat, 1))
     word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
     g = identity_isometry(lat)
     for h in word:

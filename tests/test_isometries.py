@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from mukailat.intmat import inv_rational, mat_mul
+from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
-from mukailat.lattices import (hyperbolic_plane, hyperbolic_sum, direct_sum,
-                               rank_one)
+from mukailat.lattices import (IntegerLattice, hyperbolic_plane,
+                               hyperbolic_sum, direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, OrientationDatum,
                                  identity_isometry, minus_identity,
                                  positive_frame, det_char, ori_char,
@@ -24,6 +25,57 @@ def test_constructor_rejects_non_isometry():
     u = hyperbolic_plane()
     with pytest.raises(IsometryError):
         Isometry(u, u, ((1, 0), (1, 1)))
+
+
+def _draw_even_gram(draw, n):
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    return g
+
+
+@st.composite
+def isometry_cases(draw):
+    """(source gram, target gram, matrix M, full product M^T G M).  The
+    source gram is the full product, the full product with one symmetric
+    pair of entries changed, or an unrelated even gram."""
+    nt = draw(st.integers(0, 4))
+    kind = draw(st.sampled_from(("product", "changed", "unrelated")))
+    ns = draw(st.integers(0, 4 if kind == "unrelated" else nt))
+    g = _draw_even_gram(draw, nt)
+    m = tuple(tuple(draw(st.integers(-2, 2)) for _ in range(ns))
+              for _ in range(nt))
+    full = [[sum(m[a][i] * g[a][b] * m[b][j]
+                 for a in range(nt) for b in range(nt))
+             for j in range(ns)] for i in range(ns)]
+    if kind == "unrelated":
+        src = _draw_even_gram(draw, ns)
+    else:
+        src = [row[:] for row in full]
+    if kind == "changed" and ns:
+        i = draw(st.integers(0, ns - 1))
+        j = draw(st.integers(i, ns - 1))
+        delta = draw(st.sampled_from((-2, -1, 1, 2))) * (2 if i == j else 1)
+        src[i][j] += delta
+        if i != j:
+            src[j][i] += delta
+    assume(not nt or det(g) != 0)
+    assume(not ns or det(src) != 0)
+    return src, g, m, full
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=isometry_cases())
+def test_half_product_check_matches_the_full_product(case):
+    src, tgt, m, full = case
+    source, target = IntegerLattice(src), IntegerLattice(tgt)
+    if full == src:
+        assert Isometry(source, target, m).matrix == m
+    else:
+        with pytest.raises(IsometryError):
+            Isometry(source, target, m)
 
 
 def test_compose_inverse_power():

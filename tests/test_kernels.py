@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mukailat import kernels
 from mukailat.kernels import (backend_name, box_squares, vectors_with_square,
@@ -32,9 +33,53 @@ def test_vectors_with_square_lex_order():
 
 
 def test_isotropic_vectors_exclude_zero():
-    out = isotropic_vectors(U2_GRAM, 1)
+    out = list(isotropic_vectors(U2_GRAM, 1))
     assert all(any(v) for v in out)
     assert (1, 0, 0, 0) in out
+
+
+def _reference_isotropic(gram, bound):
+    """The former isotropic search, kept as a reference: filter the squares
+    of the whole box."""
+    out = vectors_with_square(gram, bound, 0)
+    return [v for v in out if any(v)]
+
+
+@st.composite
+def even_grams(draw):
+    """Symmetric even grams of rank 1..4 with small entries, degenerate
+    ones included."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
+        g[i][i] = 2 * draw(st.integers(-3, 3))
+        for j in range(i + 1, n):
+            g[i][j] = g[j][i] = draw(st.integers(-3, 3))
+    return tuple(map(tuple, g))
+
+
+@settings(max_examples=200, deadline=None)
+@given(gram=even_grams(), bound=st.integers(0, 3))
+def test_isotropic_slabs_match_the_whole_box(gram, bound):
+    assert list(isotropic_vectors(gram, bound)) == \
+        _reference_isotropic(gram, bound)
+
+
+def test_isotropic_vectors_of_rank_one():
+    for g00 in (0, 2, -4):
+        for bound in (0, 1, 3):
+            got = list(isotropic_vectors(((g00,),), bound))
+            assert got == _reference_isotropic(((g00,),), bound)
+    assert list(isotropic_vectors(((0,),), 2)) == [(-2,), (-1,), (1,), (2,)]
+
+
+def test_isotropic_guards_raise_on_the_call():
+    big = 2 ** 40
+    with pytest.raises(OverflowError):
+        isotropic_vectors(((big, 0), (0, big)), 10 ** 7)
+    with pytest.raises(MemoryError):
+        isotropic_vectors(tuple(tuple(2 * int(i == j) for j in range(8))
+                                for i in range(8)), 50)
 
 
 def test_overflow_guard_raises():

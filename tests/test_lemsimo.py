@@ -17,8 +17,11 @@ from hypothesis import assume, given, settings, strategies as st
 import mukailat
 from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
                              kernel_int, identity)
-from mukailat.discriminant import DiscriminantData, NotFound
-from mukailat.isometries import Isometry, ori_char, reflection, minus_identity
+from mukailat import kernels
+from mukailat.discriminant import (DiscriminantData, NotFound, glue, disc_map,
+                                   identity_disc_map)
+from mukailat.isometries import (Isometry, ori_char, reflection,
+                                 minus_identity, identity_isometry)
 from mukailat.kernels import vectors_with_square, isotropic_vectors
 from mukailat.lattices import IntegerLattice
 import mukailat.lemsimo as lemsimo
@@ -371,6 +374,94 @@ def test_lazy_pair_scan_matches_the_product_scan(monkeypatch):
     assert {(3, 0), (0, 29)} <= matched
 
 
+def test_solve_evaluates_less_than_one_rank_4_box(monkeypatch):
+    """The isotropic search evaluates the slabs it reaches, not the whole
+    radius-10 box of 21^4 vectors per complement."""
+    scanned = []
+    real = kernels.box_squares
+
+    def counting(gram, bound):
+        vecs, squares = real(gram, bound)
+        scanned.append(len(vecs))
+        return vecs, squares
+
+    monkeypatch.setattr(kernels, "box_squares", counting)
+    solve(LemsimoProblem(**FIXTURE))
+    assert 0 < sum(scanned) < 21 ** 4
+
+
+def _reference_disc_generators(K, split, data, bound):
+    """The former eager generator set, kept as a reference: every candidate
+    is built, then one witness is kept per discriminant image."""
+    cands = [minus_identity(K)]
+    for base in (lemsimo._swap_iso(split.block),
+                 lemsimo._minus_u_iso(split.block)):
+        cands.append(split.pull_back(base))
+    for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
+        base = Isometry(split.block, split.block,
+                        lemsimo._block_diag(identity(2), pm))
+        cands.append(split.pull_back(base))
+    cands.extend(_integral_reflections(K, bound))
+    seen = {}
+    for iso in cands:
+        d = disc_map(iso, data, data)
+        if d.images not in seen:
+            seen[d.images] = (d, iso)
+    return list(seen.values())
+
+
+def _reference_bfs_disc(have, want, gens, data):
+    """The former search over a generator list built in full."""
+    ident = identity_disc_map(data)
+    frontier = [(ident, identity_isometry(gens[0][1].source))]
+    seen = {ident.images}
+    while frontier:
+        nxt = []
+        for d, wit in frontier:
+            for gd, giso in gens:
+                nd = gd.compose(d)
+                if nd.images in seen:
+                    continue
+                nwit = giso.compose(wit)
+                if nd.compose(have) == want:
+                    return nwit
+                seen.add(nd.images)
+                nxt.append((nd, nwit))
+        frontier = nxt
+    return None
+
+
+def test_lazy_generator_search_matches_the_eager_one():
+    """On the 120 seed-1 solve-small inputs, the search over generators
+    built as it reaches them returns the witness of the eager search, at
+    every radius find_companion tries."""
+    searches = 0
+    for k, xi1, xi2 in _solve_small_problems(1, 120):
+        _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
+        k1 = AMBIENT.orth_complement(phi.source, label="K1")
+        k2 = AMBIENT.orth_complement(phi.target, label="K2")
+        glue1, glue2 = glue(phi.source, k1), glue(phi.target, k2)
+        psi0, split2 = lemsimo._companion_base(k1, k2, 10, [])
+        data = glue2.disc_comp
+        have = disc_map(psi0, glue1.disc_comp, data).compose(glue1.gamma)
+        want = glue2.gamma.compose(
+            disc_map(phi, glue1.disc_sub, glue2.disc_sub))
+        if have == want:
+            continue
+        for radius in (3, 6, 10):
+            searches += 1
+            ref = _reference_bfs_disc(
+                have, want, _reference_disc_generators(k2, split2, data,
+                                                       radius), data)
+            got = lemsimo._bfs_disc(
+                have, want, lemsimo._disc_generators(k2, split2, data,
+                                                     radius), data)
+            assert (got and got.matrix) == (ref and ref.matrix)
+            if ref is not None:
+                break
+    assert searches >= 100
+
+
 def test_bound_zero_reports_not_found():
     prob = LemsimoProblem(FIXTURE["k"], FIXTURE["xi1"], FIXTURE["xi2"],
                           bound=0)
@@ -436,7 +527,7 @@ def test_integral_reflections_match_reference(data, radius):
     gram = data.draw(st.one_of(small_even_grams(),
                                st.sampled_from(_split_blocks())))
     K = IntegerLattice(gram)
-    got = _integral_reflections(K, radius)
+    got = list(_integral_reflections(K, radius))
     ref = _reference_integral_reflections(K, radius)
     assert sorted(r.matrix for r in got) == sorted(r.matrix for r in ref)
     first = [reflection(K, u) for sq in (2, -2)
