@@ -166,13 +166,12 @@ def identity_disc_map(data):
                                      for i in range(g)))
 
 
-def disc_map(g, source_data=None, target_data=None):
-    """Induced map on discriminant groups of an isometry g."""
-    src = source_data or DiscriminantData(g.source)
-    tgt = target_data or DiscriminantData(g.target)
-    return DiscMap(src, tgt, tuple(tgt.class_of(g.apply(v), d)
-                                   for v, d in zip(src.generators,
-                                                   src.invariants)))
+def disc_map(g, source_data, target_data):
+    """Induced map on discriminant groups of an isometry g, given the
+    DiscriminantData of g.source and of g.target."""
+    return DiscMap(source_data, target_data, tuple(
+        target_data.class_of(g.apply(v), d)
+        for v, d in zip(source_data.generators, source_data.invariants)))
 
 
 # enum_disc_autos scans all 2k residues, so a larger k is refused

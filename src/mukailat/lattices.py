@@ -8,7 +8,6 @@ ambient coordinates.  All arithmetic is exact.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, dot, transpose, row_basis, snf,
@@ -233,6 +232,3 @@ def rank_one(n, label=None):
     """Rank-1 lattice generated by a vector of square n (n even, nonzero)."""
     return IntegerLattice(((n,),), label=label)
 
-
-def is_primitive_vector(v):
-    return gcd(*[abs(int(x)) for x in v]) == 1 if any(v) else False

@@ -63,10 +63,6 @@ class MukaiVector:
     def vec8(self):
         return (self.r,) + tuple(self.xi) + (self.a,)
 
-    @classmethod
-    def from_vec8(cls, v):
-        return cls(v[0], tuple(v[1:7]), v[7])
-
     def square(self):
         return mukai_pairing(self, self)
 
@@ -171,30 +167,21 @@ class MkTriple:
 
 
 def v_perp(model, v):
-    """Orthogonal complement of a positive-square vector, embedded in the
-    rank-8 lattice.  For v = m*(1,0,-k) the basis is the canonical one:
-    e, f, e2, f2, e3, f3, (1,0,...,0,k)."""
-    vv = v.vec8()
-    if not any(vv):
-        raise ValueError("vector must be nonzero")
-    m = gcd(*[abs(int(c)) for c in vv])
-    w = tuple(c // m for c in vv)
-    sq = v.square()
-    if sq <= 0:
-        raise ValueError("vector must have positive square")
-    k = (sq // (m * m)) // 2
-    canonical = w == (1, 0, 0, 0, 0, 0, 0, -k)
-    if canonical:
-        basis = []
-        for i in range(1, 7):
-            basis.append(tuple(int(j == i) for j in range(8)))
-        basis.append((1, 0, 0, 0, 0, 0, 0, k))
-        sub_gram = mat(tuple(tuple(model.lattice.inner(a, b) for b in basis)
-                             for a in basis))
-        return IntegerLattice(sub_gram, label="v_perp",
-                              embedding=Embedding(model.lattice, mat(basis)))
-    sub = model.lattice.saturate((w,))
-    return model.lattice.orth_complement(sub, label="v_perp")
+    """Orthogonal complement of v = m*(1,0,-k) with m, k >= 1, embedded in
+    the rank-8 lattice in the canonical basis e, f, e2, f2, e3, f3,
+    (1,0,...,0,k); ValueError for any other vector."""
+    if v.r < 1 or any(v.xi) or v.a >= 0 or v.a % v.r:
+        raise ValueError("v_perp needs v = m*(1,0,-k) with m, k >= 1, got %r"
+                         % (v.vec8(),))
+    k = -v.a // v.r
+    basis = []
+    for i in range(1, 7):
+        basis.append(tuple(int(j == i) for j in range(8)))
+    basis.append((1, 0, 0, 0, 0, 0, 0, k))
+    sub_gram = mat(tuple(tuple(model.lattice.inner(a, b) for b in basis)
+                         for a in basis))
+    return IntegerLattice(sub_gram, label="v_perp",
+                          embedding=Embedding(model.lattice, mat(basis)))
 
 
 # (model, kind, class) keys whose checked action is kept for reuse

@@ -25,7 +25,7 @@ from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         poincare, poincare_dual, elliptic, surface_lift,
                         eval_phi_tilde, complement)
 from .lemsimo import (LemsimoProblem, solve, check_bound, AMBIENT, U3_DATUM,
-                      F_VEC)
+                      targets)
 
 
 @dataclass(frozen=True)
@@ -361,8 +361,7 @@ def _conjugation_identity(g, xi1, xi2, beta1, beta2, k, model):
     gt = h2_lift(model, g)
     u1 = (1,) + tuple(xi1) + (k,)
     u2 = (1,) + tuple(xi2) + (k,)
-    t1 = (1,) + tuple(b - f for b, f in zip(beta1, F_VEC)) + (k,)
-    t2 = (1,) + tuple(b - f for b, f in zip(beta2, F_VEC)) + (k,)
+    t1, t2 = ((1,) + t + (k,) for t in targets(beta1, beta2))
     gt_inv = gt.inverse()
     for u, t in ((u1, t1), (u2, t2)):
         conj = gt.compose(reflection(lat, u)).compose(gt_inv)
@@ -392,8 +391,7 @@ def check_lemsimo(cfg):
             g = sol.g
             if g.det() != 1 or ori_char(g, U3_DATUM) != 0:
                 return "fail", {"k": k, "case": "characters"}
-            for xi, beta in ((xi1, sol.beta1), (xi2, sol.beta2)):
-                want = tuple(b - f for b, f in zip(beta, F_VEC))
+            for xi, want in zip((xi1, xi2), targets(sol.beta1, sol.beta2)):
                 if g.apply(xi) != want:
                     return "fail", {"k": k, "case": "image"}
             if not _conjugation_identity(g, xi1, xi2, sol.beta1, sol.beta2,

@@ -327,6 +327,9 @@ PINNED_OUTPUTS = (
      "24de8ef9d0c58e4369d88b9699a082e6899a45dbe240b92e2c66f458d11e3cfb"),
     (("info", "--m", "2", "--k", "7"),
      "6b2650ea3c92faa1875a896feb62b642666bc664284314e32d2d9d45e5d4ae02"),
+    # the default report of all ten checks
+    (("verify",),
+     "5690db92f2fc9488f3e7c9f387325b57fe256159e0f40bac0623427d3d2d8994"),
 )
 
 

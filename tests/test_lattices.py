@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from mukailat.intmat import mat_mul, mat_vec, row_basis, solve_rational
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
                                hyperbolic_plane, hyperbolic_sum, direct_sum,
-                               rank_one, is_primitive_vector)
+                               rank_one)
 
 
 def test_constructor_validation():
@@ -202,9 +202,3 @@ def test_json_roundtrip():
     assert back.label == "line"
     assert back.embedding.basis == s.embedding.basis
     assert back.embedding.ambient.gram == u3.gram
-
-
-def test_primitive_vector_predicate():
-    assert is_primitive_vector((1, 2, 0))
-    assert not is_primitive_vector((2, 4, 0))
-    assert not is_primitive_vector((0, 0, 0))

@@ -16,21 +16,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mukailat
 from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
-                             kernel_int, identity)
+                             kernel_int, identity, solve_rational)
 from mukailat import kernels
 from mukailat.discriminant import (DiscriminantData, NotFound, glue, disc_map,
                                    identity_disc_map)
 from mukailat.isometries import (Isometry, ori_char, reflection,
                                  minus_identity, identity_isometry)
 from mukailat.kernels import vectors_with_square, isotropic_vectors
-from mukailat.lattices import IntegerLattice
+from mukailat.lattices import IntegerLattice, LatticeError
 import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
-                              build_targets, target_betas, TargetsNotIntegral,
-                              split_off_U, iter_splits, AMBIENT, U3_DATUM,
-                              F_VEC, MAX_SPLITS, _reduce_gram2, _gram2_maps,
+                              build_targets, target_betas, targets,
+                              TargetsNotIntegral, split_off_U, iter_splits,
+                              AMBIENT, U3_DATUM, F_VEC, MAX_SPLITS,
+                              _reduce_gram2, _gram2_maps,
                               _integral_reflections)
-from mukailat.verify import sample_admissible_pair
+from mukailat.verify import sample_admissible_pair, _sample_lemsimo_xi
 
 
 FIXTURE = dict(k=3, xi1=(1, 2, 0, 0, 0, 0), xi2=(0, 0, 1, 2, 0, 0))
@@ -50,9 +51,7 @@ def test_problem_validation():
 def test_target_betas_squares():
     for k in (3, 4, 5):
         for l in (-1, 0, 1, 5):
-            b1, b2 = target_betas(k, l)
-            t1 = tuple(b - f for b, f in zip(b1, F_VEC))
-            t2 = tuple(b - f for b, f in zip(b2, F_VEC))
+            t1, t2 = targets(*target_betas(k, l))
             assert AMBIENT.norm(t1) == 2 * k - 2
             assert AMBIENT.norm(t2) == 2 * k - 2
             assert AMBIENT.inner(t1, t2) == l
@@ -62,9 +61,8 @@ def test_build_targets_maps_inputs():
     prob = LemsimoProblem(**FIXTURE)
     beta1, beta2, phi = build_targets(prob)
     s1 = phi.source
-    for xi, beta in ((prob.xi1, beta1), (prob.xi2, beta2)):
+    for xi, want in zip((prob.xi1, prob.xi2), targets(beta1, beta2)):
         src = s1.from_ambient(xi)
-        want = tuple(b - f for b, f in zip(beta, F_VEC))
         assert phi.target.to_ambient(phi.apply(src)) == want
 
 
@@ -81,6 +79,108 @@ def test_non_pair_primitive_span_is_rejected():
         build_targets(prob)
     with pytest.raises(TargetsNotIntegral):
         solve(prob)
+
+
+def test_build_targets_keeps_the_given_bases(monkeypatch):
+    """S1 has the basis (xi1, xi2) and S2 the basis (t1, t2), so phi is the
+    identity matrix; nothing is saturated and nothing is solved over Q."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_targets saturates or solves")
+
+    monkeypatch.setattr(IntegerLattice, "saturate", refuse)
+    monkeypatch.setattr(lemsimo, "solve_rational", refuse)
+    prob = LemsimoProblem(**FIXTURE)
+    beta1, beta2, phi = build_targets(prob)
+    assert phi.matrix == identity(2)
+    assert phi.source.embedding.basis == (prob.xi1, prob.xi2)
+    assert phi.target.embedding.basis == targets(beta1, beta2)
+    assert phi.target.embedding.basis == ((0, -1, 1, 2, 0, 0),
+                                          (0, -1, 0, 0, 2, 1))
+
+
+def _reference_build_targets(problem):
+    """The former construction, kept as a reference: saturate the span of
+    the inputs, solve for each saturated basis vector over Fraction, reject
+    denominators, and read the images in the HNF basis of their span."""
+    beta1, beta2 = target_betas(problem.k, problem.l)
+    s1 = AMBIENT.saturate((problem.xi1, problem.xi2), label="S1")
+    span_mat = transpose((problem.xi1, problem.xi2))
+    ys = []
+    for x in s1.embedding.basis:
+        lam, mu = solve_rational(span_mat, x)
+        y = tuple(lam * b1 + mu * b2 - (lam + mu) * fv
+                  for b1, b2, fv in zip(beta1, beta2, F_VEC))
+        if any(c.denominator != 1 for c in y):
+            raise TargetsNotIntegral("prescribed images have denominators")
+        ys.append(tuple(int(c) for c in y))
+    s2 = AMBIENT.span(ys, label="S2")
+    if not AMBIENT.is_primitive(s2):
+        raise TargetsNotIntegral("target span fails to be primitive")
+    cols = [s2.from_ambient(y) for y in ys]
+    return beta1, beta2, Isometry(s1, s2, transpose(cols))
+
+
+def _targets_outcome(build, problem):
+    """How a construction ends: "not-integral", "degenerate", or the ambient
+    images of xi1 and xi2 under its phi."""
+    try:
+        _, _, phi = build(problem)
+    except TargetsNotIntegral:
+        return "not-integral"
+    except LatticeError:
+        return "degenerate"
+    return tuple(phi.target.to_ambient(phi.apply(phi.source.from_ambient(xi)))
+                 for xi in (problem.xi1, problem.xi2))
+
+
+def _wide_problems():
+    """The pairs of test_wide_solves_are_pinned."""
+    rng = random.Random(2026)
+    return [LemsimoProblem(k, *sample_admissible_pair(rng, k, coord_bound=20))
+            for k in range(3, 21)]
+
+
+def test_build_targets_matches_the_saturating_construction():
+    """On the 120 seed-1 solve-small pairs and the wide pinned pairs, the
+    spans as given send xi1 and xi2 where the saturated spans did."""
+    problems = [LemsimoProblem(k, xi1, xi2)
+                for k, xi1, xi2 in _solve_small_problems(1, 120)]
+    for prob in problems + _wide_problems():
+        got = _targets_outcome(build_targets, prob)
+        assert got == _targets_outcome(_reference_build_targets, prob)
+        assert got == targets(*target_betas(prob.k, prob.l))
+
+
+@st.composite
+def lemsimo_problems(draw):
+    """Valid problems, k = 3..8, whose span is primitive, not primitive or
+    degenerate as drawn; a pair of that kind is found by rejection from a
+    drawn seed (about one sampled span in thirty is not primitive)."""
+    k = draw(st.integers(3, 8))
+    kind = draw(st.sampled_from(("primitive", "not-primitive", "degenerate")))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        xi1, xi2 = (_sample_lemsimo_xi(rng, k, 6) for _ in range(2))
+        if xi2 in (xi1, tuple(-c for c in xi1)):
+            continue
+        if abs(AMBIENT.inner(xi1, xi2)) == 2 * k - 2:
+            got = "degenerate"
+        elif AMBIENT.is_primitive(AMBIENT.span((xi1, xi2))):
+            got = "primitive"
+        else:
+            got = "not-primitive"
+        if got == kind:
+            return kind, LemsimoProblem(k, xi1, xi2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=lemsimo_problems())
+def test_build_targets_decides_as_the_saturating_construction(drawn):
+    kind, prob = drawn
+    got = _targets_outcome(build_targets, prob)
+    assert got == _targets_outcome(_reference_build_targets, prob)
+    want = {"not-primitive": "not-integral", "degenerate": "degenerate"}
+    assert got == want.get(kind, targets(*target_betas(prob.k, prob.l)))
 
 
 def test_reduce_gram2_is_congruent_and_small():
@@ -207,8 +307,8 @@ def test_solve_fixture():
     g = sol.g
     assert g.det() == 1
     assert ori_char(g, U3_DATUM) == 0
-    for xi, beta in ((FIXTURE["xi1"], sol.beta1), (FIXTURE["xi2"], sol.beta2)):
-        want = tuple(b - f for b, f in zip(beta, F_VEC))
+    for xi, want in zip((FIXTURE["xi1"], FIXTURE["xi2"]),
+                        targets(sol.beta1, sol.beta2)):
         assert g.apply(xi) == want
     stages = [s["stage"] for s in sol.trace]
     assert stages[0] == "targets" and stages[-1] == "done"
@@ -243,13 +343,11 @@ def test_wide_solves_are_pinned():
     each answer, or the stage and bound of each NotFound, hash to the value
     taken before the companion stage lost its fallbacks and the det and
     orientation fixes were composed onto the companion."""
-    rng = random.Random(2026)
     digest = hashlib.sha256()
     stages = []
-    for k in range(3, 21):
-        xi1, xi2 = sample_admissible_pair(rng, k, coord_bound=20)
+    for prob in _wide_problems():
         try:
-            sol = solve(LemsimoProblem(k, xi1, xi2))
+            sol = solve(prob)
             item = (sol.g.matrix, sol.trace)
         except NotFound as exc:
             stages.append(exc.stage)
@@ -262,9 +360,7 @@ def test_wide_solves_are_pinned():
 
 def test_solve_of_the_targets_is_the_identity():
     for k, l in ((3, 0), (3, 1), (4, 5), (5, -3)):
-        xis = [tuple(b - f for b, f in zip(beta, F_VEC))
-               for beta in target_betas(k, l)]
-        sol = solve(LemsimoProblem(k, *xis))
+        sol = solve(LemsimoProblem(k, *targets(*target_betas(k, l))))
         assert sol.g.matrix == identity(6)
 
 

@@ -29,7 +29,6 @@ def test_mukai_vector_helpers():
     v = MukaiVector(1, (0,) * 6, -3)
     assert v.is_primitive()
     assert not v.scale(2).is_primitive()
-    assert MukaiVector.from_vec8(v.vec8()) == v
     assert MukaiVector.from_json(v.to_json()) == v
     with pytest.raises(ValueError):
         MukaiVector(1, (0, 0, 0), 0)
@@ -73,6 +72,19 @@ def test_vperp_canonical_basis():
             assert sum(a * b for a, b in zip(
                 amb, [sum(MUKAI_GRAM[i][l] * v8[l] for l in range(8))
                       for i in range(8)])) == 0
+
+
+def test_vperp_rejects_a_vector_off_the_canonical_line():
+    """Only v = m*(1,0,-k) has a complement in the canonical basis; any other
+    vector, of positive square or not, is refused."""
+    model = MukaiModel(2)
+    for r, xi, a in ((1, (1, 1, 0, 0, 0, 0), -2),  # square 6, not canonical
+                     (-1, (0,) * 6, 3),             # -(1,0,-3)
+                     (2, (0,) * 6, -3),             # primitive, r = 2
+                     (1, (0,) * 6, 0), (1, (0,) * 6, 3),
+                     (0, (0,) * 6, 0)):
+        with pytest.raises(ValueError, match="m\\*\\(1,0,-k\\)"):
+            v_perp(model, MukaiVector(r, xi, a))
 
 
 def test_all_actions_preserve_gram():
