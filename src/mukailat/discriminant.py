@@ -9,7 +9,6 @@ of the dual by the lattice; it carries a quadratic form with values in Q mod
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .intmat import mat_mul, mat_vec, transpose, snf
 from .lattices import IntegerLattice, LatticeError
@@ -90,7 +89,8 @@ class DiscriminantData:
     def q(self, cls):
         """Quadratic form value in [0, 2)."""
         y, den = self.lift(self.reduce(cls))
-        return Fraction(self.lattice.norm(y), den * den) % 2
+        n2 = den * den
+        return Fraction(self.lattice.norm(y) % (2 * n2), n2)
 
     def b(self, cls1, cls2):
         """Bilinear pairing value in [0, 1)."""
@@ -174,7 +174,7 @@ def disc_map(g, source_data, target_data):
         for v, d in zip(source_data.generators, source_data.invariants)))
 
 
-# enum_disc_autos scans all 2k residues, so a larger k is refused
+# enum_disc_autos scans the k odd residues mod 2k, so a larger k is refused
 MAX_K = 10 ** 6
 
 
@@ -182,12 +182,14 @@ def enum_disc_autos(k):
     """All residues a mod 2k with gcd(a, 2k) = 1 and a^2 = 1 mod 4k.
 
     These are exactly the automorphisms of the cyclic discriminant group of
-    U^3 + <-2k> that preserve its quadratic form.
+    U^3 + <-2k> that preserve its quadratic form.  The congruence alone
+    decides: a^2 = 1 mod 4 forces a odd, and a prime dividing both a and k
+    would divide a^2 - (a^2 - 1) = 1, so only the odd a in 1..2k-1 are
+    scanned and no gcd is taken.
     """
     if not 1 <= k <= MAX_K:
         raise ValueError("k must be in 1..%d, got %d" % (MAX_K, k))
-    return [a for a in range(1, 2 * k + 1)
-            if gcd(a, 2 * k) == 1 and (a * a - 1) % (4 * k) == 0]
+    return [a for a in range(1, 2 * k, 2) if (a * a - 1) % (4 * k) == 0]
 
 
 def count_distinct_primes(k):

@@ -336,8 +336,11 @@ def orthogonal_basis(g):
     return out
 
 
-def signature(g):
+def signature(g, basis=None):
     """Exact signature (p, q) of a nondegenerate symmetric integer matrix:
-    the signs of the squares of an orthogonal basis."""
-    p = sum(1 for _, a in orthogonal_basis(g) if a > 0)
+    the signs of the squares of an orthogonal basis, orthogonal_basis(g)
+    unless the caller passes it."""
+    if basis is None:
+        basis = orthogonal_basis(g)
+    p = sum(1 for _, a in basis if a > 0)
     return (p, len(g) - p)

@@ -7,7 +7,7 @@ checked at construction, on the entries with i <= j: both sides are
 symmetric.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, dot, transpose, inv_unimodular,
@@ -93,24 +93,28 @@ def minus_identity(lat):
 @dataclass(frozen=True)
 class OrientationDatum:
     """Spanning set of a maximal positive-definite subspace, as integer
-    columns in lattice coordinates."""
+    columns in lattice coordinates.  cg = C G (C the columns as rows) is
+    kept, since the gram of the datum and every `ori_char` start from it."""
     lattice: IntegerLattice
     columns: tuple  # p vectors, each of length rank
+    cg: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(type(x) is not int for col in self.columns for x in col):
             raise IsometryError("orientation datum columns must be integer")
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
-        g = gram_of_columns(self.lattice, self.columns)
-        if not _is_positive_definite(g):
+        cols = tuple(map(tuple, self.columns))
+        object.__setattr__(self, "columns", cols)
+        object.__setattr__(self, "cg", mat_mul(cols, self.lattice.gram))
+        if not _is_positive_definite(mat_mul(self.cg, transpose(cols))):
             raise IsometryError("orientation datum must span a positive subspace")
         sig = self.lattice.signature()
-        if len(self.columns) != sig[0]:
+        if len(cols) != sig[0]:
             raise IsometryError("orientation datum has wrong dimension")
 
 
 def gram_of_columns(lat, cols):
-    return tuple(tuple(lat.inner(u, v) for v in cols) for u in cols)
+    """Gram of the vectors cols (lattice coordinates): one product C G C^T."""
+    return mat_mul(mat_mul(cols, lat.gram), transpose(cols))
 
 
 def _is_positive_definite(g):
@@ -127,7 +131,7 @@ def positive_frame(lat):
     lattice's form: an integer basis of a maximal positive-definite
     subspace.  Any such frame gives the same orientation character values."""
     return OrientationDatum(lat, tuple(
-        v for v, a in intmat.orthogonal_basis(lat.gram) if a > 0))
+        v for v, a in lat.orthogonal_basis if a > 0))
 
 
 def det_char(g):
@@ -152,9 +156,8 @@ def ori_char(g, datum):
     if datum.lattice.gram != g.source.gram:
         raise IsometryError("datum belongs to a different lattice")
     cols = datum.columns
-    # rhs = C^T G (g C) for the column matrix C: each image g(col_j) once
-    rhs = mat_mul(mat_mul(cols, datum.lattice.gram),
-                  mat_mul(g.matrix, transpose(cols)))
+    # rhs = (C G) (g C^T) for the column matrix C: each image g(col_j) once
+    rhs = mat_mul(datum.cg, mat_mul(g.matrix, transpose(cols)))
     d = intmat.det(rhs)
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")
@@ -163,26 +166,25 @@ def ori_char(g, datum):
 
 def reflection(lat, u):
     """Reflection in a vector of square +-2 (integral on any even lattice)."""
-    uu = lat.norm(u)
-    if uu not in (2, -2):
-        raise IsometryError("reflection vector must have square +-2")
-    n = lat.rank
-    s = 1 if uu == 2 else -1
-    cols = []
-    for j in range(n):
-        e = tuple(int(i == j) for i in range(n))
-        coeff = lat.inner(e, u)  # 2(e.u)/(u.u) = s * (e.u)
-        cols.append(tuple(e[i] - s * coeff * u[i] for i in range(n)))
-    return Isometry(lat, lat, transpose(cols))
+    return _signed_reflection(lat, u, False, "reflection vector")
 
 
 def minus_reflection(lat, u):
     """-(u.u)/2 times the reflection in u, for u of square +-2: this is the
     reflection when u.u == -2 and minus the reflection when u.u == 2."""
-    uu = lat.norm(u)
+    return _signed_reflection(lat, u, True, "vector")
+
+
+def _signed_reflection(lat, u, minus, what):
+    """x -> sign (x - s (x.u) u) with s = (u.u)/2 = +-1, read off gu = G u:
+    entry (i, j) is sign (delta_ij - s u_i gu_j), where sign is -s for the
+    minus reflection and 1 otherwise.  One checked Isometry."""
+    gu = mat_vec(lat.gram, u)
+    uu = dot(u, gu)
     if uu not in (2, -2):
-        raise IsometryError("vector must have square +-2")
-    r = reflection(lat, u)
-    if uu == -2:
-        return r
-    return Isometry(lat, lat, tuple(tuple(-x for x in row) for row in r.matrix))
+        raise IsometryError("%s must have square +-2" % what)
+    s = uu // 2
+    sign = -s if minus else 1
+    return Isometry(lat, lat, tuple(
+        tuple(sign * (int(i == j) - s * ui * x) for j, x in enumerate(gu))
+        for i, ui in enumerate(u)))

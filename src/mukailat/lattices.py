@@ -81,7 +81,14 @@ class IntegerLattice:
         return intmat.det(self.gram)
 
     def signature(self):
-        return intmat.signature(self.gram)
+        return intmat.signature(self.gram, self.orthogonal_basis)
+
+    @cached_property
+    def orthogonal_basis(self):
+        """intmat.orthogonal_basis of the gram, computed once: `signature`
+        counts its positive squares and `positive_frame` takes its vectors
+        of positive square."""
+        return tuple(intmat.orthogonal_basis(self.gram))
 
     # --- sublattice machinery (vectors in *this* lattice's coordinates) ---
 

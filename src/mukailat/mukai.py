@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import mat, mat_vec, dot, transpose, json_object
+from .intmat import mat, mat_mul, mat_vec, dot, transpose, json_object
 from .lattices import IntegerLattice, Embedding
 from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 
@@ -178,10 +178,10 @@ def v_perp(model, v):
     for i in range(1, 7):
         basis.append(tuple(int(j == i) for j in range(8)))
     basis.append((1, 0, 0, 0, 0, 0, 0, k))
-    sub_gram = mat(tuple(tuple(model.lattice.inner(a, b) for b in basis)
-                         for a in basis))
+    basis = mat(basis)
+    sub_gram = mat_mul(mat_mul(basis, model.lattice.gram), transpose(basis))
     return IntegerLattice(sub_gram, label="v_perp",
-                          embedding=Embedding(model.lattice, mat(basis)))
+                          embedding=Embedding(model.lattice, basis))
 
 
 # (model, kind, class) keys whose checked action is kept for reuse

@@ -14,12 +14,11 @@ from .intmat import transpose
 from .lattices import LatticeError
 from .isometries import (ori_char, reflection, minus_reflection,
                          identity_isometry, minus_identity)
-from .discriminant import (DiscriminantData, disc_map, count_distinct_primes,
-                           index_monodromy, glue, extend_isometry,
-                           ExtensionObstructed, NotFound, characters)
-from .mukai import (shared_model, MukaiVector, MkTriple, v_perp, fm_action,
-                    hodge_ori, epsilon_ori, DecisionDegenerate, MUKAI_GRAM,
-                    h2_lift)
+from .discriminant import (disc_map, count_distinct_primes, index_monodromy,
+                           glue, extend_isometry, ExtensionObstructed,
+                           NotFound, characters)
+from .mukai import (shared_model, MkTriple, fm_action, hodge_ori,
+                    epsilon_ori, DecisionDegenerate, MUKAI_GRAM, h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         restrict, istar_similitude, isharp, tensor_l,
                         poincare, poincare_dual, elliptic, surface_lift,
@@ -422,14 +421,11 @@ def check_similitude(cfg):
 
 
 def check_vperp_structure(cfg):
-    model = shared_model(cfg.t)
     for k in range(3, 21):
         for m in (1, 2):
-            v = MukaiVector(m, (0,) * 6, -m * k)
-            vp = v_perp(model, v)
+            vp, _, data = complement(MkTriple(m, k, cfg.t))
             if vp.signature() != (3, 4):
                 return "fail", {"k": k, "case": "signature"}
-            data = DiscriminantData(vp)
             if data.invariants != (2 * k,):
                 return "fail", {"k": k, "case": "invariants"}
             want = Fraction(-1, 2 * k) % 2

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -68,6 +69,18 @@ def test_enum_disc_autos_small_cases():
     assert enum_disc_autos(4) == [1, 7]
     assert enum_disc_autos(6) == [1, 5, 7, 11]
     assert enum_disc_autos(1) == [1]
+
+
+def _gcd_scan(k):
+    """The former enumeration, kept as the reference: every a in 1..2k
+    with gcd(a, 2k) = 1 and a^2 = 1 mod 4k."""
+    return [a for a in range(1, 2 * k + 1)
+            if gcd(a, 2 * k) == 1 and (a * a - 1) % (4 * k) == 0]
+
+
+def test_enum_disc_autos_matches_the_gcd_scan():
+    for k in range(1, 2001):
+        assert enum_disc_autos(k) == _gcd_scan(k)
 
 
 def test_index_formula_matches_prime_count():
@@ -183,6 +196,23 @@ def test_integer_layer_matches_fraction_lifts(gram, data):
     d = disc_map(g, disc, disc)
     assert d.images == ref.disc_images(g)
     assert disc_map(g.inverse(), disc, disc).compose(d).is_identity()
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram=small_even_grams(), data=st.data())
+def test_q_matches_the_fraction_reduction(gram, data):
+    """q reduces the integer numerator mod 2 den^2 before it builds one
+    Fraction; the former value Fraction(norm, den^2) % 2 is the reference,
+    on reduced and unreduced classes alike."""
+    disc = DiscriminantData(IntegerLattice(gram))
+    classes = list(itertools.islice(disc.elements(), 24))
+    classes += [tuple(data.draw(st.integers(-50, 50)) for _ in disc.invariants)
+                for _ in range(4)]
+    for cls in classes:
+        y, den = disc.lift(disc.reduce(cls))
+        want = Fraction(disc.lattice.norm(y), den * den) % 2
+        got = disc.q(cls)
+        assert got == want and type(got) is Fraction
 
 
 def orth_group_elements(data, cap=2000):

@@ -6,8 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from mukailat import isometries
 from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
+from mukailat.lemsimo import AMBIENT
+from mukailat.mukai import MkTriple, MukaiModel, v_perp
 from mukailat.lattices import (IntegerLattice, hyperbolic_plane,
                                hyperbolic_sum, direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, OrientationDatum,
@@ -230,3 +233,89 @@ def test_ori_char_matches_rational_reference():
                 g = reflection(lat, u).compose(g)
             for datum, cols in data:
                 assert ori_char(g, datum) == _reference_ori_char(g, lat, cols)
+
+
+def _unit_vector_reflection(lat, u):
+    """The former construction, kept as the reference: column j is
+    e_j - s (e_j . u) u, with one inner product per unit vector."""
+    uu = lat.norm(u)
+    assert uu in (2, -2)
+    n = lat.rank
+    s = 1 if uu == 2 else -1
+    cols = []
+    for j in range(n):
+        e = tuple(int(i == j) for i in range(n))
+        coeff = lat.inner(e, u)
+        cols.append(tuple(e[i] - s * coeff * u[i] for i in range(n)))
+    return tuple(zip(*cols))
+
+
+def _unit_vector_minus_reflection(lat, u):
+    m = _unit_vector_reflection(lat, u)
+    if lat.norm(u) == -2:
+        return m
+    return tuple(tuple(-x for x in row) for row in m)
+
+
+def _pm2_lattices():
+    """U^3, the rank-7 v-perp of (1, 0, -k) and the rank-8 Mukai lattice,
+    each with the indices of a hyperbolic block orthogonal to the rest."""
+    model = MukaiModel(2)
+    return ([(AMBIENT, (0, 1)), (model.lattice, (1, 2))]
+            + [(v_perp(model, MkTriple(1, k).v), (0, 1)) for k in (3, 4, 7)])
+
+
+@st.composite
+def pm2_vectors(draw):
+    """(lattice, u) with u of square +-2: free coordinates outside a
+    hyperbolic block (e, f), then a e + b f with 2ab making up the rest."""
+    lat, (ie, jf) = draw(st.sampled_from(_pm2_lattices()))
+    u = [draw(st.integers(-4, 4)) for _ in range(lat.rank)]
+    u[ie] = u[jf] = 0
+    rest = lat.norm(u)
+    a = draw(st.sampled_from((1, -1, 2, -2, 3)))
+    want = draw(st.sampled_from((2, -2)))
+    assume((want - rest) % (2 * a) == 0)
+    u[ie], u[jf] = a, (want - rest) // (2 * a)
+    return lat, tuple(u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=pm2_vectors())
+def test_reflections_match_the_unit_vector_build(case):
+    lat, u = case
+    assert lat.norm(u) in (2, -2)
+    assert reflection(lat, u).matrix == _unit_vector_reflection(lat, u)
+    assert minus_reflection(lat, u).matrix \
+        == _unit_vector_minus_reflection(lat, u)
+
+
+def test_minus_reflection_builds_one_isometry(monkeypatch):
+    """A square-2 vector: the signed matrix is read off G u and checked
+    once, with no unsigned reflection built first."""
+    built = []
+
+    class Counting(Isometry):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(isometries, "Isometry", Counting)
+    lat = _u3_minus()
+    for u in ((1, 1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0)):
+        built.clear()
+        minus_reflection(lat, u)
+        assert len(built) == 1
+        built.clear()
+        reflection(lat, u)
+        assert len(built) == 1
+
+
+def test_gram_of_columns_matches_pairwise_inner_products():
+    rng = random.Random(5)
+    for lat, _ in _pm2_lattices():
+        for r in (0, 1, 3):
+            cols = tuple(tuple(rng.randint(-5, 5) for _ in range(lat.rank))
+                         for _ in range(r))
+            assert gram_of_columns(lat, cols) == tuple(
+                tuple(lat.inner(u, v) for v in cols) for u in cols)

@@ -198,3 +198,14 @@ def test_hodge_ori_rejects_wrong_lattice():
     model = MukaiModel(2)
     with pytest.raises(IsometryError):
         hodge_ori(model, identity_isometry(hyperbolic_plane()))
+
+
+def test_vperp_gram_matches_pairwise_inner_products():
+    """The gram is one product B G B^T; the former r^2 inner products are
+    the reference."""
+    model = MukaiModel(3)
+    for m, k in ((1, 3), (2, 5), (3, 11)):
+        vp = v_perp(model, MukaiVector(m, (0,) * 6, -m * k))
+        basis = vp.embedding.basis
+        assert vp.gram == tuple(tuple(model.lattice.inner(a, b)
+                                      for b in basis) for a in basis)

@@ -1,8 +1,12 @@
 """Verification-suite plumbing: config, registry, report shape."""
 
-from mukailat import isometries, mukai, verify
+import hashlib
+import json
+
+from mukailat import isometries, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
-                             check_fm_orientation, check_lemsimo)
+                             check_fm_orientation, check_lemsimo,
+                             check_vperp_structure)
 
 
 def test_registry_names_are_unique():
@@ -71,3 +75,43 @@ def test_conjugation_identity_inverts_each_lift_once(monkeypatch):
     assert check_lemsimo(VerifyConfig(lemsimo_samples=2)) \
         == ("pass", {"solved": 6})
     assert count["inverses"] == 6
+
+
+# the nine checks and the 1/10 sample counts of the verify-suite benchmark
+# workload (perfbench/run.py); lemsimo-pipeline repeats the solve inputs
+BENCH_CHECKS = ("index-formula", "character-table", "involution-identity",
+                "fm-orientation", "elliptic-constraints",
+                "propdual-certificate", "nikulin-suite", "similitude",
+                "vperp-structure")
+BENCH_SAMPLES = dict(char_samples=100, word_samples=20, beta_samples=5,
+                     nikulin_samples=20, similitude_samples=10)
+
+
+def test_benchmark_passes_are_pinned():
+    """The reports of three benchmark-sized passes, byte for byte."""
+    pinned = {
+        1: "838075188229bb2801691f0e0bb8fdbbeea87f69fec2bbea09eb51ddbab5b920",
+        2: "d4078ac0fa1845c3ab7c06f26db300a38de98588b0f3b84d59f2d7ee11c28e61",
+        3: "e70493e325b961f6bf030470977e90f6834d9225f4c99bb48ba5ab5f6fe824d4",
+    }
+    for seed, digest in pinned.items():
+        report = run_suite(VerifyConfig(seed=seed, **BENCH_SAMPLES),
+                           names=BENCH_CHECKS)
+        assert [c["status"] for c in report["checks"]] == ["pass"] * 9
+        blob = json.dumps(report, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_vperp_structure_reads_the_complement_cache(monkeypatch):
+    """The check reads each triple's complement, so a second run builds no
+    v_perp: the 36 triples fit in the complement cache."""
+    assert check_vperp_structure(VerifyConfig()) \
+        == ("pass", {"k_range": [3, 20]})
+
+    def refuse(*args):
+        raise AssertionError("v_perp built again")
+
+    for module in (mukai, monodromy, verify):
+        monkeypatch.setattr(module, "v_perp", refuse, raising=False)
+    assert check_vperp_structure(VerifyConfig()) \
+        == ("pass", {"k_range": [3, 20]})
