@@ -241,11 +241,13 @@ def build_parser():
 
 def main(argv=None):
     """Exit code 2 for malformed input (argparse exits 2 on usage errors
-    itself), 1 for a condition that fails on well-formed input."""
+    itself), 1 for a condition that fails on well-formed input; an
+    OverflowError (a search whose box would leave int64) is such a
+    condition."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print("error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, BadInput) else 1
 

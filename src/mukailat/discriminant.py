@@ -10,8 +10,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import mat_mul, mat_vec, transpose, snf
-from .lattices import IntegerLattice, LatticeError
+from .intmat import mat_mul, mat_vec, dot, transpose, snf, identity
+from .lattices import IntegerLattice, Embedding, LatticeError
 from .isometries import Isometry, IsometryError, det_char, ori_char
 
 
@@ -41,7 +41,9 @@ class DiscriminantData:
     invariants: d_1 | d_2 | ... (each > 1); generator i has order d_i and is
     the class of generators[i] / d_i, an integer vector in L's basis
     coordinates (a column of v).  A dual point y has class
-    (u * gram * y)_i mod d_i.
+    (u * gram * y)_i mod d_i.  `pairing` is the integer matrix
+    E^2 b(e_i, e_j) on the generators (E the exponent): the gram of their
+    lifts, from which q and b are read.
     """
 
     def __init__(self, lattice):
@@ -54,6 +56,9 @@ class DiscriminantData:
         self.generators = tuple(vt[i] for i in self._keep)
         self.exponent = dall[-1] if dall else 1
         self._reducer = mat_mul(u, lattice.gram)
+        lifts = tuple(self.lift(e)[0]
+                      for e in identity(len(self.invariants)))
+        self.pairing = Embedding(lattice, lifts).gram
 
     @property
     def order(self):
@@ -86,22 +91,23 @@ class DiscriminantData:
                 out[a] += c * x
         return tuple(out), self.exponent
 
+    def _square(self, cls1, cls2):
+        """E^2 b(cls1, cls2) as an integer, on the reduced classes."""
+        return dot(self.reduce(cls1), mat_vec(self.pairing, self.reduce(cls2)))
+
     def q(self, cls):
         """Quadratic form value in [0, 2)."""
-        y, den = self.lift(self.reduce(cls))
-        n2 = den * den
-        return Fraction(self.lattice.norm(y) % (2 * n2), n2)
+        n2 = self.exponent * self.exponent
+        return Fraction(self._square(cls, cls) % (2 * n2), n2)
 
     def b(self, cls1, cls2):
         """Bilinear pairing value in [0, 1)."""
-        y1, den = self.lift(self.reduce(cls1))
-        y2, _ = self.lift(self.reduce(cls2))
-        return Fraction(self.lattice.inner(y1, y2), den * den) % 1
+        n2 = self.exponent * self.exponent
+        return Fraction(self._square(cls1, cls2), n2) % 1
 
     def to_json(self):
         vals = []
-        for i in range(len(self.invariants)):
-            ei = tuple(int(i == a) for a in range(len(self.invariants)))
+        for ei in identity(len(self.invariants)):
             q = self.q(ei)
             vals.append("%d/%d" % (q.numerator, q.denominator))
         return {"invariants": list(self.invariants), "qbar": vals}
@@ -142,14 +148,12 @@ class DiscMap:
         return hash(self.images)
 
     def is_identity(self):
-        g = len(self.source.invariants)
-        return all(self.images[i] == tuple(int(i == a) for a in range(g))
-                   for i in range(g))
+        return self.images == identity(len(self.source.invariants))
 
     def is_minus_identity(self):
-        g = len(self.source.invariants)
-        return all(self.images[i] == self.target.reduce(
-            tuple(-int(i == a) for a in range(g))) for i in range(g))
+        return self.images == tuple(
+            self.target.reduce(tuple(-x for x in e))
+            for e in identity(len(self.source.invariants)))
 
     def sign(self):
         """+1 / -1 if the map is plus or minus the identity, else None."""
@@ -161,9 +165,7 @@ class DiscMap:
 
 
 def identity_disc_map(data):
-    g = len(data.invariants)
-    return DiscMap(data, data, tuple(tuple(int(i == a) for a in range(g))
-                                     for i in range(g)))
+    return DiscMap(data, data, identity(len(data.invariants)))
 
 
 def disc_map(g, source_data, target_data):
@@ -254,13 +256,11 @@ def glue(S, K):
     # anti-isometry on generators (quadratic values and cross pairings);
     # with the equal orders above this makes gamma bijective, since the
     # pairing on A_S is nondegenerate
-    gcount = len(disc_s.invariants)
-    for i in range(gcount):
-        ei = tuple(int(i == a) for a in range(gcount))
+    units = identity(len(disc_s.invariants))
+    for i, ei in enumerate(units):
         if (disc_s.q(ei) + disc_k.q(gamma.apply(ei))) % 2 != 0:
             raise LatticeError("glue map is not an anti-isometry")
-        for j in range(i + 1, gcount):
-            ej = tuple(int(j == a) for a in range(gcount))
+        for ej in units[i + 1:]:
             if (disc_s.b(ei, ej)
                     + disc_k.b(gamma.apply(ei), gamma.apply(ej))) % 1 != 0:
                 raise LatticeError("glue pairing is not anti-preserved")

@@ -6,6 +6,7 @@ here can silently overflow or round.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from operator import mul
 
@@ -36,7 +37,9 @@ def int_matrix(rows):
     return tuple(int_vector(r) for r in rows)
 
 
+@lru_cache(maxsize=None)
 def identity(n):
+    """The n x n identity, built once per n: it is immutable."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 

@@ -112,11 +112,6 @@ class OrientationDatum:
             raise IsometryError("orientation datum has wrong dimension")
 
 
-def gram_of_columns(lat, cols):
-    """Gram of the vectors cols (lattice coordinates): one product C G C^T."""
-    return mat_mul(mat_mul(cols, lat.gram), transpose(cols))
-
-
 def _is_positive_definite(g):
     n = len(g)
     for k in range(1, n + 1):

@@ -6,7 +6,7 @@ into an ambient lattice: a basis matrix whose rows are the basis vectors in
 ambient coordinates.  All arithmetic is exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intmat
@@ -21,9 +21,20 @@ class LatticeError(ValueError):
 @dataclass(frozen=True)
 class Embedding:
     """Primitive-or-not embedding data: rows of `basis` are the basis vectors
-    of the sublattice written in coordinates of `ambient`."""
+    of the sublattice written in coordinates of `ambient`.  `gram` is
+    B G B^T, formed here once: the one place a sublattice's gram is made."""
     ambient: "IntegerLattice"
     basis: tuple  # r x n integer matrix, rows = basis vectors
+    gram: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        b = mat(self.basis)
+        ga = self.ambient.gram
+        if any(len(row) != len(ga) for row in b):
+            raise LatticeError("embedding basis must be rank x ambient rank")
+        object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "gram",
+                           mat_mul(mat_mul(b, ga), transpose(b)))
 
 
 class IntegerLattice:
@@ -48,13 +59,12 @@ class IntegerLattice:
         if n and intmat.det(g) == 0:
             raise LatticeError("gram matrix must be nondegenerate")
         if embedding is not None:
-            b = mat(embedding.basis)
-            ga = embedding.ambient.gram
-            if len(b) != n or any(len(row) != len(ga) for row in b):
+            if not embedding.basis:
+                raise LatticeError("embedded sublattice must have rank >= 1")
+            if len(embedding.basis) != n:
                 raise LatticeError("embedding basis must be rank x ambient "
                                    "rank")
-            expect = mat_mul(mat_mul(b, ga), transpose(b))
-            if expect != g:
+            if embedding.gram != g:
                 raise LatticeError("embedding basis does not reproduce gram")
         self.gram = g
         self.rank = n
@@ -92,6 +102,15 @@ class IntegerLattice:
 
     # --- sublattice machinery (vectors in *this* lattice's coordinates) ---
 
+    def sublattice(self, basis, label=None):
+        """The sublattice whose basis vectors are the rows of `basis`, in
+        this lattice's coordinates: the one constructor of an embedded
+        sublattice.  Its gram is formed once, by the Embedding, and the
+        lattice constructor refuses an empty basis and takes the one
+        determinant, the one nondegeneracy test."""
+        emb = Embedding(self, basis)
+        return IntegerLattice(emb.gram, label=label, embedding=emb)
+
     def saturate(self, gens, label=None):
         """Smallest primitive sublattice containing the given generators.
 
@@ -107,37 +126,19 @@ class IntegerLattice:
         r = sum(1 for i in range(min(len(d), self.rank)) if d[i][i] != 0)
         vinv = intmat.inv_unimodular(v)
         sat = tuple(tuple(vinv[j][c] for c in range(self.rank)) for j in range(r))
-        sat = row_basis(sat)
-        sub_gram = mat_mul(mat_mul(sat, self.gram), transpose(sat))
-        if intmat.det(sub_gram) == 0:
-            raise LatticeError("span is degenerate for this form")
-        return IntegerLattice(sub_gram, label=label,
-                              embedding=Embedding(self, sat))
+        return self.sublattice(row_basis(sat), label=label)
 
     def span(self, gens, label=None):
         """Sublattice generated by gens (not saturated), canonical HNF basis."""
-        basis = row_basis(mat(gens))
-        sub_gram = mat_mul(mat_mul(basis, self.gram), transpose(basis))
-        if not basis or intmat.det(sub_gram) == 0:
-            raise LatticeError("span is degenerate for this form")
-        return IntegerLattice(sub_gram, label=label,
-                              embedding=Embedding(self, basis))
+        return self.sublattice(row_basis(mat(gens)), label=label)
 
     def orth_complement(self, sub, label=None):
         """Orthogonal complement of an embedded sublattice; always primitive."""
         if sub.embedding is None or sub.embedding.ambient is not self:
             raise LatticeError("sublattice is not embedded in this lattice")
-        bs = sub.embedding.basis
-        cond = mat_mul(bs, self.gram)  # x in complement iff cond @ x == 0
-        ker = kernel_int(cond)
-        if not ker:
-            raise LatticeError("complement is zero")
-        basis = row_basis(ker)
-        comp_gram = mat_mul(mat_mul(basis, self.gram), transpose(basis))
-        if intmat.det(comp_gram) == 0:
-            raise LatticeError("complement is degenerate")
-        return IntegerLattice(comp_gram, label=label,
-                              embedding=Embedding(self, basis))
+        # x is in the complement iff cond @ x == 0
+        cond = mat_mul(sub.embedding.basis, self.gram)
+        return self.sublattice(row_basis(kernel_int(cond)), label=label)
 
     def is_primitive(self, sub):
         """True if the embedded sublattice equals its saturation: Z^n / B is

@@ -20,9 +20,9 @@ from . import intmat, kernels
 # solve_rational has no caller here; perfbench's tracer test asserts this
 # binding, so it stays until that test stops naming the search layers
 from .intmat import mat, mat_vec, mat_mul, transpose, solve_rational
-from .lattices import IntegerLattice, Embedding, LatticeError
+from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, OrientationDatum, ori_char,
-                         identity_isometry, minus_identity, gram_of_columns)
+                         identity_isometry, minus_identity)
 from .discriminant import (NotFound, ExtensionObstructed, glue,
                            extend_isometry, disc_map, identity_disc_map)
 from .mukai import H2_GRAM
@@ -95,13 +95,6 @@ def targets(beta1, beta2):
                  for beta in (beta1, beta2))
 
 
-def _span_of(vecs, label):
-    """Sublattice of U^3 with the basis vecs, as given."""
-    vecs = mat(vecs)
-    return IntegerLattice(gram_of_columns(AMBIENT, vecs), label=label,
-                          embedding=Embedding(AMBIENT, vecs))
-
-
 def build_targets(problem):
     """Target pair in the second and third hyperbolic blocks, plus the
     isometry of rank-2 spans sending xi_i to t_i.  Each span keeps the basis
@@ -113,12 +106,12 @@ def build_targets(problem):
     beta1, beta2 = target_betas(problem.k, problem.l)
     if abs(problem.l) == 2 * problem.k - 2:
         raise LatticeError("span of the inputs is degenerate")
-    s1 = _span_of((problem.xi1, problem.xi2), "S1")
+    s1 = AMBIENT.sublattice((problem.xi1, problem.xi2), label="S1")
     if not AMBIENT.is_primitive(s1):
         raise TargetsNotIntegral(
             "span of the inputs is not primitive; prescribed images have "
             "denominators")
-    s2 = _span_of(targets(beta1, beta2), "S2")
+    s2 = AMBIENT.sublattice(targets(beta1, beta2), label="S2")
     return beta1, beta2, Isometry(s1, s2, intmat.identity(2))
 
 

@@ -235,15 +235,18 @@ def surface_lift_in_N(h_matrix, triple):
     return certify(GroupoidWord(triple, (surface_lift(h_matrix),)))
 
 
+# minus the dual action on the rank-8 lattice: -1 in degrees 0 and 4, the
+# identity in degree 2
+MINUS_DUAL = tuple(tuple(-x if i in (0, 7) else x for x in row)
+                   for i, row in enumerate(identity(8)))
+
+
 def minus_dual_restricted(triple):
     """Exact matrix of minus-the-dual-action on the canonical complement
     basis (the reflection composite in the square -2 vectors (1,0,1) and
     (1,0,-1), restricted)."""
     lat = triple.model().lattice
-    minus_dual = Isometry(lat, lat, tuple(
-        tuple((-1 if i in (0, 7) else 1) * int(i == j) for j in range(8))
-        for i in range(8)))
-    return restrict(minus_dual, complement(triple)[0])
+    return restrict(Isometry(lat, lat, MINUS_DUAL), complement(triple)[0])
 
 
 def istar_similitude(x, m):

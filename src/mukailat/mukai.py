@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import mat, mat_mul, mat_vec, dot, transpose, json_object
-from .lattices import IntegerLattice, Embedding
+from .intmat import mat, mat_vec, dot, transpose, identity, json_object
+from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
 
 
@@ -174,14 +174,8 @@ def v_perp(model, v):
         raise ValueError("v_perp needs v = m*(1,0,-k) with m, k >= 1, got %r"
                          % (v.vec8(),))
     k = -v.a // v.r
-    basis = []
-    for i in range(1, 7):
-        basis.append(tuple(int(j == i) for j in range(8)))
-    basis.append((1, 0, 0, 0, 0, 0, 0, k))
-    basis = mat(basis)
-    sub_gram = mat_mul(mat_mul(basis, model.lattice.gram), transpose(basis))
-    return IntegerLattice(sub_gram, label="v_perp",
-                          embedding=Embedding(model.lattice, basis))
+    basis = identity(8)[1:7] + ((1, 0, 0, 0, 0, 0, 0, k),)
+    return model.lattice.sublattice(basis, label="v_perp")
 
 
 # (model, kind, class) keys whose checked action is kept for reuse

@@ -20,9 +20,9 @@ from .discriminant import (disc_map, count_distinct_primes, index_monodromy,
 from .mukai import (shared_model, MkTriple, fm_action, hodge_ori,
                     epsilon_ori, DecisionDegenerate, MUKAI_GRAM, h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
-                        restrict, istar_similitude, isharp, tensor_l,
-                        poincare, poincare_dual, elliptic, surface_lift,
-                        eval_phi_tilde, complement)
+                        MINUS_DUAL, restrict, istar_similitude, isharp,
+                        tensor_l, poincare, poincare_dual, elliptic,
+                        surface_lift, eval_phi_tilde, complement)
 from .lemsimo import (LemsimoProblem, solve, check_bound, AMBIENT, U3_DATUM,
                       targets)
 
@@ -110,10 +110,7 @@ def check_involution(cfg):
     rs = reflection(model.lattice, s)
     rs1 = reflection(model.lattice, s1)
     comp = rs.compose(rs1)
-    minus_dual = tuple(
-        tuple((-1 if i in (0, 7) else 1) * int(i == j) for j in range(8))
-        for i in range(8))
-    if comp.matrix != minus_dual:
+    if comp.matrix != MINUS_DUAL:
         return "fail", {"reason": "matrix", "got": comp.matrix}
     other = rs1.compose(rs)
     for m in (2, 3):
@@ -260,8 +257,6 @@ def _random_primitive_sublattice(rng, max_rank=2, coord_bound=10):
         r = rng.randint(1, max_rank)
         gens = [tuple(rng.randint(-coord_bound, coord_bound) for _ in range(6))
                 for _ in range(r)]
-        if not any(any(g) for g in gens):
-            continue
         try:
             s = AMBIENT.saturate(gens)
         except LatticeError:

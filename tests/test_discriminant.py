@@ -20,6 +20,7 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    count_distinct_primes, index_monodromy,
                                    glue, extend_isometry, ExtensionObstructed,
                                    NotFound, characters, in_W, in_N)
+from mukailat.kernels import vectors_with_square
 from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
                               _integral_reflections)
 from mukailat.mukai import MkTriple, v_perp
@@ -215,6 +216,30 @@ def test_q_matches_the_fraction_reduction(gram, data):
         assert got == want and type(got) is Fraction
 
 
+@settings(max_examples=60, deadline=None)
+@given(gram=small_even_grams())
+def test_q_and_b_read_the_pairing_matrix(gram):
+    """pairing[i][j] is E^2 b(e_i, e_j) on the generators, from the lifts;
+    q and b then read it, with no lift and no lattice pairing per call."""
+    disc = DiscriminantData(IntegerLattice(gram))
+    units = intmat.identity(len(disc.invariants))
+    lifts = [disc.lift(e)[0] for e in units]
+    assert disc.pairing == tuple(
+        tuple(disc.lattice.inner(y1, y2) for y2 in lifts) for y1 in lifts)
+    n2 = disc.exponent ** 2
+    want = {}
+    for c1 in disc.elements():
+        y1, _ = disc.lift(c1)
+        for c2, y2 in zip(units, lifts):
+            want[c1, c2] = (Fraction(disc.lattice.norm(y1), n2) % 2,
+                            Fraction(disc.lattice.inner(y1, y2), n2) % 1)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(disc, "lift", None)
+        m.setattr(IntegerLattice, "inner", None)
+        for (c1, c2), value in want.items():
+            assert (disc.q(c1), disc.b(c1, c2)) == value
+
+
 def orth_group_elements(data, cap=2000):
     """Brute-force list of all quadratic-form automorphisms of a discriminant
     group, as DiscMaps.  Errors if the group order exceeds the cap."""
@@ -407,6 +432,35 @@ def test_extend_restrictions_of_solve_outputs_returns_g():
                                   _restriction(g, k1, k2),
                                   glue(s1, k1), glue(s2, k2))
             assert ext.matrix == g.matrix
+
+
+# the vectors of square +-2 in the box [-1, 1]^6 of U^3
+U3_ROOTS = tuple(vectors_with_square(AMBIENT.gram, 1, 2)
+                 + vectors_with_square(AMBIENT.gram, 1, -2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(st.sampled_from(U3_ROOTS), min_size=1, max_size=6),
+       gens=st.lists(st.tuples(*[st.integers(-4, 4)] * 6),
+                     min_size=1, max_size=2))
+def test_extend_isometry_round_trip(roots, gens):
+    """g in O(U^3), a product of reflections, restricted to S + K and
+    extended back: phi is the identity from the basis of S to its image
+    under g, and psi is g on K -> K', read through from_ambient."""
+    g = identity_isometry(AMBIENT)
+    for u in roots:
+        g = reflection(AMBIENT, u).compose(g)
+    try:
+        s = AMBIENT.saturate(gens)
+    except LatticeError:
+        assume(False)
+    s2 = AMBIENT.sublattice([g.apply(b) for b in s.embedding.basis])
+    k, k2 = AMBIENT.orth_complement(s), AMBIENT.orth_complement(s2)
+    phi = Isometry(s, s2, intmat.identity(s.rank))
+    psi = Isometry(k, k2, transpose(
+        [k2.from_ambient(g.apply(b)) for b in k.embedding.basis]))
+    ext = extend_isometry(phi, psi, glue(s, k), glue(s2, k2))
+    assert ext.matrix == g.matrix
 
 
 def test_extension_obstruction_fires():

@@ -11,13 +11,12 @@ from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
 from mukailat.lemsimo import AMBIENT
 from mukailat.mukai import MkTriple, MukaiModel, v_perp
-from mukailat.lattices import (IntegerLattice, hyperbolic_plane,
+from mukailat.lattices import (IntegerLattice, Embedding, hyperbolic_plane,
                                hyperbolic_sum, direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, OrientationDatum,
                                  identity_isometry, minus_identity,
                                  positive_frame, det_char, ori_char,
-                                 gram_of_columns, reflection,
-                                 minus_reflection)
+                                 reflection, minus_reflection)
 
 
 def _u3_minus():
@@ -204,7 +203,7 @@ def _fraction_det(a):
 def _reference_ori_char(g, lat, cols):
     """The former formula: the sign of det(gp^-1 * rhs) over Q, with the
     datum columns taken as given."""
-    gp = gram_of_columns(lat, cols)
+    gp = Embedding(lat, cols).gram
     rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
     d = _fraction_det(mat_mul(inv_rational(gp), rhs))
     assert d != 0
@@ -311,11 +310,11 @@ def test_minus_reflection_builds_one_isometry(monkeypatch):
         assert len(built) == 1
 
 
-def test_gram_of_columns_matches_pairwise_inner_products():
+def test_embedding_gram_matches_pairwise_inner_products():
     rng = random.Random(5)
     for lat, _ in _pm2_lattices():
         for r in (0, 1, 3):
             cols = tuple(tuple(rng.randint(-5, 5) for _ in range(lat.rank))
                          for _ in range(r))
-            assert gram_of_columns(lat, cols) == tuple(
+            assert Embedding(lat, cols).gram == tuple(
                 tuple(lat.inner(u, v) for v in cols) for u in cols)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mukailat import intmat
+from mukailat import intmat, lattices
 from mukailat.intmat import mat_mul, mat_vec, row_basis, solve_rational
 from mukailat.isometries import positive_frame
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
@@ -70,6 +70,50 @@ def test_saturate_rejects_degenerate_span():
     u3 = hyperbolic_sum(3)
     with pytest.raises(LatticeError):
         u3.saturate(((1, 0, 0, 0, 0, 0),))  # isotropic line
+
+
+def test_zero_generators_are_refused():
+    """The zero vector spans nothing: saturate and span refuse it instead of
+    returning a rank-0 lattice, whose complement cannot be formed, and so
+    does the constructor given an empty embedding."""
+    u3 = hyperbolic_sum(3)
+    for build in (u3.saturate, u3.span):
+        with pytest.raises(LatticeError):
+            build(((0,) * 6,))
+    with pytest.raises(LatticeError):
+        u3.sublattice(())
+    with pytest.raises(LatticeError):
+        IntegerLattice((), embedding=Embedding(u3, ()))
+
+
+def test_sublattice_constructors_form_one_gram_and_one_det(monkeypatch):
+    """saturate, span and orth_complement each form B G B^T once (in the
+    Embedding) and take one determinant (in the lattice constructor)."""
+    u3 = hyperbolic_sum(3)
+    gens = ((1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))
+    s = u3.saturate(gens)
+    dets, products = [], []
+    real_det, real_mul = intmat.det, lattices.mat_mul
+
+    def counting_det(a):
+        dets.append(a)
+        return real_det(a)
+
+    def counting_mul(a, b):
+        out = real_mul(a, b)
+        products.append((b, out))
+        return out
+
+    monkeypatch.setattr(intmat, "det", counting_det)
+    monkeypatch.setattr(lattices, "mat_mul", counting_mul)
+    for build in (lambda: u3.saturate(gens), lambda: u3.span(gens),
+                  lambda: u3.orth_complement(s)):
+        dets.clear()
+        products.clear()
+        sub = build()
+        assert dets == [sub.gram]
+        bt = intmat.transpose(sub.embedding.basis)
+        assert [out for b, out in products if b == bt] == [sub.gram]
 
 
 def test_orth_complement_is_orthogonal_and_primitive():
