@@ -261,14 +261,14 @@ EXIT_CODE_AUDIT = (
                     "--xi2=3,2,2,-2,0,0")),
     ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
                     "--xi2", "1,2,2,0,0,0")),
-    # a box search whose squares would leave int64 (OverflowError)
-    ("lemsimo", 1, ("--k", "10000000000000000",
-                    "--xi1", "1,9999999999999999,0,0,0,0",
-                    "--xi2", "0,0,1,9999999999999999,0,0")),
     ("verify", 2, ("--only", "nope")),
     # info and index scan all 2k residues, so k is capped
     ("info", 2, ("--k", "1000001")),
     ("index", 2, ("--k", "1000001")),
+    # a box search whose squares would leave int64 (OverflowError)
+    ("lemsimo", 1, ("--k", "10000000000000000",
+                    "--xi1", "1,9999999999999999,0,0,0,0",
+                    "--xi2", "0,0,1,9999999999999999,0,0")),
 )
 
 
