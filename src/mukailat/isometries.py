@@ -25,9 +25,11 @@ class Isometry:
         if len(m) != target.rank or any(len(r) != source.rank for r in m):
             raise IsometryError("matrix shape does not match lattices")
         # M^T G M is symmetric like source.gram, so its entries with i <= j
-        # decide the check; a rank-0 target still has source.rank columns
+        # decide the check; G is symmetric, so the rows of M^T G are the
+        # columns of G M, which puts the sparse gram on the left of the
+        # product; a rank-0 target still has source.rank columns
         cols = transpose(m) or ((),) * source.rank
-        rows = mat_mul(cols, target.gram)
+        rows = transpose(mat_mul(target.gram, m)) or cols
         if any(dot(rows[i], cols[j]) != source.gram[i][j]
                for i in range(len(cols)) for j in range(i, len(cols))):
             raise IsometryError("matrix does not intertwine the forms")
@@ -150,9 +152,9 @@ def ori_char(g, datum):
         raise IsometryError("orientation character needs an endomorphism")
     if datum.lattice.gram != g.source.gram:
         raise IsometryError("datum belongs to a different lattice")
-    cols = datum.columns
-    # rhs = (C G) (g C^T) for the column matrix C: each image g(col_j) once
-    rhs = mat_mul(datum.cg, mat_mul(g.matrix, transpose(cols)))
+    # rhs = (C G g) C^T for the column matrix C, with the sparse C G on
+    # the left of g
+    rhs = mat_mul(mat_mul(datum.cg, g.matrix), transpose(datum.columns))
     d = intmat.det(rhs)
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")

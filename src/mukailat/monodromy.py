@@ -9,7 +9,7 @@ determinant, orientation, and discriminant characters.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
                      int_vector, json_object)
@@ -137,16 +137,21 @@ class GroupoidWord:
 
     @classmethod
     def from_json(cls, d):
-        return cls(MkTriple.from_json(d["triple"]),
+        """Word from a JSON document; TypeError for a document that is not
+        an object."""
+        return cls(MkTriple.from_json(json_object(d, "word")["triple"]),
                    tuple(Token.from_json(t) for t in d["tokens"]))
 
 
 def eval_phi_tilde(word):
     """Composite rank-8 isometry of a word (tokens applied in path order):
-    the product of the token matrices, checked once."""
+    the product of the token matrices, accumulated in path order with each
+    token matrix on the left of the running product, and checked once."""
     model = word.triple.model()
     mats = [_token_matrix(tok, model) for tok in word.tokens]
-    m = reduce(mat_mul, reversed(mats)) if mats else identity(8)
+    m = mats[0] if mats else identity(8)
+    for t in mats[1:]:
+        m = mat_mul(t, m)
     return Isometry(model.lattice, model.lattice, m)
 
 
@@ -169,11 +174,12 @@ def restrict(g, sub, sign=1):
     """sign * g restricted to a sublattice `sub` of its lattice, in the
     basis of `sub`; WordError if it does not map `sub` into itself.  R is
     the floor of the projection of the images sign * g * B^T, and B^T * R
-    equals them exactly when they lie in `sub`, since B^T is injective."""
+    equals them exactly when they lie in `sub`, since B^T is injective.
+    The images are formed as (B g^T)^T, with the sparse basis on the left."""
     num, den = sub.projection
     bt = transpose(sub.embedding.basis)
-    images = tuple(tuple(sign * x for x in row)
-                   for row in mat_mul(g.matrix, bt))
+    images = tuple(tuple(sign * x for x in row) for row in zip(
+        *mat_mul(sub.embedding.basis, transpose(g.matrix))))
     r = tuple(tuple(x // den for x in row) for row in mat_mul(num, images))
     if mat_mul(bt, r) != images:
         raise WordError("restriction left the sublattice")

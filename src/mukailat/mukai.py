@@ -130,7 +130,8 @@ shared_model = lru_cache(maxsize=MODEL_CACHE_SIZE)(MukaiModel)
 
 @dataclass(frozen=True)
 class MkTriple:
-    """Multiplicity m >= 1 and a primitive square-2k vector with k > 2."""
+    """Multiplicity m >= 1, a primitive square-2k vector with k > 2 and the
+    polarization parameter t >= 2 of its model."""
     m: int
     k: int
     t: int = 2
@@ -140,6 +141,8 @@ class MkTriple:
             raise ValueError("m must be >= 1")
         if self.k <= 2:
             raise ValueError("k must be > 2")
+        if self.t < 2:
+            raise ValueError("polarization parameter t must be >= 2")
 
     def model(self):
         """The model for this triple's t, shared by every triple with that t."""

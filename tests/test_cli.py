@@ -196,6 +196,14 @@ def test_word(tmp_path, capsys):
         assert_bad_input(capsys, "word", str(bad))
 
 
+def test_word_document_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "word.json"
+    path.write_text("[1, 2]")
+    code, out, err = run_cli(capsys, "word", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: word must be a JSON object\n"
+
+
 def test_lemsimo(capsys):
     code, out, _ = run_cli(capsys, "lemsimo", "--k", "3",
                            "--xi1", "1,2,0,0,0,0", "--xi2", "0,0,1,2,0,0")
@@ -234,6 +242,7 @@ def _audit_documents(tmp_path):
         "unfixed": '{"triple": {"m": 1, "k": 3}, '
                    '"tokens": [{"kind": "poincare"}]}',
         "not-json": "{not json",
+        "bad-t": '{"triple": {"m": 1, "k": 3, "t": 1}, "tokens": []}',
     }
     for name, text in docs.items():
         (tmp_path / name).write_text(text)
@@ -269,6 +278,8 @@ EXIT_CODE_AUDIT = (
     ("lemsimo", 1, ("--k", "10000000000000000",
                     "--xi1", "1,9999999999999999,0,0,0,0",
                     "--xi2", "0,0,1,9999999999999999,0,0")),
+    # a triple whose model does not exist
+    ("word", 2, ("{bad-t}",)),
 )
 
 

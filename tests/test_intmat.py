@@ -301,6 +301,36 @@ def test_mat_mul_matches_triple_loop(a, b):
         assert _all_int(got)
 
 
+@st.composite
+def sparse_row(draw, max_len=8):
+    """A row of up to max_len entries with at most two nonzeros; its zeros
+    are ints or Fractions."""
+    n = draw(st.integers(0, max_len))
+    row = [draw(st.sampled_from((0, Fraction(0)))) for _ in range(n)]
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2, unique=True)
+                  if n else st.just([])):
+        row[j] = draw(exact_entries.filter(bool))
+    return tuple(row)
+
+
+def mixed_rows(max_len=8):
+    """Ragged matrices whose rows are sparse or dense, mixed in one matrix."""
+    dense = st.lists(exact_entries, max_size=max_len).map(tuple)
+    return st.lists(st.one_of(sparse_row(max_len), dense),
+                    max_size=max_len).map(tuple)
+
+
+@given(mixed_rows(), mixed_rows())
+@settings(max_examples=150, deadline=None)
+def test_mat_mul_sparse_rows_match_triple_loop(a, b):
+    """Rows with few nonzeros take the row-combination path, which must cut
+    ragged operands and keep exact values as the dot path does."""
+    got = mat_mul(a, b)
+    assert got == _mat_mul_loops(a, b)
+    if _all_int(a) and _all_int(b):
+        assert _all_int(got)
+
+
 @given(ragged(exact_entries), st.lists(exact_entries, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_mat_vec_matches_loop(a, v):

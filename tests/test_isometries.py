@@ -264,11 +264,10 @@ def _pm2_lattices():
             + [(v_perp(model, MkTriple(1, k).v), (0, 1)) for k in (3, 4, 7)])
 
 
-@st.composite
-def pm2_vectors(draw):
-    """(lattice, u) with u of square +-2: free coordinates outside a
-    hyperbolic block (e, f), then a e + b f with 2ab making up the rest."""
-    lat, (ie, jf) = draw(st.sampled_from(_pm2_lattices()))
+def _draw_pm2_vector(draw, lat, block):
+    """u of square +-2: free coordinates outside the hyperbolic block
+    (e, f), then a e + b f with 2ab making up the rest."""
+    ie, jf = block
     u = [draw(st.integers(-4, 4)) for _ in range(lat.rank)]
     u[ie] = u[jf] = 0
     rest = lat.norm(u)
@@ -276,7 +275,14 @@ def pm2_vectors(draw):
     want = draw(st.sampled_from((2, -2)))
     assume((want - rest) % (2 * a) == 0)
     u[ie], u[jf] = a, (want - rest) // (2 * a)
-    return lat, tuple(u)
+    return tuple(u)
+
+
+@st.composite
+def pm2_vectors(draw):
+    """(lattice, u) with u of square +-2."""
+    lat, block = draw(st.sampled_from(_pm2_lattices()))
+    return lat, _draw_pm2_vector(draw, lat, block)
 
 
 @settings(max_examples=200, deadline=None)
@@ -287,6 +293,51 @@ def test_reflections_match_the_unit_vector_build(case):
     assert reflection(lat, u).matrix == _unit_vector_reflection(lat, u)
     assert minus_reflection(lat, u).matrix \
         == _unit_vector_minus_reflection(lat, u)
+
+
+def _monomial_lattices():
+    """U^3, the rank-8 Mukai lattice and v-perp of (1, 0, -k) for k = 3..8,
+    each with a hyperbolic block: every row of their grams has one nonzero
+    entry."""
+    model = MukaiModel(2)
+    lats = ([(AMBIENT, (0, 1)), (model.lattice, (1, 2))]
+            + [(v_perp(model, MkTriple(1, k).v), (0, 1)) for k in range(3, 9)])
+    assert all(sum(map(bool, row)) == 1 for lat, _ in lats for row in lat.gram)
+    return lats
+
+
+@st.composite
+def monomial_cases(draw):
+    """(lattice, M): M a product of 0..3 reflections of a lattice with a
+    monomial gram, or such a product with one entry changed."""
+    lat, block = draw(st.sampled_from(_monomial_lattices()))
+    n = lat.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 3))):
+        r = _unit_vector_reflection(lat, _draw_pm2_vector(draw, lat, block))
+        m = [[sum(r[i][a] * m[a][j] for a in range(n)) for j in range(n)]
+             for i in range(n)]
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        m[i][j] += draw(st.sampled_from((-2, -1, 1, 2)))
+    return lat, tuple(map(tuple, m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=monomial_cases())
+def test_monomial_gram_check_matches_the_full_product(case):
+    """The check forms G M with the monomial gram on the left; it must
+    raise exactly when M^T G M, formed here entry by entry, is not G."""
+    lat, m = case
+    g, n = lat.gram, lat.rank
+    full = tuple(tuple(sum(m[a][i] * g[a][b] * m[b][j]
+                           for a in range(n) for b in range(n))
+                       for j in range(n)) for i in range(n))
+    if full == g:
+        assert Isometry(lat, lat, m).matrix == m
+    else:
+        with pytest.raises(IsometryError):
+            Isometry(lat, lat, m)
 
 
 def test_minus_reflection_builds_one_isometry(monkeypatch):

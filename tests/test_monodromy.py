@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,7 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 vperp_datum, istar_similitude, isharp)
 from mukailat.isometries import (Isometry, IsometryError, det_char,
                                  ori_char, identity_isometry)
-from mukailat.intmat import transpose
+from mukailat.intmat import identity, mat_mul, transpose
 from mukailat.lattices import LatticeError, hyperbolic_sum
 from mukailat.cli import main
 from mukailat.discriminant import DiscriminantData, disc_map, characters
@@ -332,6 +333,23 @@ def test_eval_matches_stepwise_composition(triple, tokens):
     got = eval_phi_tilde(word)
     assert got == _stepwise_eval(word)
     assert got.source is got.target is triple.model().lattice
+
+
+def _reversed_reduce(word):
+    """Reference: the composite as one reduce over the token matrices in
+    reverse path order, the last token's matrix on the far left."""
+    model = word.triple.model()
+    mats = [monodromy._token_matrix(tok, model) for tok in word.tokens]
+    return reduce(mat_mul, reversed(mats)) if mats else identity(8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(triple=_TRIPLES, tokens=st.lists(_TOKENS, max_size=6))
+def test_path_order_product_matches_the_reversed_reduce(triple, tokens):
+    """eval_phi_tilde accumulates in path order, each token matrix on the
+    left of the running product: the same product by associativity."""
+    word = GroupoidWord(triple, tuple(tokens))
+    assert eval_phi_tilde(word).matrix == _reversed_reduce(word)
 
 
 def test_inverse_tokens_need_no_unimodular_inverse(monkeypatch):

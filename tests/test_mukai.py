@@ -50,6 +50,9 @@ def test_triple_validation():
         MkTriple(0, 3)
     with pytest.raises(ValueError):
         MkTriple(1, 2)
+    for t in (1, 0, -3):
+        with pytest.raises(ValueError, match="polarization parameter t"):
+            MkTriple(1, 3, t)
     t = MkTriple(2, 3)
     assert t.v.vec8() == (2, 0, 0, 0, 0, 0, 0, -6)
     assert t.w.square() == 6
