@@ -3,9 +3,9 @@ monodromy bookkeeping of moduli of sheaves on abelian surfaces."""
 
 from .lattices import IntegerLattice, Embedding, LatticeError, direct_sum, \
     hyperbolic_plane, hyperbolic_sum, rank_one
-from .isometries import (Isometry, IsometryError, OrientationDatum,
-                         reflection, minus_reflection, ori_char, det_char,
-                         identity_isometry, minus_identity, positive_frame)
+from .isometries import (Isometry, IsometryError, reflection,
+                         minus_reflection, ori_char, det_char,
+                         identity_isometry, minus_identity)
 from .discriminant import (DiscriminantData, DiscMap, GlueData, disc_map,
                            enum_disc_autos, glue, extend_isometry,
                            ExtensionObstructed, NotFound, characters, in_W,

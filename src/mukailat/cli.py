@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from .intmat import int_matrix, json_object
 from .lattices import IntegerLattice
-from .isometries import Isometry, minus_reflection, positive_frame
+from .isometries import Isometry, minus_reflection
 from .discriminant import (DiscriminantData, characters, index_monodromy,
                            enum_disc_autos, in_W, in_N, NotFound)
 from .mukai import shared_model, MkTriple, fm_action, hodge_ori, epsilon_ori, \
@@ -73,7 +73,7 @@ def cmd_info(args):
     with reading():
         triple = MkTriple(args.m, args.k, args.t)
         index = index_monodromy(args.k)
-        vp, _, data = complement(triple)
+        vp, data = complement(triple)
     _dump({
         "m": args.m, "k": args.k, "t": args.t,
         "mukai_vector": triple.v.to_json(),
@@ -100,7 +100,7 @@ def cmd_characters(args):
             raise BadInput("isometry matrix must be %d x %d"
                            % (lat.rank, lat.rank))
     g = Isometry(lat, lat, matrix)
-    chars = characters(g, positive_frame(lat), DiscriminantData(lat))
+    chars = characters(g, DiscriminantData(lat))
     _dump(dict(chars, in_W=in_W(chars), in_N=in_N(chars)), args)
     return 0
 

@@ -304,13 +304,12 @@ def extend_isometry(phi, psi, glue1, glue2):
     return out
 
 
-def characters(g, datum, data):
+def characters(g, data):
     """Determinant, orientation and discriminant characters of an isometry g
-    of a lattice with positive frame `datum` and discriminant group `data`:
-    det and disc as signs ("other" when g is not +-1 on the discriminant
-    group), ori as 0 or 1."""
+    of a lattice with discriminant group `data`: det and disc as signs
+    ("other" when g is not +-1 on the discriminant group), ori as 0 or 1."""
     return {"det": -1 if det_char(g) else 1,
-            "ori": ori_char(g, datum),
+            "ori": ori_char(g),
             "disc": {1: "+id", -1: "-id", None: "other"}[
                 disc_map(g, data, data).sign()]}
 

@@ -7,8 +7,6 @@ checked at construction, on the entries with i <= j: both sides are
 symmetric.
 """
 
-from dataclasses import dataclass, field
-
 from . import intmat
 from .intmat import (mat, mat_mul, mat_vec, dot, transpose, inv_unimodular,
                      int_matrix, json_object)
@@ -92,45 +90,6 @@ def minus_identity(lat):
                                     for r in intmat.identity(lat.rank)))
 
 
-@dataclass(frozen=True)
-class OrientationDatum:
-    """Spanning set of a maximal positive-definite subspace, as integer
-    columns in lattice coordinates.  cg = C G (C the columns as rows) is
-    kept, since the gram of the datum and every `ori_char` start from it."""
-    lattice: IntegerLattice
-    columns: tuple  # p vectors, each of length rank
-    cg: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if any(type(x) is not int for col in self.columns for x in col):
-            raise IsometryError("orientation datum columns must be integer")
-        cols = tuple(map(tuple, self.columns))
-        object.__setattr__(self, "columns", cols)
-        object.__setattr__(self, "cg", mat_mul(cols, self.lattice.gram))
-        if not _is_positive_definite(mat_mul(self.cg, transpose(cols))):
-            raise IsometryError("orientation datum must span a positive subspace")
-        sig = self.lattice.signature()
-        if len(cols) != sig[0]:
-            raise IsometryError("orientation datum has wrong dimension")
-
-
-def _is_positive_definite(g):
-    n = len(g)
-    for k in range(1, n + 1):
-        minor = tuple(tuple(g[i][j] for j in range(k)) for i in range(k))
-        if intmat.det(minor) <= 0:
-            return False
-    return True
-
-
-def positive_frame(lat):
-    """The vectors of positive square in the orthogonal basis of the
-    lattice's form: an integer basis of a maximal positive-definite
-    subspace.  Any such frame gives the same orientation character values."""
-    return OrientationDatum(lat, tuple(
-        v for v, a in lat.orthogonal_basis if a > 0))
-
-
 def det_char(g):
     """0 if det(g) == +1, 1 if det(g) == -1 (additive character values)."""
     d = g.det()
@@ -141,20 +100,19 @@ def det_char(g):
     raise IsometryError("isometry determinant must be +-1")
 
 
-def ori_char(g, datum):
-    """Orientation character: 0 if g preserves the orientation of the chosen
-    positive subspace, 1 if it reverses it.  Projecting the image of the
-    datum back onto its span gives the matrix gp^-1 * rhs, where gp is the
-    gram of the datum and rhs[i][j] = <col_i, g(col_j)>; gp is positive
-    definite, so the sign of that determinant is the sign of det(rhs), an
-    exact integer."""
+def ori_char(g):
+    """Orientation character: 0 if g preserves the orientation of a maximal
+    positive-definite subspace, 1 if it reverses it; the value does not
+    depend on the subspace, so the lattice's own `positive_frame` C is
+    read.  Projecting the image of C back onto its span gives the matrix
+    gp^-1 * rhs, where gp is the gram of C and rhs[i][j] = <c_i, g(c_j)>;
+    gp is positive definite, so the sign of that determinant is the sign of
+    det(rhs), an exact integer."""
     if g.source.gram != g.target.gram:
         raise IsometryError("orientation character needs an endomorphism")
-    if datum.lattice.gram != g.source.gram:
-        raise IsometryError("datum belongs to a different lattice")
-    # rhs = (C G g) C^T for the column matrix C, with the sparse C G on
-    # the left of g
-    rhs = mat_mul(mat_mul(datum.cg, g.matrix), transpose(datum.columns))
+    cols, cg = g.source.positive_frame
+    # rhs = (C G g) C^T, with the sparse C G on the left of g
+    rhs = mat_mul(mat_mul(cg, g.matrix), transpose(cols))
     d = intmat.det(rhs)
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")

@@ -100,6 +100,15 @@ class IntegerLattice:
         of positive square."""
         return tuple(intmat.orthogonal_basis(self.gram))
 
+    @cached_property
+    def positive_frame(self):
+        """(C, C G): C the vectors of positive square in the orthogonal
+        basis, an integer basis of a maximal positive-definite subspace, as
+        rows, and C G the left factor of every `ori_char` product.  The
+        orientation character does not depend on which frame is taken."""
+        cols = tuple(v for v, a in self.orthogonal_basis if a > 0)
+        return cols, mat_mul(cols, self.gram)
+
     # --- sublattice machinery (vectors in *this* lattice's coordinates) ---
 
     def sublattice(self, basis, label=None):

@@ -21,8 +21,8 @@ from . import intmat, kernels
 # binding, so it stays until that test stops naming the search layers
 from .intmat import mat, mat_vec, mat_mul, transpose, solve_rational
 from .lattices import IntegerLattice, LatticeError
-from .isometries import (Isometry, OrientationDatum, ori_char,
-                         identity_isometry, minus_identity)
+from .isometries import (Isometry, ori_char, identity_isometry,
+                         minus_identity)
 from .discriminant import (NotFound, ExtensionObstructed, glue,
                            extend_isometry, disc_map, identity_disc_map)
 from .mukai import H2_GRAM
@@ -35,9 +35,6 @@ class TargetsNotIntegral(ValueError):
 
 
 AMBIENT = IntegerLattice(H2_GRAM, label="U^3")
-U3_DATUM = OrientationDatum(AMBIENT, ((1, 1, 0, 0, 0, 0),
-                                      (0, 0, 1, 1, 0, 0),
-                                      (0, 0, 0, 0, 1, 1)))
 F_VEC = (0, 1, 0, 0, 0, 0)
 
 
@@ -456,7 +453,7 @@ def solve(problem):
     if g.det() == -1:
         fixed = split2.pull_back(_swap_iso(split2.block)).compose(fixed)
         trace.append({"stage": "det-fix"})
-    if ori_char(g, U3_DATUM) == 1:
+    if ori_char(g) == 1:
         fixed = split2.pull_back(_minus_u_iso(split2.block)).compose(fixed)
         trace.append({"stage": "ori-fix"})
     if fixed is not psi:
@@ -467,7 +464,7 @@ def solve(problem):
 
     if g.det() != 1:
         raise RuntimeError("pipeline produced determinant %d" % g.det())
-    if ori_char(g, U3_DATUM) != 0:
+    if ori_char(g) != 0:
         raise RuntimeError("pipeline reversed the orientation")
     for xi, t in zip((problem.xi1, problem.xi2), targets(beta1, beta2)):
         if g.apply(xi) != t:

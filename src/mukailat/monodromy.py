@@ -13,7 +13,7 @@ from functools import lru_cache
 
 from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
                      int_vector, json_object)
-from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
+from .isometries import Isometry, IsometryError, ori_char
 from .discriminant import DiscriminantData, characters, in_N
 from .mukai import MkTriple, MUKAI_GRAM, fm_action, v_perp, epsilon_ori, \
     h2_lift
@@ -105,8 +105,9 @@ _GRAM_ENTRIES = tuple(next((j, x) for j, x in enumerate(row) if x)
 
 def _token_matrix(token, model):
     """Integer matrix of a token's action on the rank-8 lattice.  FM actions
-    are the shared checked isometries and a surface lift is checked as an
-    isometry of U^3 and of the rank-8 lattice.  Every token matrix M is an
+    are the shared checked isometries and a surface lift is checked once, as
+    an isometry of U^3: its block lift is then an isometry of the rank-8
+    lattice by construction.  Every token matrix M is an
     isometry of G = MUKAI_GRAM, and G is its own inverse, so an inverse
     token is G * M^T * G; G is a signed permutation, so its entry (i, j) is
     G[i][p(i)] * G[j][p(j)] * M[p(j)][p(i)]."""
@@ -114,9 +115,9 @@ def _token_matrix(token, model):
         h = Isometry(model.h2_lattice, model.h2_lattice, token.params[0])
         if h.det() != 1:
             raise WordError("surface lift must have determinant 1")
-        if ori_char(h, model.h2_datum) != 0:
+        if ori_char(h) != 0:
             raise WordError("surface lift must be orientation preserving")
-        return h2_lift(model, h).matrix
+        return h2_lift(h.matrix)
     if token.kind == "congruence":
         return identity(8)
     if token.kind == "inverse":
@@ -155,19 +156,12 @@ def eval_phi_tilde(word):
     return Isometry(model.lattice, model.lattice, m)
 
 
-def vperp_datum(lat):
-    """Positive 3-frame {e+f, e2+f2, e3+f3} in canonical complement coords."""
-    return OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
-                                  (0, 0, 1, 1, 0, 0, 0),
-                                  (0, 0, 0, 0, 1, 1, 0)))
-
-
 @lru_cache(maxsize=COMPLEMENT_CACHE_SIZE)
 def complement(triple):
-    """(v_perp, its positive 3-frame, its discriminant group) of a triple,
-    built once per triple and shared by its certificates."""
+    """(v_perp, its discriminant group) of a triple, built once per triple
+    and shared by its certificates."""
     vp = v_perp(triple.model(), triple.v)
-    return vp, vperp_datum(vp), DiscriminantData(vp)
+    return vp, DiscriminantData(vp)
 
 
 def restrict(g, sub, sign=1):
@@ -219,8 +213,7 @@ def certify(word):
     in the index-2 monodromy subgroup."""
     comp = eval_phi_tilde(word)
     ori, restr = psi_restrict(comp, word.triple)
-    _, datum, data = complement(word.triple)
-    chars = characters(restr, datum, data)
+    chars = characters(restr, complement(word.triple)[1])
     return MonodromyCertificate(word, comp, ori, restr, chars, in_N(chars))
 
 

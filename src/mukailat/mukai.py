@@ -17,7 +17,7 @@ from math import gcd
 
 from .intmat import mat, mat_vec, dot, transpose, identity, json_object
 from .lattices import IntegerLattice
-from .isometries import Isometry, IsometryError, OrientationDatum, ori_char
+from .isometries import Isometry, IsometryError, ori_char
 
 
 class DecisionDegenerate(ValueError):
@@ -87,9 +87,9 @@ def mukai_pairing(x, y):
 class MukaiModel:
     """Fixed rational model of the weight-2 structure on the rank-8 lattice.
 
-    omega = e + t*f is the reference polarization (t >= 2), the positive
-    plane (e2+f2, e3+f3) models the symplectic-form directions, and the
-    orientation datum is {omega, e2+f2, e3+f3, (1,0,-1)}.
+    omega = e + t*f is the reference polarization (t >= 2) and the positive
+    plane (e2+f2, e3+f3) models the symplectic-form directions.  The
+    orientation character reads the positive frame of `lattice` itself.
     """
 
     def __init__(self, t=2):
@@ -99,14 +99,6 @@ class MukaiModel:
         self.lattice = IntegerLattice(MUKAI_GRAM, label="mukai")
         self.h2_lattice = IntegerLattice(H2_GRAM, label="h2")
         self.omega = (1, t, 0, 0, 0, 0)
-        omega8 = (0, 1, t, 0, 0, 0, 0, 0)
-        rho1 = (0, 0, 0, 1, 1, 0, 0, 0)
-        rho2 = (0, 0, 0, 0, 0, 1, 1, 0)
-        s1 = (1, 0, 0, 0, 0, 0, 0, -1)
-        self.eps = OrientationDatum(self.lattice, (omega8, rho1, rho2, s1))
-        self.h2_datum = OrientationDatum(
-            self.h2_lattice,
-            ((1, t, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1)))
 
     def is_ns(self, c):
         return all(x == 0 for x in c[2:])
@@ -237,18 +229,21 @@ def _fm_action(model, kind, c):
     return Isometry(model.lattice, model.lattice, transpose(cols))
 
 
-def h2_lift(model, h):
-    """The isometry of the rank-8 lattice acting as the U^3 isometry h in
-    degree 2 and as the identity in degrees 0 and 4."""
-    m = (((1,) + (0,) * 7,)
-         + tuple((0,) + tuple(row) + (0,) for row in h.matrix)
-         + ((0,) * 7 + (1,),))
-    return Isometry(model.lattice, model.lattice, m)
+def h2_lift(h):
+    """The rank-8 matrix acting as the 6 x 6 matrix h in degree 2 and as the
+    identity in degrees 0 and 4; an isometry of the rank-8 lattice exactly
+    when h is one of U^3."""
+    return (((1,) + (0,) * 7,)
+            + tuple((0,) + tuple(row) + (0,) for row in h)
+            + ((0,) * 7 + (1,),))
 
 
 def epsilon_ori(model, phi):
-    """Orientation character against the fixed positive 4-frame."""
-    return ori_char(phi, model.eps)
+    """Orientation character of an isometry of the model's rank-8
+    lattice."""
+    if phi.source.gram != MUKAI_GRAM:
+        raise IsometryError("expected an isometry of the rank-8 lattice")
+    return ori_char(phi)
 
 
 def hodge_ori(model, phi):

@@ -473,22 +473,19 @@ def test_extension_obstruction_fires():
 
 
 def test_in_W_and_in_N_for_signed_reflections():
-    from mukailat.isometries import OrientationDatum, minus_reflection
+    from mukailat.isometries import minus_reflection
     lat = _perp(3)
-    datum = OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
-                                   (0, 0, 1, 1, 0, 0, 0),
-                                   (0, 0, 0, 0, 1, 1, 0)))
     data = DiscriminantData(lat)
     rneg = minus_reflection(lat, (1, -1, 0, 0, 0, 0, 0))  # square -2
     rpos = minus_reflection(lat, (1, 1, 0, 0, 0, 0, 0))   # square +2
     for r in (rneg, rpos):
-        chars = characters(r, datum, data)
+        chars = characters(r, data)
         assert in_W(chars)
         # a single signed reflection has det * disc-sign == -1, so it
         # generates W over its index-2 subgroup but is not in it
         assert not in_N(chars)
     # the product of two signed reflections is in the subgroup
-    assert in_N(characters(rneg.compose(rpos), datum, data))
+    assert in_N(characters(rneg.compose(rpos), data))
 
 
 def test_not_found_carries_bound_and_stage():

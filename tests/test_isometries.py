@@ -6,16 +6,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from mukailat import isometries
+from mukailat import intmat, isometries
 from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
 from mukailat.lemsimo import AMBIENT
 from mukailat.mukai import MkTriple, MukaiModel, v_perp
 from mukailat.lattices import (IntegerLattice, Embedding, hyperbolic_plane,
                                hyperbolic_sum, direct_sum, rank_one)
-from mukailat.isometries import (Isometry, IsometryError, OrientationDatum,
-                                 identity_isometry, minus_identity,
-                                 positive_frame, det_char, ori_char,
+from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
+                                 minus_identity, det_char, ori_char,
                                  reflection, minus_reflection)
 
 
@@ -122,41 +121,32 @@ def test_minus_reflection_signs():
 
 def test_ori_char_on_signed_reflections():
     lat = _u3_minus()
-    datum = OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
-                                   (0, 0, 1, 1, 0, 0, 0),
-                                   (0, 0, 0, 0, 1, 1, 0)))
     # reflection in a negative vector preserves the positive part
-    assert ori_char(reflection(lat, (1, -1, 0, 0, 0, 0, 0)), datum) == 0
+    assert ori_char(reflection(lat, (1, -1, 0, 0, 0, 0, 0))) == 0
     # reflection in a positive vector reverses it
-    assert ori_char(reflection(lat, (1, 1, 0, 0, 0, 0, 0)), datum) == 1
+    assert ori_char(reflection(lat, (1, 1, 0, 0, 0, 0, 0))) == 1
     # minus the identity reverses an odd-dimensional positive part
-    assert ori_char(minus_identity(lat), datum) == 1
+    assert ori_char(minus_identity(lat)) == 1
+
+
+def test_ori_char_refuses_a_non_endomorphism():
+    g = Isometry(rank_one(8), rank_one(2), ((2,),))
+    with pytest.raises(IsometryError, match="endomorphism"):
+        ori_char(g)
 
 
 def test_positive_frame_dimension_and_agreement():
     lat = _u3_minus()
-    frame = positive_frame(lat)
-    assert len(frame.columns) == 3
-    datum = OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),
-                                   (0, 0, 1, 1, 0, 0, 0),
-                                   (0, 0, 0, 0, 1, 1, 0)))
+    cols, cg = lat.positive_frame
+    assert len(cols) == 3 and cg == mat_mul(cols, lat.gram)
+    assert all(type(x) is int for col in cols for x in col)
+    assert all(lat.norm(c) > 0 for c in cols)
+    fixed = ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
+             (0, 0, 0, 0, 1, 1, 0))
     for u in ((1, 1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0),
               (0, 0, 1, -1, 0, 0, 0)):
         r = reflection(lat, u)
-        assert ori_char(r, frame) == ori_char(r, datum)
-
-
-def test_orientation_datum_validation():
-    lat = _u3_minus()
-    with pytest.raises(IsometryError):
-        OrientationDatum(lat, ((1, -1, 0, 0, 0, 0, 0),))  # negative square
-    with pytest.raises(IsometryError):
-        OrientationDatum(lat, ((1, 1, 0, 0, 0, 0, 0),))   # wrong dimension
-    frame = ((1, 1, 0, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0, 0),
-             (0, 0, 0, 0, 1, 1, 0))
-    for x in (Fraction(1), 1.0, True):  # only int columns are accepted
-        with pytest.raises(IsometryError):
-            OrientationDatum(lat, ((x, 1, 0, 0, 0, 0, 0),) + frame[1:])
+        assert ori_char(r) == _reference_ori_char(r, lat, fixed)
 
 
 def test_isometry_json_roundtrip():
@@ -202,7 +192,7 @@ def _fraction_det(a):
 
 def _reference_ori_char(g, lat, cols):
     """The former formula: the sign of det(gp^-1 * rhs) over Q, with the
-    datum columns taken as given."""
+    frame columns taken as given."""
     gp = Embedding(lat, cols).gram
     rhs = tuple(tuple(lat.inner(u, g.apply(v)) for v in cols) for u in cols)
     d = _fraction_det(mat_mul(inv_rational(gp), rhs))
@@ -216,22 +206,18 @@ def test_ori_char_matches_rational_reference():
     rng = random.Random(11)
     for k in (2, 3, 5, 6):
         lat = direct_sum(hyperbolic_sum(3), rank_one(-2 * k))
-        frame = positive_frame(lat)
-        assert all(isinstance(x, int) for col in frame.columns for x in col)
+        cols = lat.positive_frame[0]
         # positive multiples of the frame columns
         scaled = tuple(tuple(d * x for x in col)
-                       for col, d in zip(frame.columns, (2, 3, 7)))
-        data = ((OrientationDatum(lat, fixed), fixed),
-                (frame, frame.columns),
-                (OrientationDatum(lat, scaled), scaled))
+                       for col, d in zip(cols, (2, 3, 7)))
         roots = (vectors_with_square(lat.gram, 1, 2)
                  + vectors_with_square(lat.gram, 1, -2))
         for _ in range(6):
             g = identity_isometry(lat)
             for u in rng.sample(roots, rng.randint(1, 4)):
                 g = reflection(lat, u).compose(g)
-            for datum, cols in data:
-                assert ori_char(g, datum) == _reference_ori_char(g, lat, cols)
+            for frame in (fixed, cols, scaled):
+                assert ori_char(g) == _reference_ori_char(g, lat, frame)
 
 
 def _unit_vector_reflection(lat, u):
@@ -293,6 +279,59 @@ def test_reflections_match_the_unit_vector_build(case):
     assert reflection(lat, u).matrix == _unit_vector_reflection(lat, u)
     assert minus_reflection(lat, u).matrix \
         == _unit_vector_minus_reflection(lat, u)
+
+
+# the positive frames once written by hand for U^3 (its (1,1)-frame and the
+# surface-lift frame {omega, e2+f2, e3+f3} for t = 2, 3, 7), for the rank-8
+# lattice ({omega, e2+f2, e3+f3, (1,0,-1)} for t = 2, 3, 7) and for v-perp
+# ({e+f, e2+f2, e3+f3}); the lattice's own frame must agree with each
+_U3_FRAME = ((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0), (0, 0, 0, 0, 1, 1))
+_RETIRED_FRAMES = (
+    [(AMBIENT, (0, 1),
+      [_U3_FRAME] + [((1, t, 0, 0, 0, 0),) + _U3_FRAME[1:]
+                     for t in (2, 3, 7)]),
+     (MukaiModel(2).lattice, (1, 2),
+      [((0, 1, t, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0),
+        (0, 0, 0, 0, 0, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0, -1))
+       for t in (2, 3, 7)])]
+    + [(v_perp(MukaiModel(2), MkTriple(1, k).v), (0, 1),
+        [tuple(col + (0,) for col in _U3_FRAME)]) for k in range(3, 9)])
+
+
+@st.composite
+def retired_frame_cases(draw):
+    """(product of 1..4 reflections in +-2 vectors, the retired frames of
+    its lattice)."""
+    lat, block, frames = draw(st.sampled_from(_RETIRED_FRAMES))
+    g = identity_isometry(lat)
+    for _ in range(draw(st.integers(1, 4))):
+        g = reflection(lat, _draw_pm2_vector(draw, lat, block)).compose(g)
+    return g, frames
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=retired_frame_cases())
+def test_ori_char_agrees_with_the_retired_frames(case):
+    g, frames = case
+    for cols in frames:
+        assert ori_char(g) == _reference_ori_char(g, g.source, cols)
+
+
+def test_ori_char_computes_the_orthogonal_basis_once(monkeypatch):
+    calls = []
+    real = intmat.orthogonal_basis
+
+    def counting(g):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(intmat, "orthogonal_basis", counting)
+    lat = direct_sum(hyperbolic_sum(3), rank_one(-14))
+    for u in ((1, 1, 0, 0, 0, 0, 0), (1, -1, 0, 0, 0, 0, 0),
+              (0, 0, 1, 1, 0, 0, 0)):
+        ori_char(reflection(lat, u))
+        ori_char(minus_identity(lat))
+    assert calls == [lat.gram]
 
 
 def _monomial_lattices():

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import intmat, lattices
 from mukailat.intmat import mat_mul, mat_vec, row_basis, solve_rational
-from mukailat.isometries import positive_frame
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
                                hyperbolic_plane, hyperbolic_sum, direct_sum,
                                rank_one)
@@ -251,9 +250,8 @@ def test_json_roundtrip():
 
 
 def test_signature_and_positive_frame_share_one_orthogonal_basis(monkeypatch):
-    """positive_frame builds an OrientationDatum, which checks the frame's
-    dimension against signature(): both read the lattice's one cached
-    orthogonal basis."""
+    """signature() and the positive frame both read the lattice's one
+    cached orthogonal basis."""
     calls = []
     real = intmat.orthogonal_basis
 
@@ -263,8 +261,8 @@ def test_signature_and_positive_frame_share_one_orthogonal_basis(monkeypatch):
 
     monkeypatch.setattr(intmat, "orthogonal_basis", counting)
     lat = direct_sum(hyperbolic_sum(3), rank_one(-10))
-    frame = positive_frame(lat)
-    assert lat.signature() == (3, 4) == (len(frame.columns), 4)
+    cols, _ = lat.positive_frame
+    assert lat.signature() == (3, 4) == (len(cols), 4)
     assert lat.orthogonal_basis == tuple(real(lat.gram))
     assert calls == [lat.gram]
     # a gram passed directly still gets its own basis

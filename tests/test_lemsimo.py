@@ -28,7 +28,7 @@ import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, targets,
                               TargetsNotIntegral, split_off_U, iter_splits,
-                              AMBIENT, U3_DATUM, F_VEC, MAX_SPLITS,
+                              AMBIENT, F_VEC, MAX_SPLITS,
                               _reduce_gram2, _gram2_maps,
                               _integral_reflections)
 from mukailat.verify import sample_admissible_pair, _sample_lemsimo_xi
@@ -306,7 +306,7 @@ def test_solve_fixture():
     assert isinstance(sol, LemsimoSolution)
     g = sol.g
     assert g.det() == 1
-    assert ori_char(g, U3_DATUM) == 0
+    assert ori_char(g) == 0
     for xi, want in zip((FIXTURE["xi1"], FIXTURE["xi2"]),
                         targets(sol.beta1, sol.beta2)):
         assert g.apply(xi) == want
@@ -321,7 +321,7 @@ def test_solve_random_admissible_pairs():
             xi1, xi2 = sample_admissible_pair(rng, k)
             sol = solve(LemsimoProblem(k, xi1, xi2, bound=10))
             assert sol.g.det() == 1
-            assert ori_char(sol.g, U3_DATUM) == 0
+            assert ori_char(sol.g) == 0
 
 
 def test_solve_answers_are_pinned():

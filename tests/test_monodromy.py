@@ -16,7 +16,7 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 congruence_id, inverse, eval_phi_tilde,
                                 restrict, psi_restrict, certify, propdual_word,
                                 surface_lift_in_N, minus_dual_restricted,
-                                vperp_datum, istar_similitude, isharp)
+                                istar_similitude, isharp)
 from mukailat.isometries import (Isometry, IsometryError, det_char,
                                  ori_char, identity_isometry)
 from mukailat.intmat import identity, mat_mul, transpose
@@ -165,12 +165,11 @@ def test_isharp_preserves_character_triple():
     triple = MkTriple(1, 3, 2)
     model = triple.model()
     vp = v_perp(model, triple.v)
-    datum = vperp_datum(vp)
     data = DiscriminantData(vp)
     r = minus_reflection(vp, (1, 1, 0, 0, 0, 0, 0))
     r2 = isharp(r, vp)
     assert det_char(r) == det_char(r2)
-    assert ori_char(r, datum) == ori_char(r2, datum)
+    assert ori_char(r) == ori_char(r2)
     assert disc_map(r, data, data).sign() == disc_map(r2, data, data).sign()
 
 
@@ -252,7 +251,7 @@ def test_certify_is_functorial(triples, data):
         for cert in (c1, c2, c12):
             assert cert.restricted.source.gram == vp.gram
             assert cert.characters == characters(
-                cert.restricted, vperp_datum(vp), DiscriminantData(vp))
+                cert.restricted, DiscriminantData(vp))
 
 
 def test_complement_is_built_once_per_triple(monkeypatch):
@@ -307,8 +306,8 @@ _TOKENS = st.one_of(_BASE_TOKENS, _BASE_TOKENS.map(inverse))
 
 def _stepwise_token(token, model):
     if token.kind == "surface_lift":
-        return h2_lift(model, Isometry(model.h2_lattice, model.h2_lattice,
-                                       token.params[0]))
+        return Isometry(model.lattice, model.lattice,
+                        h2_lift(token.params[0]))
     if token.kind == "congruence":
         return identity_isometry(model.lattice)
     if token.kind == "inverse":
@@ -388,6 +387,25 @@ def test_eval_checks_the_composite_once(monkeypatch):
     monkeypatch.setattr(Isometry, "__init__", counting_init)
     assert eval_phi_tilde(word) == want
     assert len(made) == 1
+
+
+def test_a_surface_lift_is_checked_once(monkeypatch):
+    """Certifying a one-token surface-lift word builds three isometries: the
+    lift on U^3, the composite and the restriction.  The block lift to the
+    rank-8 lattice is not checked again."""
+    triple = MkTriple(1, 3, 2)
+    h = _random_surface_lift(random.Random(5), triple.model())
+    want = certify(GroupoidWord(triple, (surface_lift(h),)))  # fills caches
+    made = []
+    init = Isometry.__init__
+
+    def counting_init(self, *args):
+        made.append(args[0].rank)
+        init(self, *args)
+
+    monkeypatch.setattr(Isometry, "__init__", counting_init)
+    assert certify(GroupoidWord(triple, (surface_lift(h),))) == want
+    assert sorted(made) == [6, 7, 8]
 
 
 def _sublattices(triple):

@@ -187,10 +187,11 @@ def test_orientation_table():
 
 
 def test_hodge_ori_names_a_phi_that_moves_the_symplectic_plane():
-    from mukailat.isometries import IsometryError, reflection
+    from mukailat.isometries import Isometry, IsometryError, reflection
     model = MukaiModel(2)
     # the reflection in (1, 1, 1, 0, 0, 0) sends e2+f2 to (-1, -1, 0, 1, 0, 0)
-    phi = h2_lift(model, reflection(model.h2_lattice, (1, 1, 1, 0, 0, 0)))
+    h = reflection(model.h2_lattice, (1, 1, 1, 0, 0, 0))
+    phi = Isometry(model.lattice, model.lattice, h2_lift(h.matrix))
     with pytest.raises(IsometryError, match="symplectic plane"):
         hodge_ori(model, phi)
 
@@ -201,6 +202,14 @@ def test_hodge_ori_rejects_wrong_lattice():
     model = MukaiModel(2)
     with pytest.raises(IsometryError):
         hodge_ori(model, identity_isometry(hyperbolic_plane()))
+
+
+def test_epsilon_ori_rejects_wrong_lattice():
+    from mukailat.isometries import identity_isometry, IsometryError
+    model = MukaiModel(2)
+    for lat in (model.h2_lattice, v_perp(model, MkTriple(1, 3).v)):
+        with pytest.raises(IsometryError, match="rank-8 lattice"):
+            epsilon_ori(model, identity_isometry(lat))
 
 
 def test_vperp_gram_matches_pairwise_inner_products():

@@ -5,8 +5,8 @@ import json
 
 from mukailat import isometries, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
-                             check_fm_orientation, check_lemsimo,
-                             check_vperp_structure)
+                             check_fm_orientation, check_index_formula,
+                             check_lemsimo, check_vperp_structure)
 
 
 def test_registry_names_are_unique():
@@ -32,6 +32,22 @@ def test_run_suite_subset_and_shape():
         assert c["status"] in ("pass", "fail", "skipped")
     assert report["seed"] == 0
     assert report["config"] == cfg.to_json()
+
+
+def test_index_formula_check_reports_a_mismatch(monkeypatch):
+    """A residue enumeration that disagrees with the prime count is a
+    `fail` with its witness, not an exception."""
+    real = verify.enum_disc_autos
+
+    def drop_one_at_12(k):
+        residues = real(k)
+        return residues[1:] if k == 12 else residues
+
+    monkeypatch.setattr(verify, "enum_disc_autos", drop_one_at_12)
+    assert check_index_formula(VerifyConfig(index_k_max=20)) \
+        == ("fail", {"k": 12, "got": 3, "want": 4})
+    assert check_index_formula(VerifyConfig(index_k_max=11)) \
+        == ("pass", {"k_range": [3, 11]})
 
 
 def test_lemsimo_check_skips_at_bound_zero():
