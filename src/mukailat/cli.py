@@ -15,8 +15,8 @@ from contextlib import contextmanager
 from .intmat import int_matrix, json_object
 from .lattices import IntegerLattice
 from .isometries import Isometry, minus_reflection
-from .discriminant import (DiscriminantData, characters, index_monodromy,
-                           enum_disc_autos, in_W, in_N, NotFound)
+from .discriminant import (DiscriminantData, characters, in_W, in_N, NotFound,
+                           index_monodromy, enum_disc_autos, IndexMismatch)
 from .mukai import shared_model, MkTriple, fm_action, hodge_ori, epsilon_ori, \
     DecisionDegenerate
 from .monodromy import GroupoidWord, certify, complement
@@ -241,13 +241,12 @@ def build_parser():
 
 def main(argv=None):
     """Exit code 2 for malformed input (argparse exits 2 on usage errors
-    itself), 1 for a condition that fails on well-formed input; an
-    OverflowError (a search whose box would leave int64) is such a
-    condition."""
+    itself), 1 for a condition that fails on well-formed input, such as an
+    OverflowError (a search box that would leave int64) or IndexMismatch."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, IndexMismatch) as exc:
         print("error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, BadInput) else 1
 

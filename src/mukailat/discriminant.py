@@ -19,6 +19,10 @@ class ExtensionObstructed(ValueError):
     """The discriminant compatibility equation fails; no extension exists."""
 
 
+class IndexMismatch(RuntimeError):
+    """The residue enumeration disagrees with the 2^(primes of k) count."""
+
+
 class ExtensionInternalError(RuntimeError):
     """The rational extension failed to be integral although the
     compatibility equation held.  Indicates a bug, not an obstruction."""
@@ -336,6 +340,6 @@ def index_monodromy(k, residues=None):
     expected = 2 ** count_distinct_primes(k)
     actual = len(residues)
     if expected != actual:
-        raise RuntimeError("index formula mismatch at k=%d: %d vs %d"
-                           % (k, expected, actual))
+        raise IndexMismatch("index formula mismatch at k=%d: %d vs %d"
+                            % (k, expected, actual))
     return expected

@@ -12,6 +12,7 @@ Every search is bounded and reports honest exhaustion.
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 from math import gcd
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from . import intmat, kernels
 # solve_rational has no caller here; perfbench's tracer test asserts this
 # binding, so it stays until that test stops naming the search layers
-from .intmat import mat, mat_vec, mat_mul, transpose, solve_rational
+from .intmat import mat, mat_vec, mat_mul, dot, transpose, solve_rational
 from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, ori_char, identity_isometry,
                          minus_identity)
-from .discriminant import (NotFound, ExtensionObstructed, glue,
+from .discriminant import (NotFound, ExtensionObstructed, glue, DiscMap,
                            extend_isometry, disc_map, identity_disc_map)
 from .mukai import H2_GRAM
 
@@ -114,12 +115,24 @@ def build_targets(problem):
 
 @dataclass
 class Split:
-    """A hyperbolic plane split off a rank-4 lattice: change of basis to
-    (u, u', w1, w2) with u, u' the standard isotropic pair."""
-    block: IntegerLattice     # gram U + gram(W)
-    from_block: Isometry      # block -> lattice, columns u, u', w1, w2
-    to_block: Isometry        # lattice -> block
-    w_gram: tuple             # gram(W)
+    """A hyperbolic plane <u, u'> = U split off a rank-4 lattice, `basis`
+    the rows u, u', w1, w2.  The block (gram U + w_gram) and the changes of
+    basis to and from it are built on first access."""
+    lattice: IntegerLattice
+    basis: tuple
+    w_gram: tuple
+
+    @cached_property
+    def block(self):
+        return IntegerLattice(_block_diag(U_GRAM, self.w_gram), label="U+W")
+
+    @cached_property
+    def from_block(self):
+        return Isometry(self.block, self.lattice, transpose(self.basis))
+
+    @cached_property
+    def to_block(self):
+        return self.from_block.inverse()
 
     def pull_back(self, base):
         """The isometry of the lattice that acts as `base` on the block."""
@@ -169,9 +182,7 @@ def iter_splits(K, bound):
         if gw in seen:
             continue
         seen.add(gw)
-        block = IntegerLattice(_block_diag(U_GRAM, gw), label="U+W")
-        from_block = Isometry(block, K, transpose((u, uprime) + wbasis))
-        yield Split(block, from_block, from_block.inverse(), gw)
+        yield Split(K, (u, uprime) + wbasis, gw)
 
 
 def split_off_U(K, bound):
@@ -183,7 +194,6 @@ def split_off_U(K, bound):
 
 def _solve_unit_pairing(pair):
     """Integer x with sum(pair[i] * x[i]) == 1, via iterated extended gcd."""
-    x = [0] * len(pair)
     g = 0
     gx = [0] * len(pair)
     for i, c in enumerate(pair):
@@ -192,14 +202,11 @@ def _solve_unit_pairing(pair):
             continue
         if g == 0:
             g = abs(c)
-            gx = [0] * len(pair)
             gx[i] = 1 if c > 0 else -1
             continue
-        a, b, gg = _xgcd(g, abs(c))
-        new = [a * t for t in gx]
-        new[i] += b * (1 if c > 0 else -1)
-        gx = new
-        g = gg
+        a, b, g = _xgcd(g, abs(c))
+        gx = [a * t for t in gx]
+        gx[i] += b * (1 if c > 0 else -1)
         if g == 1:
             break
     if g != 1:
@@ -330,45 +337,43 @@ def find_companion(phi, glue1, glue2, bound):
 
     # reflections in larger boxes are slow, so escalate the radius only
     # when the cheaper generator sets fail to reach the target
-    h = None
     for radius in sorted({min(bound, 3), min(bound, 6), bound}):
         gens = _disc_generators(glue2.comp, split2, d_k2, radius)
         h = _bfs_disc(have, want, gens, d_k2)
         if h is not None:
-            break
-    if h is None:
-        raise NotFound(bound, stage="companion")
-    return h.compose(psi0), splits2
+            return h.compose(psi0), splits2
+    raise NotFound(bound, stage="companion")
 
 
 def _disc_generators(K, split, data, bound):
     """Isometries of K whose discriminant images seed the subgroup search:
     minus the identity, automorphisms of the rank-2 block, and the integral
-    reflections in coordinate-box vectors (square 2, then square -2, then the
-    rest).  Maps acting on the split-off plane alone are left out: that plane
-    is unimodular, so they act as the identity on A_K.  Yields (disc image,
-    witness) the first time each image appears, each candidate built when it
-    is reached."""
-    def candidates():
-        yield minus_identity(K)
-        for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
-            yield split.pull_back(Isometry(
-                split.block, split.block, _block_diag(intmat.identity(2), pm)))
-        yield from _integral_reflections(K, bound)
-
+    reflections in coordinate-box vectors (square 2, then -2, then the rest).
+    Maps acting on the split-off plane alone are left out: that plane is
+    unimodular, so they act as the identity on A_K.  Yields (disc image,
+    witness) the first time each image appears; a reflection's image is read
+    off its vector, and its Isometry is built only when the image is new."""
     seen = set()
-    for iso in candidates():
+    autos = (split.pull_back(Isometry(
+        split.block, split.block, _block_diag(intmat.identity(2), pm)))
+        for pm in _gram2_maps(split.w_gram, split.w_gram, bound))
+    for iso in itertools.chain((minus_identity(K),), autos):
         d = disc_map(iso, data, data)
         if d.images not in seen:
             seen.add(d.images)
             yield d, iso
+    for u, gu, sq in _integral_reflections(K, bound):
+        d = _reflection_image(data, u, gu, sq)
+        if d.images not in seen:
+            seen.add(d.images)
+            yield d, Isometry(K, K, transpose(tuple(
+                _reflect(e, u, gu, sq) for e in intmat.identity(K.rank))))
 
 
 def _integral_reflections(K, radius):
-    """Reflections in box vectors of any nonzero square that happen to be
-    integral on K (the square divides twice every pairing value).  Square 2
-    comes first, then square -2, then every other square, each in
-    lexicographic box order; each reflection is built when it is reached."""
+    """(u, G u, u.u) for the box vectors u of nonzero square whose reflection
+    is integral on K (u.u divides 2 G u).  Square 2 comes first, then square
+    -2, then every other square, each in lexicographic box order."""
     vecs, sqs = kernels.box_squares(K.gram, radius)
     n = K.rank
     # narrow an index array one gram column at a time: no second full-box
@@ -380,13 +385,20 @@ def _integral_reflections(K, radius):
     hit = sqs[idx]
     idx = np.concatenate((idx[hit == 2], idx[hit == -2], idx[abs(hit) != 2]))
     for u, sq in zip(vecs[idx].tolist(), sqs[idx].tolist()):
-        gu = mat_vec(K.gram, u)
-        cols = []
-        for j in range(n):
-            coef = 2 * gu[j] // sq
-            cols.append(tuple((1 if i == j else 0) - coef * u[i]
-                              for i in range(n)))
-        yield Isometry(K, K, transpose(cols))
+        yield tuple(u), mat_vec(K.gram, u), sq
+
+
+def _reflect(x, u, gu, sq):
+    """x - (2 x.Gu / u.u) u: the reflection in u of x, in K or in its dual."""
+    c = 2 * dot(x, gu) // sq
+    return tuple(xi - c * ui for xi, ui in zip(x, u))
+
+
+def _reflection_image(data, u, gu, sq):
+    """disc_map of the reflection in u, read off (u, G u, u.u)."""
+    return DiscMap(data, data, tuple(
+        data.class_of(_reflect(y, u, gu, sq), d)
+        for y, d in zip(data.generators, data.invariants)))
 
 
 def _bfs_disc(have, want, gens, data):
@@ -394,8 +406,8 @@ def _bfs_disc(have, want, gens, data):
     generated by the witnesses of the (disc image, witness) iterator gens,
     the first of them minus the identity; returns an isometry h with
     disc(h) have == want, or None.  The generators are read into one list as
-    the first node reaches them, and every later node rereads that list, so
-    a target found at depth one builds no generator after its witness."""
+    the first node reaches them and reread by every later node.  Nodes carry
+    generator-index paths: the witness is composed once, along the path."""
     ident = identity_disc_map(data)
     listed = []
 
@@ -405,20 +417,20 @@ def _bfs_disc(have, want, gens, data):
             listed.append(gen)
             yield gen
 
-    frontier = [(ident, identity_isometry(data.lattice))]
+    frontier = [(ident, ())]
     seen = {ident.images}
     while frontier:
         nxt = []
-        for d, wit in frontier:
-            for gd, giso in generators():
+        for d, path in frontier:
+            for i, (gd, _) in enumerate(generators()):
                 nd = gd.compose(d)
                 if nd.images in seen:
                     continue
-                nwit = giso.compose(wit)
                 if nd.compose(have) == want:
-                    return nwit
+                    return reduce(lambda wit, j: listed[j][1].compose(wit),
+                                  path + (i,), identity_isometry(data.lattice))
                 seen.add(nd.images)
-                nxt.append((nd, nwit))
+                nxt.append((nd, path + (i,)))
         frontier = nxt
     return None
 

@@ -66,6 +66,26 @@ def test_index_enumerates_the_residues_once(capsys, monkeypatch):
     assert calls == [30]
 
 
+def test_index_mismatch_exits_1_with_one_line(capsys, monkeypatch):
+    """A residue enumeration that disagrees with the prime count ends
+    `index` and `info` with exit 1 and one error line, not a traceback."""
+    import mukailat.cli
+    import mukailat.discriminant
+    real = mukailat.discriminant.enum_disc_autos
+
+    def drop_one_at_12(k):
+        residues = real(k)
+        return residues[1:] if k == 12 else residues
+
+    monkeypatch.setattr(mukailat.cli, "enum_disc_autos", drop_one_at_12)
+    monkeypatch.setattr(mukailat.discriminant, "enum_disc_autos",
+                        drop_one_at_12)
+    for command in ("index", "info"):
+        code, out, err = run_cli(capsys, command, "--k", "12")
+        assert (code, out) == (1, "")
+        assert err == "error: index formula mismatch at k=12: 4 vs 3\n"
+
+
 def test_disc_group(tmp_path, capsys):
     lat = direct_sum(hyperbolic_sum(3), rank_one(-6))
     path = tmp_path / "lat.json"

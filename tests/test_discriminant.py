@@ -187,7 +187,14 @@ def test_integer_layer_matches_fraction_lifts(gram, data):
     num = tuple(int(x * disc.exponent) for x in y)
     assert disc.class_of(num, disc.exponent) == ref.class_of(y)
     # induced maps of words in -1 and integral reflections
-    gens = [minus_identity(lat)] + list(_integral_reflections(lat, 1))
+    # each reflection built from the (u, G u, u.u) that is yielded: column
+    # j is e_j - (2 gu_j / sq) u
+    n = lat.rank
+    gens = [minus_identity(lat)] + [
+        Isometry(lat, lat, transpose([
+            tuple(int(i == j) - 2 * gu[j] // sq * u[i] for i in range(n))
+            for j in range(n)]))
+        for u, gu, sq in _integral_reflections(lat, 1)]
     word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
     g = identity_isometry(lat)
     for h in word:

@@ -497,7 +497,8 @@ def _reference_disc_generators(K, split, data, bound):
         base = Isometry(split.block, split.block,
                         lemsimo._block_diag(identity(2), pm))
         cands.append(split.pull_back(base))
-    cands.extend(_integral_reflections(K, bound))
+    cands.extend(_reflection_isometry(K, *r)
+                 for r in _integral_reflections(K, bound))
     seen = {}
     for iso in cands:
         d = disc_map(iso, data, data)
@@ -567,6 +568,15 @@ def test_bound_zero_reports_not_found():
     assert exc.value.stage.startswith("companion")
 
 
+def _reflection_isometry(K, u, gu, sq):
+    """The reflection in u built from (u, G u, u.u) as _integral_reflections
+    yields them: column j is e_j - (2 gu_j / sq) u."""
+    n = len(u)
+    cols = [tuple(int(i == j) - 2 * gu[j] // sq * u[i] for i in range(n))
+            for j in range(n)]
+    return Isometry(K, K, transpose(cols))
+
+
 def _reference_integral_reflections(K, radius):
     """The former pure-Python enumeration of integral reflections, kept as a
     reference for the box-based one."""
@@ -588,6 +598,51 @@ def _reference_integral_reflections(K, radius):
                               for i in range(n)))
         out.append(Isometry(K, K, transpose(cols)))
     return out
+
+
+def _solve_small_k2s(seed):
+    """The distinct K2 complements of the solve-small inputs of a seed."""
+    k2s = {}
+    for k, xi1, xi2 in _solve_small_problems(seed, 120):
+        _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
+        k2 = AMBIENT.orth_complement(phi.target, label="K2")
+        k2s.setdefault(k2.gram, k2)
+    return list(k2s.values())
+
+
+def test_reflection_images_read_off_the_vector_match_disc_map():
+    """For every integral reflection of the seed-1 K2 complements at radius
+    3 and 6, the discriminant image read off (u, G u, u.u) is disc_map of
+    the reflection's matrix; squares other than +-2 are among them."""
+    squares = set()
+    for k2 in _solve_small_k2s(1):
+        data = DiscriminantData(k2)
+        for radius in (3, 6):
+            for u, gu, sq in _integral_reflections(k2, radius):
+                squares.add(sq)
+                iso = _reflection_isometry(k2, u, gu, sq)
+                assert lemsimo._reflection_image(data, u, gu, sq) == \
+                    disc_map(iso, data, data)
+    assert squares - {2, -2}
+
+
+def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
+    """The 120 seed-1 solve-small solves construct at most 4,000 Isometry
+    objects: a reflection's discriminant image is read off its vector, a
+    splitting builds its changes of basis only when they are used, and the
+    search composes one witness along the path it finds (7,621 were built
+    when every candidate and every BFS node had its own Isometry)."""
+    built = []
+    real = Isometry.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(Isometry, "__init__", counting)
+    for k, xi1, xi2 in _solve_small_problems(1, 120):
+        solve(LemsimoProblem(k, xi1, xi2))
+    assert len(built) <= 4000
 
 
 @functools.lru_cache(maxsize=None)
@@ -623,7 +678,10 @@ def test_integral_reflections_match_reference(data, radius):
     gram = data.draw(st.one_of(small_even_grams(),
                                st.sampled_from(_split_blocks())))
     K = IntegerLattice(gram)
-    got = list(_integral_reflections(K, radius))
+    yielded = list(_integral_reflections(K, radius))
+    for u, gu, sq in yielded:
+        assert gu == mat_vec(K.gram, u) and sq == K.norm(u)
+    got = [_reflection_isometry(K, *r) for r in yielded]
     ref = _reference_integral_reflections(K, radius)
     assert sorted(r.matrix for r in got) == sorted(r.matrix for r in ref)
     first = [reflection(K, u) for sq in (2, -2)
