@@ -14,7 +14,7 @@ from .mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing, v_perp,
                     fm_action, hodge_ori, epsilon_ori, DecisionDegenerate)
 from .monodromy import (GroupoidWord, MonodromyCertificate, eval_phi_tilde,
                         complement, psi_restrict, certify, propdual_word,
-                        surface_lift_in_N, istar_similitude, isharp)
+                        surface_lift_in_N)
 from .lemsimo import (LemsimoProblem, LemsimoSolution, build_targets,
                       find_companion, solve, TargetsNotIntegral)
 

@@ -16,8 +16,8 @@ from .intmat import int_matrix, json_object
 from .lattices import IntegerLattice
 from .isometries import Isometry, minus_reflection
 from .discriminant import (DiscriminantData, characters, in_W, in_N, NotFound,
-                           index_monodromy, enum_disc_autos, IndexMismatch)
-from .mukai import shared_model, MkTriple, fm_action, hodge_ori, epsilon_ori, \
+                           index_monodromy, enum_disc_autos)
+from .mukai import MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori, \
     DecisionDegenerate
 from .monodromy import GroupoidWord, certify, complement
 from .lemsimo import LemsimoProblem, solve
@@ -73,7 +73,7 @@ def cmd_info(args):
     with reading():
         triple = MkTriple(args.m, args.k, args.t)
         index = index_monodromy(args.k)
-        vp, data = complement(triple)
+        vp, data = complement(triple.k)
     _dump({
         "m": args.m, "k": args.k, "t": args.t,
         "mukai_vector": triple.v.to_json(),
@@ -117,14 +117,14 @@ def cmd_reflect(args):
 
 def cmd_fm(args):
     with reading():
-        model = shared_model(args.t)
+        model = MukaiModel(args.t)
         if (args.kind == "tensor") != (args.c is not None):
             raise BadInput("--c is required for tensor and only for tensor")
         c = None if args.c is None else _ints(args.c, 6)
-    phi = fm_action(model, args.kind, c)
+    phi = fm_action(args.kind, c)
     out = {"kind": args.kind,
            "matrix": [list(r) for r in phi.matrix],
-           "epsilon_ori": epsilon_ori(model, phi)}
+           "epsilon_ori": epsilon_ori(phi)}
     try:
         out["hodge_ori"] = hodge_ori(model, phi)
     except DecisionDegenerate:
@@ -242,11 +242,14 @@ def build_parser():
 def main(argv=None):
     """Exit code 2 for malformed input (argparse exits 2 on usage errors
     itself), 1 for a condition that fails on well-formed input, such as an
-    OverflowError (a search box that would leave int64) or IndexMismatch."""
+    OverflowError (a search box that would leave int64), and 1 for a
+    RuntimeError: an internal invariant that failed (IndexMismatch,
+    ExtensionInternalError, a wrong `solve` answer)."""
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (KeyError, TypeError, ValueError, OverflowError, IndexMismatch) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError,
+            RuntimeError) as exc:
         print("error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, BadInput) else 1
 

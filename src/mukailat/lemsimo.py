@@ -26,7 +26,7 @@ from .isometries import (Isometry, ori_char, identity_isometry,
                          minus_identity)
 from .discriminant import (NotFound, ExtensionObstructed, glue, DiscMap,
                            extend_isometry, disc_map, identity_disc_map)
-from .mukai import H2_GRAM
+from .mukai import U3 as AMBIENT
 
 
 class TargetsNotIntegral(ValueError):
@@ -35,7 +35,6 @@ class TargetsNotIntegral(ValueError):
     vectors have denominators.  The construction does not apply."""
 
 
-AMBIENT = IntegerLattice(H2_GRAM, label="U^3")
 F_VEC = (0, 1, 0, 0, 0, 0)
 
 

@@ -1,11 +1,13 @@
 """Words of elementary equivalences and their lattice-level certification.
 
 A word is an ordered list of tokens, each with a concrete image on the
-rank-8 lattice.  Evaluation composes the images in path order, the result is
-restricted to the orthogonal complement of the distinguished Mukai vector
-with a sign twist by the orientation character, and the membership of the
-restriction in the index-2 monodromy subgroup is certified from its
-determinant, orientation, and discriminant characters.
+rank-8 lattice `MUKAI`.  Evaluation composes the images in path order, the
+result is restricted to the orthogonal complement of the distinguished Mukai
+vector with a sign twist by the orientation character, and the membership of
+the restriction in the index-2 monodromy subgroup is certified from its
+determinant, orientation, and discriminant characters.  The complement of
+v = m*w is that of w = (1, 0, -k), so it and its discriminant group are
+built once per k and serve every m and t.
 """
 
 from dataclasses import dataclass, field
@@ -13,17 +15,17 @@ from functools import lru_cache
 
 from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
                      int_vector, json_object)
-from .isometries import Isometry, IsometryError, ori_char
+from .isometries import Isometry, ori_char
 from .discriminant import DiscriminantData, characters, in_N
-from .mukai import MkTriple, MUKAI_GRAM, fm_action, v_perp, epsilon_ori, \
-    h2_lift
+from .mukai import (MkTriple, MukaiVector, MUKAI, MUKAI_GRAM, U3, fm_action,
+                    v_perp, epsilon_ori, h2_lift)
 
 
 class WordError(ValueError):
     pass
 
 
-# triples whose complement data is kept for reuse
+# values of k whose complement data is kept for reuse
 COMPLEMENT_CACHE_SIZE = 64
 NULLARY_KINDS = ("poincare", "poincare_dual", "elliptic", "congruence")
 
@@ -103,7 +105,7 @@ _GRAM_ENTRIES = tuple(next((j, x) for j, x in enumerate(row) if x)
                       for row in MUKAI_GRAM)
 
 
-def _token_matrix(token, model):
+def _token_matrix(token):
     """Integer matrix of a token's action on the rank-8 lattice.  FM actions
     are the shared checked isometries and a surface lift is checked once, as
     an isometry of U^3: its block lift is then an isometry of the rank-8
@@ -112,7 +114,7 @@ def _token_matrix(token, model):
     token is G * M^T * G; G is a signed permutation, so its entry (i, j) is
     G[i][p(i)] * G[j][p(j)] * M[p(j)][p(i)]."""
     if token.kind == "surface_lift":
-        h = Isometry(model.h2_lattice, model.h2_lattice, token.params[0])
+        h = Isometry(U3, U3, token.params[0])
         if h.det() != 1:
             raise WordError("surface lift must have determinant 1")
         if ori_char(h) != 0:
@@ -121,10 +123,10 @@ def _token_matrix(token, model):
     if token.kind == "congruence":
         return identity(8)
     if token.kind == "inverse":
-        m = _token_matrix(token.params[0], model)
+        m = _token_matrix(token.params[0])
         return tuple(tuple(si * sj * m[pj][pi] for pj, sj in _GRAM_ENTRIES)
                      for pi, si in _GRAM_ENTRIES)
-    return fm_action(model, token.kind, *token.params).matrix
+    return fm_action(token.kind, *token.params).matrix
 
 
 @dataclass(frozen=True)
@@ -148,19 +150,19 @@ def eval_phi_tilde(word):
     """Composite rank-8 isometry of a word (tokens applied in path order):
     the product of the token matrices, accumulated in path order with each
     token matrix on the left of the running product, and checked once."""
-    model = word.triple.model()
-    mats = [_token_matrix(tok, model) for tok in word.tokens]
+    mats = [_token_matrix(tok) for tok in word.tokens]
     m = mats[0] if mats else identity(8)
     for t in mats[1:]:
         m = mat_mul(t, m)
-    return Isometry(model.lattice, model.lattice, m)
+    return Isometry(MUKAI, MUKAI, m)
 
 
 @lru_cache(maxsize=COMPLEMENT_CACHE_SIZE)
-def complement(triple):
-    """(v_perp, its discriminant group) of a triple, built once per triple
-    and shared by its certificates."""
-    vp = v_perp(triple.model(), triple.v)
+def complement(k):
+    """(v_perp, its discriminant group) of w = (1, 0, -k), built once per k
+    and shared by the certificates of every triple (m, k, t): the
+    complement of m*w is that of w, in the same canonical basis."""
+    vp = v_perp(MukaiVector(1, (0,) * 6, -k))
     return vp, DiscriminantData(vp)
 
 
@@ -187,8 +189,8 @@ def psi_restrict(g, triple):
     v8 = triple.v.vec8()
     if g.apply(v8) != v8:
         raise WordError("isometry does not fix the Mukai vector")
-    ori = epsilon_ori(triple.model(), g)
-    return ori, restrict(g, complement(triple)[0], -1 if ori else 1)
+    ori = epsilon_ori(g)
+    return ori, restrict(g, complement(triple.k)[0], -1 if ori else 1)
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def certify(word):
     in the index-2 monodromy subgroup."""
     comp = eval_phi_tilde(word)
     ori, restr = psi_restrict(comp, word.triple)
-    chars = characters(restr, complement(word.triple)[1])
+    chars = characters(restr, complement(word.triple.k)[1])
     return MonodromyCertificate(word, comp, ori, restr, chars, in_N(chars))
 
 
@@ -244,20 +246,5 @@ def minus_dual_restricted(triple):
     """Exact matrix of minus-the-dual-action on the canonical complement
     basis (the reflection composite in the square -2 vectors (1,0,1) and
     (1,0,-1), restricted)."""
-    lat = triple.model().lattice
-    return restrict(Isometry(lat, lat, MINUS_DUAL), complement(triple)[0])
-
-
-def istar_similitude(x, m):
-    """Multiplication by m in the shared canonical basis; scales the pairing
-    by m^2."""
-    return tuple(m * c for c in x)
-
-
-def isharp(g, target_lattice=None):
-    """Transport along the similitude: trivial on matrices in the shared
-    canonical basis."""
-    tgt = target_lattice or g.source
-    if tgt.gram != g.source.gram:
-        raise IsometryError("complement lattices do not share a basis")
-    return Isometry(tgt, tgt, g.matrix)
+    return restrict(Isometry(MUKAI, MUKAI, MINUS_DUAL),
+                    complement(triple.k)[0])

@@ -5,6 +5,8 @@ Coordinates: index 0 is the degree-0 part, indices 1..6 the degree-2 part
 designated Neron-Severi block), index 7 the degree-4 part.  The pairing of
 (r1, x1, a1) and (r2, x2, a2) is x1.x2 - r1*a2 - r2*a1.
 
+The lattice is one module-level `MUKAI`, and its degree-2 block one `U3`:
+neither depends on the multiplicity m or on the polarization parameter t.
 Carries the cohomological actions of the standard derived equivalences
 (tensoring by a line bundle, the Poincare bundle and its dual variant, the
 dual functor, and an elliptic-fibration transform) plus two independent
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import mat, mat_vec, dot, transpose, identity, json_object
+from .intmat import mat, transpose, identity, json_object
 from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, ori_char
 
@@ -44,10 +46,10 @@ def _mukai_gram():
 
 H2_GRAM = _h2_gram()
 MUKAI_GRAM = _mukai_gram()
-
-
-def h2_inner(x, y):
-    return dot(x, mat_vec(H2_GRAM, y))
+# the one rank-8 lattice and the one U^3 of the process, so each Smith form,
+# orthogonal basis and positive frame is computed once
+MUKAI = IntegerLattice(MUKAI_GRAM, label="mukai")
+U3 = IntegerLattice(H2_GRAM, label="U^3")
 
 
 @dataclass(frozen=True)
@@ -81,30 +83,26 @@ class MukaiVector:
 
 
 def mukai_pairing(x, y):
-    return h2_inner(x.xi, y.xi) - x.r * y.a - y.r * x.a
+    return U3.inner(x.xi, y.xi) - x.r * y.a - y.r * x.a
 
 
 class MukaiModel:
-    """Fixed rational model of the weight-2 structure on the rank-8 lattice.
+    """Fixed rational model of the weight-2 structure on `MUKAI`.
 
     omega = e + t*f is the reference polarization (t >= 2) and the positive
-    plane (e2+f2, e3+f3) models the symplectic-form directions.  The
-    orientation character reads the positive frame of `lattice` itself.
+    plane (e2+f2, e3+f3) models the symplectic-form directions.  The model
+    holds only t and omega, which the cone test of `hodge_ori` and the
+    effectivity of Mukai vectors read; the lattice does not depend on t.
     """
 
     def __init__(self, t=2):
         if t < 2:
             raise ValueError("polarization parameter t must be >= 2")
         self.t = t
-        self.lattice = IntegerLattice(MUKAI_GRAM, label="mukai")
-        self.h2_lattice = IntegerLattice(H2_GRAM, label="h2")
         self.omega = (1, t, 0, 0, 0, 0)
 
-    def is_ns(self, c):
-        return all(x == 0 for x in c[2:])
-
     def strictly_effective(self, xi):
-        return any(xi) and h2_inner(xi, self.omega) > 0
+        return any(xi) and U3.inner(xi, self.omega) > 0
 
     def is_valid_mukai_vector(self, v):
         if v.r < 0:
@@ -114,16 +112,12 @@ class MukaiModel:
         return self.strictly_effective(v.xi) or (not any(v.xi) and v.a > 0)
 
 
-# polarization parameters whose model is kept for reuse; shared_model(t) is
-# the one MukaiModel(t) of the process, so actions cached per model are reused
-MODEL_CACHE_SIZE = 8
-shared_model = lru_cache(maxsize=MODEL_CACHE_SIZE)(MukaiModel)
-
-
 @dataclass(frozen=True)
 class MkTriple:
     """Multiplicity m >= 1, a primitive square-2k vector with k > 2 and the
-    polarization parameter t >= 2 of its model."""
+    polarization parameter t >= 2 of its model.  The complement of v = m*w
+    is that of w, so it reads k alone; t only enters `propdual_word`'s
+    class."""
     m: int
     k: int
     t: int = 2
@@ -135,10 +129,6 @@ class MkTriple:
             raise ValueError("k must be > 2")
         if self.t < 2:
             raise ValueError("polarization parameter t must be >= 2")
-
-    def model(self):
-        """The model for this triple's t, shared by every triple with that t."""
-        return shared_model(self.t)
 
     @property
     def w(self):
@@ -161,7 +151,7 @@ class MkTriple:
         return cls(*vals)
 
 
-def v_perp(model, v):
+def v_perp(v):
     """Orthogonal complement of v = m*(1,0,-k) with m, k >= 1, embedded in
     the rank-8 lattice in the canonical basis e, f, e2, f2, e3, f3,
     (1,0,...,0,k); ValueError for any other vector."""
@@ -170,35 +160,35 @@ def v_perp(model, v):
                          % (v.vec8(),))
     k = -v.a // v.r
     basis = identity(8)[1:7] + ((1, 0, 0, 0, 0, 0, 0, k),)
-    return model.lattice.sublattice(basis, label="v_perp")
+    return MUKAI.sublattice(basis, label="v_perp")
 
 
-# (model, kind, class) keys whose checked action is kept for reuse
+# (kind, class) keys whose checked action is kept for reuse
 FM_ACTION_CACHE_SIZE = 128
 
 
-def fm_action(model, kind, c=None):
+def fm_action(kind, c=None):
     """Cohomological action of an elementary derived equivalence, as an
-    isometry of the rank-8 lattice.  The action is built and checked once
-    per (model, kind, c) and shared: callers must not mutate it."""
-    return _fm_action(model, kind, None if c is None else tuple(c))
+    isometry of `MUKAI`.  The action is built and checked once per
+    (kind, c) and shared: callers must not mutate it."""
+    return _fm_action(kind, None if c is None else tuple(c))
 
 
 @lru_cache(maxsize=FM_ACTION_CACHE_SIZE)
-def _fm_action(model, kind, c):
+def _fm_action(kind, c):
     n = 8
     cols = []
     if kind == "tensor":
         if c is None:
             raise ValueError("tensor action needs a class")
-        if len(c) != 6 or not model.is_ns(c):
+        if len(c) != 6 or any(c[2:]):
             raise ValueError("tensor class must lie in the Neron-Severi block")
-        csq = h2_inner(c, c)
+        csq = U3.norm(c)
         for j in range(n):
             e = tuple(int(i == j) for i in range(n))
             r, xi, a = e[0], e[1:7], e[7]
             xi2 = tuple(x + r * ci for x, ci in zip(xi, c))
-            a2 = a + h2_inner(xi, c) + r * (csq // 2)
+            a2 = a + U3.inner(xi, c) + r * (csq // 2)
             cols.append((r,) + xi2 + (a2,))
     elif kind == "poincare":
         for j in range(n):
@@ -226,7 +216,7 @@ def _fm_action(model, kind, c):
                 cols.append(tuple(-int(i == j) for i in range(n)))
     else:
         raise ValueError("unknown action kind: %r" % (kind,))
-    return Isometry(model.lattice, model.lattice, transpose(cols))
+    return Isometry(MUKAI, MUKAI, transpose(cols))
 
 
 def h2_lift(h):
@@ -238,9 +228,8 @@ def h2_lift(h):
             + ((0,) * 7 + (1,),))
 
 
-def epsilon_ori(model, phi):
-    """Orientation character of an isometry of the model's rank-8
-    lattice."""
+def epsilon_ori(phi):
+    """Orientation character of an isometry of the rank-8 lattice."""
     if phi.source.gram != MUKAI_GRAM:
         raise IsometryError("expected an isometry of the rank-8 lattice")
     return ori_char(phi)
@@ -283,7 +272,7 @@ def hodge_ori(model, phi):
         d1 = phi.apply(u1)[1:7]
         cls = tuple(chi * a - chi_om * b - t * (x - y)
                     for a, b, x, y in zip(pu, pe, d0, d1))
-    sq = h2_inner(cls, cls)
+    sq = U3.norm(cls)
     if sq <= 0:
         raise DecisionDegenerate("test class has nonpositive square")
-    return 0 if (r or 1) * h2_inner(cls, model.omega) > 0 else 1
+    return 0 if (r or 1) * U3.inner(cls, model.omega) > 0 else 1

@@ -16,13 +16,13 @@ from .isometries import (Isometry, ori_char, reflection, minus_reflection,
                          identity_isometry, minus_identity)
 from .discriminant import (disc_map, count_distinct_primes, enum_disc_autos,
                            glue, extend_isometry, ExtensionObstructed,
-                           NotFound, characters)
-from .mukai import (shared_model, MkTriple, fm_action, hodge_ori,
-                    epsilon_ori, DecisionDegenerate, MUKAI_GRAM, h2_lift)
+                           NotFound)
+from .mukai import (MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori,
+                    DecisionDegenerate, MUKAI, MUKAI_GRAM, U3, h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
-                        MINUS_DUAL, restrict, istar_similitude, isharp,
-                        tensor_l, poincare, poincare_dual, elliptic,
-                        surface_lift, eval_phi_tilde, complement)
+                        MINUS_DUAL, restrict, tensor_l, poincare,
+                        poincare_dual, elliptic, surface_lift, eval_phi_tilde,
+                        complement)
 from .lemsimo import LemsimoProblem, solve, check_bound, AMBIENT, targets
 
 
@@ -40,7 +40,7 @@ class VerifyConfig:
     similitude_samples: int = 100
 
     def __post_init__(self):
-        shared_model(self.t)  # ValueError unless t >= 2
+        MukaiModel(self.t)  # ValueError unless t >= 2
         check_bound(self.bound)
 
     def to_json(self):
@@ -86,7 +86,7 @@ def check_character_table(cfg):
     per_k = max(1, cfg.char_samples // 8)
     tested = 0
     for k in range(3, 11):
-        lat, data = complement(MkTriple(1, k, cfg.t))
+        lat, data = complement(k)
         for _ in range(per_k):
             u = _sample_pm2_vector(rng, k)
             uu = lat.norm(u)
@@ -104,11 +104,10 @@ def check_character_table(cfg):
 
 
 def check_involution(cfg):
-    model = shared_model(cfg.t)
     s = (1, 0, 0, 0, 0, 0, 0, 1)    # square -2
     s1 = (1, 0, 0, 0, 0, 0, 0, -1)  # square +2
-    rs = reflection(model.lattice, s)
-    rs1 = reflection(model.lattice, s1)
+    rs = reflection(MUKAI, s)
+    rs1 = reflection(MUKAI, s1)
     comp = rs.compose(rs1)
     if comp.matrix != MINUS_DUAL:
         return "fail", {"reason": "matrix", "got": comp.matrix}
@@ -140,20 +139,19 @@ def _sample_hodge_pm2_h2(rng):
         return (x1, x2, x3, -x3, x5, -x5)
 
 
-def _random_surface_lift(rng, model):
+def _random_surface_lift(rng):
     """Product of two signed reflections with matching determinant signs."""
-    h2 = model.h2_lattice
     while True:
         b1 = _sample_hodge_pm2_h2(rng)
         b2 = _sample_hodge_pm2_h2(rng)
-        if h2.norm(b1) != h2.norm(b2):
+        if U3.norm(b1) != U3.norm(b2):
             continue
-        h = minus_reflection(h2, b1).compose(minus_reflection(h2, b2))
+        h = minus_reflection(U3, b1).compose(minus_reflection(U3, b2))
         if h.det() == 1 and ori_char(h) == 0:
             return h.matrix
 
 
-def _random_word_tokens(rng, model, length):
+def _random_word_tokens(rng, length):
     toks = []
     for _ in range(length):
         kind = rng.randint(0, 4)
@@ -167,19 +165,19 @@ def _random_word_tokens(rng, model, length):
         elif kind == 3:
             toks.append(elliptic())
         else:
-            toks.append(surface_lift(_random_surface_lift(rng, model)))
+            toks.append(surface_lift(_random_surface_lift(rng)))
     return tuple(toks)
 
 
 def check_fm_orientation(cfg):
-    model = shared_model(cfg.t)
+    model = MukaiModel(cfg.t)
     table = [("tensor", 0), ("poincare", 0), ("elliptic", 0),
              ("poincare_dual", 1)]
     for kind, want in table:
         c = (1, cfg.t, 0, 0, 0, 0) if kind == "tensor" else None
-        phi = fm_action(model, kind, c)
+        phi = fm_action(kind, c)
         h = hodge_ori(model, phi)
-        e = epsilon_ori(model, phi)
+        e = epsilon_ori(phi)
         if h != want or e != want:
             return "fail", {"kind": kind, "hodge": h, "epsilon": e}
     rng = _rng(cfg, 4)
@@ -191,7 +189,7 @@ def check_fm_orientation(cfg):
         if attempts > 20 * cfg.word_samples:
             return "fail", {"reason": "too many degenerate words",
                             "decided": decided, "skipped": skipped}
-        toks = _random_word_tokens(rng, model, rng.randint(1, 5))
+        toks = _random_word_tokens(rng, rng.randint(1, 5))
         word = GroupoidWord(triple, toks)
         phi = eval_phi_tilde(word)
         try:
@@ -201,15 +199,14 @@ def check_fm_orientation(cfg):
             # those carry no decision, so draw a fresh word
             skipped += 1
             continue
-        if h != epsilon_ori(model, phi):
+        if h != epsilon_ori(phi):
             return "fail", {"word": word.to_json()}
         decided += 1
     return "pass", {"words": decided, "degenerate_skipped": skipped}
 
 
 def check_elliptic(cfg):
-    model = shared_model(cfg.t)
-    ell = fm_action(model, "elliptic")
+    ell = fm_action("elliptic")
     for m in (1, 2, 3):
         for k in (3, 4, 5):
             src = (m, 0, 0, 0, 0, 0, 0, -m * k)
@@ -234,13 +231,11 @@ def check_elliptic(cfg):
 def check_propdual(cfg):
     for (m, k) in ((2, 3), (2, 5), (3, 4)):
         triple = MkTriple(m, k, cfg.t)
-        model = triple.model()
         target = minus_dual_restricted(triple)
         # the same matrix obtained from the actual reflection composite
         s = (1, 0, 0, 0, 0, 0, 0, 1)
         s1 = (1, 0, 0, 0, 0, 0, 0, -1)
-        comp = reflection(model.lattice, s).compose(
-            reflection(model.lattice, s1))
+        comp = reflection(MUKAI, s).compose(reflection(MUKAI, s1))
         if restrict(comp, target.source).matrix != target.matrix:
             return "fail", {"m": m, "k": k, "case": "reflection-vs-dual"}
         for p in (1, 2):
@@ -348,22 +343,21 @@ def sample_admissible_pair(rng, k, coord_bound=6):
         return xi1, xi2
 
 
-def _conjugation_identity(g, xi1, xi2, beta1, beta2, k, model):
+def _conjugation_identity(g, xi1, xi2, beta1, beta2, k):
     """Lift g to the rank-8 lattice and compare conjugated reflection
     composites with the reflections in the images."""
-    lat = model.lattice
-    gt = Isometry(lat, lat, h2_lift(g.matrix))
+    gt = Isometry(MUKAI, MUKAI, h2_lift(g.matrix))
     u1 = (1,) + tuple(xi1) + (k,)
     u2 = (1,) + tuple(xi2) + (k,)
     t1, t2 = ((1,) + t + (k,) for t in targets(beta1, beta2))
     gt_inv = gt.inverse()
     for u, t in ((u1, t1), (u2, t2)):
-        conj = gt.compose(reflection(lat, u)).compose(gt_inv)
-        if conj.matrix != reflection(lat, t).matrix:
+        conj = gt.compose(reflection(MUKAI, u)).compose(gt_inv)
+        if conj.matrix != reflection(MUKAI, t).matrix:
             return False
-    lhs = gt.compose(reflection(lat, u1)).compose(reflection(lat, u2)) \
+    lhs = gt.compose(reflection(MUKAI, u1)).compose(reflection(MUKAI, u2)) \
             .compose(gt_inv)
-    rhs = reflection(lat, t1).compose(reflection(lat, t2))
+    rhs = reflection(MUKAI, t1).compose(reflection(MUKAI, t2))
     return lhs.matrix == rhs.matrix
 
 
@@ -371,7 +365,6 @@ def check_lemsimo(cfg):
     if cfg.bound == 0:
         return "skipped", {"bound": 0}
     rng = _rng(cfg, 8)
-    model = shared_model(cfg.t)
     solved = 0
     for k in (3, 4, 5):
         for _ in range(cfg.lemsimo_samples):
@@ -388,45 +381,46 @@ def check_lemsimo(cfg):
             for xi, want in zip((xi1, xi2), targets(sol.beta1, sol.beta2)):
                 if g.apply(xi) != want:
                     return "fail", {"k": k, "case": "image"}
-            if not _conjugation_identity(g, xi1, xi2, sol.beta1, sol.beta2,
-                                         k, model):
+            if not _conjugation_identity(g, xi1, xi2, sol.beta1, sol.beta2, k):
                 return "fail", {"k": k, "case": "conjugation"}
             solved += 1
     return "pass", {"solved": solved}
 
 
 def check_similitude(cfg):
+    """v = m*w has the complement of w: for each m the canonical basis B of
+    v_perp pairs to 0 with m*w, and it carries the restricted form.  So for
+    u of square +-2 in v_perp, and every m at once, the minus reflection of
+    the rank-8 lattice in B^T u restricts to the minus reflection in u."""
     rng = _rng(cfg, 9)
     k = 3
-    vp, data = complement(MkTriple(1, k, cfg.t))
+    vp = complement(k)[0]
+    basis = vp.embedding.basis
     for m in (2, 3, 5):
-        for _ in range(cfg.similitude_samples):
-            x = tuple(rng.randint(-9, 9) for _ in range(7))
-            y = tuple(rng.randint(-9, 9) for _ in range(7))
-            if vp.inner(istar_similitude(x, m), istar_similitude(y, m)) \
-                    != m * m * vp.inner(x, y):
-                return "fail", {"m": m, "x": x, "y": y}
-    for _ in range(20):
+        v8 = MkTriple(m, k).v.vec8()
+        if any(MUKAI.inner(b, v8) for b in basis):
+            return "fail", {"m": m, "case": "basis"}
+    if intmat.mat_mul(intmat.mat_mul(basis, MUKAI_GRAM),
+                      transpose(basis)) != vp.gram:
+        return "fail", {"case": "gram"}
+    for _ in range(cfg.similitude_samples):
         u = _sample_pm2_vector(rng, k, coord_bound=8)
-        r = minus_reflection(vp, u)
-        r2 = isharp(r, vp)
-        if characters(r, data) != characters(r2, data):
-            return "fail", {"u": u, "case": "isharp-characters"}
+        r8 = minus_reflection(MUKAI, vp.to_ambient(u))
+        if restrict(r8, vp).matrix != minus_reflection(vp, u).matrix:
+            return "fail", {"u": u, "case": "reflection"}
     return "pass", {"pairs": 3 * cfg.similitude_samples}
 
 
 def check_vperp_structure(cfg):
     for k in range(3, 21):
-        for m in (1, 2):
-            vp, data = complement(MkTriple(m, k, cfg.t))
-            if vp.signature() != (3, 4):
-                return "fail", {"k": k, "case": "signature"}
-            if data.invariants != (2 * k,):
-                return "fail", {"k": k, "case": "invariants"}
-            want = Fraction(-1, 2 * k) % 2
-            if data.q((1,)) != want:
-                return "fail", {"k": k, "case": "qbar",
-                                "got": str(data.q((1,)))}
+        vp, data = complement(k)
+        if vp.signature() != (3, 4):
+            return "fail", {"k": k, "case": "signature"}
+        if data.invariants != (2 * k,):
+            return "fail", {"k": k, "case": "invariants"}
+        want = Fraction(-1, 2 * k) % 2
+        if data.q((1,)) != want:
+            return "fail", {"k": k, "case": "qbar", "got": str(data.q((1,)))}
     return "pass", {"k_range": [3, 20]}
 
 

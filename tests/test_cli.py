@@ -86,6 +86,36 @@ def test_index_mismatch_exits_1_with_one_line(capsys, monkeypatch):
         assert err == "error: index formula mismatch at k=12: 4 vs 3\n"
 
 
+LEMSIMO_ARGV = ("lemsimo", "--k", "3", "--xi1", "1,2,0,0,0,0",
+                "--xi2", "0,0,1,2,0,0")
+
+
+def test_extension_internal_error_exits_1_with_one_line(capsys, monkeypatch):
+    """An extension that breaks its own invariant inside `solve` ends
+    `lemsimo` with exit 1 and one error line, not a traceback."""
+    import mukailat.lemsimo
+    from mukailat.discriminant import ExtensionInternalError
+
+    def broken_extension(*args):
+        raise ExtensionInternalError("extension does not restrict to phi")
+
+    monkeypatch.setattr(mukailat.lemsimo, "extend_isometry", broken_extension)
+    code, out, err = run_cli(capsys, *LEMSIMO_ARGV)
+    assert (code, out) == (1, "")
+    assert err == "error: extension does not restrict to phi\n"
+
+
+def test_solve_invariant_error_exits_1_with_one_line(capsys, monkeypatch):
+    """An answer that `solve` itself rejects (here every orientation reads
+    as reversed, so the fixed answer still fails its check) ends `lemsimo`
+    with exit 1 and one error line, not a traceback."""
+    import mukailat.lemsimo
+    monkeypatch.setattr(mukailat.lemsimo, "ori_char", lambda g: 1)
+    code, out, err = run_cli(capsys, *LEMSIMO_ARGV)
+    assert (code, out) == (1, "")
+    assert err == "error: pipeline reversed the orientation\n"
+
+
 def test_disc_group(tmp_path, capsys):
     lat = direct_sum(hyperbolic_sum(3), rank_one(-6))
     path = tmp_path / "lat.json"

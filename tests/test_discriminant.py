@@ -23,7 +23,7 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
 from mukailat.kernels import vectors_with_square
 from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
                               _integral_reflections)
-from mukailat.mukai import MkTriple, v_perp
+from mukailat.mukai import MUKAI, MkTriple, v_perp
 from mukailat.verify import _random_primitive_sublattice, sample_admissible_pair
 
 
@@ -372,9 +372,8 @@ def test_glue_matches_glue_group_reference():
     for m in (1, 2):
         for kk in range(3, 9):
             triple = MkTriple(m, kk)
-            model = triple.model()
-            s = model.lattice.saturate((triple.v.vec8(),))
-            k = v_perp(model, triple.v)
+            s = MUKAI.saturate((triple.v.vec8(),))
+            k = v_perp(triple.v)
             assert glue(s, k).gamma.images == _glue_group_gamma(s, k)
 
 

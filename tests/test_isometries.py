@@ -10,7 +10,7 @@ from mukailat import intmat, isometries
 from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
 from mukailat.lemsimo import AMBIENT
-from mukailat.mukai import MkTriple, MukaiModel, v_perp
+from mukailat.mukai import MUKAI, MkTriple, v_perp
 from mukailat.lattices import (IntegerLattice, Embedding, hyperbolic_plane,
                                hyperbolic_sum, direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
@@ -245,9 +245,8 @@ def _unit_vector_minus_reflection(lat, u):
 def _pm2_lattices():
     """U^3, the rank-7 v-perp of (1, 0, -k) and the rank-8 Mukai lattice,
     each with the indices of a hyperbolic block orthogonal to the rest."""
-    model = MukaiModel(2)
-    return ([(AMBIENT, (0, 1)), (model.lattice, (1, 2))]
-            + [(v_perp(model, MkTriple(1, k).v), (0, 1)) for k in (3, 4, 7)])
+    return ([(AMBIENT, (0, 1)), (MUKAI, (1, 2))]
+            + [(v_perp(MkTriple(1, k).v), (0, 1)) for k in (3, 4, 7)])
 
 
 def _draw_pm2_vector(draw, lat, block):
@@ -290,11 +289,11 @@ _RETIRED_FRAMES = (
     [(AMBIENT, (0, 1),
       [_U3_FRAME] + [((1, t, 0, 0, 0, 0),) + _U3_FRAME[1:]
                      for t in (2, 3, 7)]),
-     (MukaiModel(2).lattice, (1, 2),
+     (MUKAI, (1, 2),
       [((0, 1, t, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 0, 0, 0),
         (0, 0, 0, 0, 0, 1, 1, 0), (1, 0, 0, 0, 0, 0, 0, -1))
        for t in (2, 3, 7)])]
-    + [(v_perp(MukaiModel(2), MkTriple(1, k).v), (0, 1),
+    + [(v_perp(MkTriple(1, k).v), (0, 1),
         [tuple(col + (0,) for col in _U3_FRAME)]) for k in range(3, 9)])
 
 
@@ -338,9 +337,8 @@ def _monomial_lattices():
     """U^3, the rank-8 Mukai lattice and v-perp of (1, 0, -k) for k = 3..8,
     each with a hyperbolic block: every row of their grams has one nonzero
     entry."""
-    model = MukaiModel(2)
-    lats = ([(AMBIENT, (0, 1)), (model.lattice, (1, 2))]
-            + [(v_perp(model, MkTriple(1, k).v), (0, 1)) for k in range(3, 9)])
+    lats = ([(AMBIENT, (0, 1)), (MUKAI, (1, 2))]
+            + [(v_perp(MkTriple(1, k).v), (0, 1)) for k in range(3, 9)])
     assert all(sum(map(bool, row)) == 1 for lat, _ in lats for row in lat.gram)
     return lats
 

@@ -8,21 +8,21 @@ from functools import reduce
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mukailat.mukai import (MukaiModel, MkTriple, v_perp, fm_action,
+from mukailat import mukai
+from mukailat.mukai import (MkTriple, MUKAI, U3, v_perp, fm_action,
                            epsilon_ori, h2_lift)
 from mukailat import monodromy
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
                                 congruence_id, inverse, eval_phi_tilde,
                                 restrict, psi_restrict, certify, propdual_word,
-                                surface_lift_in_N, minus_dual_restricted,
-                                istar_similitude, isharp)
-from mukailat.isometries import (Isometry, IsometryError, det_char,
-                                 ori_char, identity_isometry)
+                                surface_lift_in_N, minus_dual_restricted)
+from mukailat.isometries import (Isometry, IsometryError,
+                                 identity_isometry)
 from mukailat.intmat import identity, mat_mul, transpose
 from mukailat.lattices import LatticeError, hyperbolic_sum
 from mukailat.cli import main
-from mukailat.discriminant import DiscriminantData, disc_map, characters
+from mukailat.discriminant import DiscriminantData, characters
 from mukailat.verify import _random_surface_lift
 
 
@@ -52,12 +52,11 @@ def test_inverse_token_cancels():
 
 
 def test_eval_composes_in_path_order():
-    model = MukaiModel(2)
     t = tensor_l((0, 1, 0, 0, 0, 0))
     word = GroupoidWord(_triple(), (t, poincare()))
     got = eval_phi_tilde(word)
-    want = fm_action(model, "poincare").compose(
-        fm_action(model, "tensor", (0, 1, 0, 0, 0, 0)))
+    want = fm_action("poincare").compose(
+        fm_action("tensor", (0, 1, 0, 0, 0, 0)))
     assert got.matrix == want.matrix
 
 
@@ -99,9 +98,8 @@ def test_restrict_rejects_a_non_integral_result():
 
 
 def test_psi_restrict_requires_fixed_vector():
-    model = MukaiModel(2)
     triple = _triple()
-    phi = fm_action(model, "tensor", (0, 1, 0, 0, 0, 0))
+    phi = fm_action("tensor", (0, 1, 0, 0, 0, 0))
     with pytest.raises(WordError):
         psi_restrict(phi, triple)
 
@@ -140,37 +138,12 @@ def test_propdual_certificate_characters():
 def test_surface_lift_certificate_in_N():
     from mukailat.isometries import minus_reflection
     triple = _triple()
-    h2 = triple.model().h2_lattice
-    h = minus_reflection(h2, (1, 1, 0, 0, 0, 0)).compose(
-        minus_reflection(h2, (0, 0, 1, 1, 0, 0)))
+    h = minus_reflection(U3, (1, 1, 0, 0, 0, 0)).compose(
+        minus_reflection(U3, (0, 0, 1, 1, 0, 0)))
     assert h.det() == 1
     cert = surface_lift_in_N(h.matrix, triple)
     assert cert.ori == 0
     assert cert.in_N
-
-
-def test_istar_scales_pairing():
-    triple = MkTriple(1, 3, 2)
-    model = triple.model()
-    vp = v_perp(model, triple.v)
-    x = (1, -2, 3, 0, 1, 0, 2)
-    y = (0, 1, 1, 1, 0, -1, 0)
-    for m in (2, 3, 5):
-        assert vp.inner(istar_similitude(x, m), istar_similitude(y, m)) \
-            == m * m * vp.inner(x, y)
-
-
-def test_isharp_preserves_character_triple():
-    from mukailat.isometries import minus_reflection
-    triple = MkTriple(1, 3, 2)
-    model = triple.model()
-    vp = v_perp(model, triple.v)
-    data = DiscriminantData(vp)
-    r = minus_reflection(vp, (1, 1, 0, 0, 0, 0, 0))
-    r2 = isharp(r, vp)
-    assert det_char(r) == det_char(r2)
-    assert ori_char(r) == ori_char(r2)
-    assert disc_map(r, data, data).sign() == disc_map(r2, data, data).sign()
 
 
 def _propdual_block(p, t):
@@ -185,14 +158,13 @@ def _seeded_words(seed, count):
     each segment is a surface lift or a propdual block with p in 1..3, so
     every word fixes the Mukai vector."""
     rng = random.Random(seed)
-    model = MukaiModel(2)
     words = []
     for _ in range(count):
         triple = MkTriple(rng.randint(1, 3), rng.randint(3, 8), 2)
         tokens = ()
         for _ in range(rng.randint(1, 4)):
             if rng.random() < 0.5:
-                tokens += (surface_lift(_random_surface_lift(rng, model)),)
+                tokens += (surface_lift(_random_surface_lift(rng)),)
             else:
                 tokens += _propdual_block(rng.randint(1, 3), 2)
         words.append(GroupoidWord(triple, tokens))
@@ -213,8 +185,7 @@ def test_certificates_are_pinned():
     assert digest.hexdigest() == CERTIFICATES_DIGEST
 
 
-_LIFTS = tuple(_random_surface_lift(random.Random(seed), MukaiModel(2))
-               for seed in range(8))
+_LIFTS = tuple(_random_surface_lift(random.Random(seed)) for seed in range(8))
 _TRIPLES = st.builds(MkTriple, st.integers(1, 3), st.integers(3, 8),
                      st.sampled_from((2, 3)))
 
@@ -247,7 +218,7 @@ def test_certify_is_functorial(triples, data):
         assert c12.restricted.matrix == \
             c2.restricted.compose(c1.restricted).matrix
         assert c12.ori == (c1.ori + c2.ori) % 2
-        vp = v_perp(MukaiModel(triple.t), triple.v)
+        vp = v_perp(triple.v)
         for cert in (c1, c2, c12):
             assert cert.restricted.source.gram == vp.gram
             assert cert.characters == characters(
@@ -257,29 +228,72 @@ def test_certify_is_functorial(triples, data):
 def test_complement_is_built_once_per_triple(monkeypatch):
     calls = []
 
-    def counting_v_perp(model, v):
+    def counting_v_perp(v):
         calls.append(v)
-        return v_perp(model, v)
+        return v_perp(v)
 
     monkeypatch.setattr(monodromy, "v_perp", counting_v_perp)
-    triple = MkTriple(4, 13, 5)  # certified by no other test
+    monodromy.complement.cache_clear()
+    triple = MkTriple(4, 13, 5)
     for p in (1, 2):
         assert certify(GroupoidWord(triple, _propdual_block(p, 5))).in_N
     assert len(calls) == 1
 
 
+def test_complement_is_built_once_per_k(monkeypatch):
+    """The complement of v = m*w is that of w: certifying words on every
+    triple (m, k, t) with m in 1..3 and t in {2, 3, 5} builds one v_perp
+    and one cache entry per k."""
+    calls = []
+
+    def counting_v_perp(v):
+        calls.append(v)
+        return v_perp(v)
+
+    monkeypatch.setattr(monodromy, "v_perp", counting_v_perp)
+    monodromy.complement.cache_clear()
+    ks = (3, 4, 7)
+    for k in ks:
+        for m in (1, 2, 3):
+            for t in (2, 3, 5):
+                cert = certify(GroupoidWord(MkTriple(m, k, t),
+                                            _propdual_block(1, t)))
+                assert cert.in_N
+                assert cert.restricted.source is monodromy.complement(k)[0]
+    assert [v.vec8() for v in calls] == [(1, 0, 0, 0, 0, 0, 0, -k)
+                                         for k in ks]
+    assert monodromy.complement.cache_info().currsize == len(ks)
+
+
+def test_fm_action_cache_does_not_grow_with_t():
+    """The same words certified under t = 2, 3 and 5 leave the FM action
+    cache as they leave it under t = 2 alone."""
+    words = [_propdual_block(p, 2) for p in (1, 2, 3)] + \
+        [(surface_lift(m), elliptic(), inverse(elliptic())) for m in _LIFTS]
+    mukai._fm_action.cache_clear()
+    for tokens in words:
+        certify(GroupoidWord(MkTriple(2, 3, 2), tokens))
+    alone = mukai._fm_action.cache_info()
+    for t in (2, 3, 5):
+        for tokens in words:
+            certify(GroupoidWord(MkTriple(2, 3, t), tokens))
+    after = mukai._fm_action.cache_info()
+    assert after.currsize == alone.currsize == 6
+    assert after.misses == alone.misses
+
+
 def test_certify_computes_the_orientation_once(monkeypatch):
     calls = []
 
-    def counting_epsilon_ori(model, phi):
+    def counting_epsilon_ori(phi):
         calls.append(phi)
-        return epsilon_ori(model, phi)
+        return epsilon_ori(phi)
 
     monkeypatch.setattr(monodromy, "epsilon_ori", counting_epsilon_ori)
     triple = _triple()
     cert = certify(GroupoidWord(triple, _propdual_block(1, triple.t)))
     assert len(calls) == 1
-    assert cert.ori == epsilon_ori(triple.model(), cert.composite) == 1
+    assert cert.ori == epsilon_ori(cert.composite) == 1
     # psi_restrict hands back the character it twisted by
     assert psi_restrict(cert.composite, triple) == (cert.ori, cert.restricted)
 
@@ -304,24 +318,22 @@ _BASE_TOKENS = st.one_of(
 _TOKENS = st.one_of(_BASE_TOKENS, _BASE_TOKENS.map(inverse))
 
 
-def _stepwise_token(token, model):
+def _stepwise_token(token):
     if token.kind == "surface_lift":
-        return Isometry(model.lattice, model.lattice,
-                        h2_lift(token.params[0]))
+        return Isometry(MUKAI, MUKAI, h2_lift(token.params[0]))
     if token.kind == "congruence":
-        return identity_isometry(model.lattice)
+        return identity_isometry(MUKAI)
     if token.kind == "inverse":
-        return _stepwise_token(token.params[0], model).inverse()
-    return fm_action(model, token.kind, *token.params)
+        return _stepwise_token(token.params[0]).inverse()
+    return fm_action(token.kind, *token.params)
 
 
 def _stepwise_eval(word):
     """Reference: compose the checked isometry of each token onto the
     identity, one token at a time."""
-    model = word.triple.model()
-    comp = identity_isometry(model.lattice)
+    comp = identity_isometry(MUKAI)
     for tok in word.tokens:
-        comp = _stepwise_token(tok, model).compose(comp)
+        comp = _stepwise_token(tok).compose(comp)
     return comp
 
 
@@ -331,14 +343,13 @@ def test_eval_matches_stepwise_composition(triple, tokens):
     word = GroupoidWord(triple, tuple(tokens))
     got = eval_phi_tilde(word)
     assert got == _stepwise_eval(word)
-    assert got.source is got.target is triple.model().lattice
+    assert got.source is got.target is MUKAI
 
 
 def _reversed_reduce(word):
     """Reference: the composite as one reduce over the token matrices in
     reverse path order, the last token's matrix on the far left."""
-    model = word.triple.model()
-    mats = [monodromy._token_matrix(tok, model) for tok in word.tokens]
+    mats = [monodromy._token_matrix(tok) for tok in word.tokens]
     return reduce(mat_mul, reversed(mats)) if mats else identity(8)
 
 
@@ -394,7 +405,7 @@ def test_a_surface_lift_is_checked_once(monkeypatch):
     lift on U^3, the composite and the restriction.  The block lift to the
     rank-8 lattice is not checked again."""
     triple = MkTriple(1, 3, 2)
-    h = _random_surface_lift(random.Random(5), triple.model())
+    h = _random_surface_lift(random.Random(5))
     want = certify(GroupoidWord(triple, (surface_lift(h),)))  # fills caches
     made = []
     init = Isometry.__init__
@@ -411,11 +422,10 @@ def test_a_surface_lift_is_checked_once(monkeypatch):
 def _sublattices(triple):
     """The complement of the Mukai vector and the two index-2 sublattices
     of the rank-8 lattice with 2r in place of r and 2e in place of e."""
-    lat = triple.model().lattice
     rows = [tuple(int(i == j) for j in range(8)) for i in range(8)]
-    return (monodromy.complement(triple)[0],
-            lat.span([(2,) + (0,) * 7] + rows[1:]),
-            lat.span(rows[:1] + [(0, 2) + (0,) * 6] + rows[2:]))
+    return (monodromy.complement(triple.k)[0],
+            MUKAI.span([(2,) + (0,) * 7] + rows[1:]),
+            MUKAI.span(rows[:1] + [(0, 2) + (0,) * 6] + rows[2:]))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,7 +9,7 @@ from mukailat.intmat import mat_mul, transpose
 from mukailat.mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing,
                             v_perp, fm_action, h2_lift, hodge_ori,
                             epsilon_ori, DecisionDegenerate, H2_GRAM,
-                            MUKAI_GRAM, h2_inner)
+                            MUKAI_GRAM, MUKAI, U3)
 from mukailat.discriminant import DiscriminantData
 
 
@@ -38,8 +38,10 @@ def test_model_validation():
     with pytest.raises(ValueError):
         MukaiModel(1)
     model = MukaiModel(2)
-    assert model.is_ns((1, 2, 0, 0, 0, 0))
-    assert not model.is_ns((1, 2, 1, 0, 0, 0))
+    # a tensor class lies in the Neron-Severi block
+    assert fm_action("tensor", (1, 2, 0, 0, 0, 0))
+    with pytest.raises(ValueError, match="Neron-Severi"):
+        fm_action("tensor", (1, 2, 1, 0, 0, 0))
     assert model.strictly_effective((0, 1, 0, 0, 0, 0))
     assert model.is_valid_mukai_vector(MukaiVector(0, (0,) * 6, 5))
     assert not model.is_valid_mukai_vector(MukaiVector(-1, (0,) * 6, 0))
@@ -60,9 +62,8 @@ def test_triple_validation():
 
 
 def test_vperp_canonical_basis():
-    model = MukaiModel(2)
     for m, k in ((1, 3), (2, 5)):
-        vp = v_perp(model, MukaiVector(m, (0,) * 6, -m * k))
+        vp = v_perp(MukaiVector(m, (0,) * 6, -m * k))
         assert vp.rank == 7
         assert vp.signature() == (3, 4)
         data = DiscriminantData(vp)
@@ -80,93 +81,88 @@ def test_vperp_canonical_basis():
 def test_vperp_rejects_a_vector_off_the_canonical_line():
     """Only v = m*(1,0,-k) has a complement in the canonical basis; any other
     vector, of positive square or not, is refused."""
-    model = MukaiModel(2)
     for r, xi, a in ((1, (1, 1, 0, 0, 0, 0), -2),  # square 6, not canonical
                      (-1, (0,) * 6, 3),             # -(1,0,-3)
                      (2, (0,) * 6, -3),             # primitive, r = 2
                      (1, (0,) * 6, 0), (1, (0,) * 6, 3),
                      (0, (0,) * 6, 0)):
         with pytest.raises(ValueError, match="m\\*\\(1,0,-k\\)"):
-            v_perp(model, MukaiVector(r, xi, a))
+            v_perp(MukaiVector(r, xi, a))
 
 
 def test_all_actions_preserve_gram():
-    model = MukaiModel(2)
     for kind, c in (("tensor", (1, 2, 0, 0, 0, 0)), ("poincare", None),
                     ("dual", None), ("poincare_dual", None),
                     ("elliptic", None)):
-        g = fm_action(model, kind, c).matrix
+        g = fm_action(kind, c).matrix
         assert mat_mul(mat_mul(transpose(g), MUKAI_GRAM), g) == MUKAI_GRAM
 
 
 def test_tensor_action_cocycle():
-    model = MukaiModel(2)
     c1 = (1, 3, 0, 0, 0, 0)
     c2 = (-2, 1, 0, 0, 0, 0)
     csum = tuple(a + b for a, b in zip(c1, c2))
-    lhs = fm_action(model, "tensor", c1).compose(fm_action(model, "tensor", c2))
-    assert lhs.matrix == fm_action(model, "tensor", csum).matrix
+    lhs = fm_action("tensor", c1).compose(fm_action("tensor", c2))
+    assert lhs.matrix == fm_action("tensor", csum).matrix
 
 
 def test_fm_action_is_built_once_and_shared():
-    model = MukaiModel(2)
-    lat = model.lattice
     for kind, c, same_c in (("tensor", [1, 2, 0, 0, 0, 0], (1, 2, 0, 0, 0, 0)),
                             ("poincare", None, None),
                             ("elliptic", None, None)):
-        phi = fm_action(model, kind, c)
-        assert fm_action(model, kind, same_c) is phi
-        assert fm_action(model, kind, c) is phi
+        phi = fm_action(kind, c)
+        assert fm_action(kind, same_c) is phi
+        assert fm_action(kind, c) is phi
         # the shared action equals a fresh, checked build of the same key
-        fresh = mukai._fm_action.__wrapped__(model, kind, same_c)
+        fresh = mukai._fm_action.__wrapped__(kind, same_c)
         assert fresh is not phi and fresh == phi
         matrix = phi.matrix
         phi.inverse().compose(phi).compose(phi.inverse())
-        assert phi.matrix == matrix and phi.source is lat
-        assert fm_action(model, kind, c) is phi
-    # another model gets its own action on its own lattice
-    other = MukaiModel(2)
-    phi = fm_action(other, "poincare")
-    assert phi is not fm_action(model, "poincare")
-    assert phi.source is other.lattice
-    assert phi.matrix == fm_action(model, "poincare").matrix
+        assert phi.matrix == matrix and phi.source is MUKAI
+        assert fm_action(kind, c) is phi
+    # the action does not depend on t: a word on a triple of any t reads
+    # the one shared action, and the cache gains no entry for it
+    from mukailat.monodromy import GroupoidWord, eval_phi_tilde, poincare
+    phi = fm_action("poincare")
+    size = mukai._fm_action.cache_info().currsize
+    for t in (2, 3, 5):
+        word = GroupoidWord(MkTriple(1, 3, t), (poincare(),))
+        assert eval_phi_tilde(word) == phi
+        assert fm_action("poincare") is phi
+    assert mukai._fm_action.cache_info().currsize == size
 
 
 def test_tensor_action_on_rank_one():
-    model = MukaiModel(2)
     c = (1, 2, 0, 0, 0, 0)
-    phi = fm_action(model, "tensor", c)
+    phi = fm_action("tensor", c)
     # (1, 0, 0) -> (1, c, c^2/2)
     assert phi.apply((1, 0, 0, 0, 0, 0, 0, 0)) == \
-        (1,) + c + (h2_inner(c, c) // 2,)
+        (1,) + c + (U3.inner(c, c) // 2,)
     # (0, 0, 1) is fixed
     pt = (0, 0, 0, 0, 0, 0, 0, 1)
     assert phi.apply(pt) == pt
 
 
 def test_tensor_rejects_non_ns_class():
-    model = MukaiModel(2)
     with pytest.raises(ValueError):
-        fm_action(model, "tensor", (0, 0, 1, 0, 0, 0))
+        fm_action("tensor", (0, 0, 1, 0, 0, 0))
     with pytest.raises(ValueError):
-        fm_action(model, "tensor", None)
+        fm_action("tensor", None)
 
 
 def test_poincare_and_dual_actions():
-    model = MukaiModel(2)
-    p = fm_action(model, "poincare")
+    p = fm_action("poincare")
     x = (2, 1, -1, 3, 0, 0, 5, 7)
     # (r, xi, a) -> (a, -xi, r)
     assert p.apply(x) == (7, -1, 1, -3, 0, 0, -5, 2)
-    d = fm_action(model, "dual")
+    d = fm_action("dual")
     assert d.apply(x) == (2, -1, 1, -3, 0, 0, -5, 7)
-    pd = fm_action(model, "poincare_dual")
+    pd = fm_action("poincare_dual")
     assert pd.apply(x) == (7, 1, -1, 3, 0, 0, 5, 2)
 
 
 def test_elliptic_action_images():
-    model = MukaiModel(2)
-    ell = fm_action(model, "elliptic")
+    ell = fm_action("elliptic")
     assert ell.apply((1, 0, 0, 0, 0, 0, 0, 0)) == (0, 1, 0, 0, 0, 0, 0, 1)
     assert ell.apply((0, 0, 0, 0, 0, 0, 0, 1)) == (0, 0, -1, 0, 0, 0, 0, 0)
     assert ell.apply((0, 1, 0, 0, 0, 0, 0, 0)) == (-1, 0, -1, 0, 0, 0, 0, 0)
@@ -181,8 +177,8 @@ def test_orientation_table():
             "dual": 1, "poincare_dual": 1}
     for kind, w in want.items():
         c = (1, 2, 0, 0, 0, 0) if kind == "tensor" else None
-        phi = fm_action(model, kind, c)
-        assert epsilon_ori(model, phi) == w
+        phi = fm_action(kind, c)
+        assert epsilon_ori(phi) == w
         assert hodge_ori(model, phi) == w
 
 
@@ -190,8 +186,8 @@ def test_hodge_ori_names_a_phi_that_moves_the_symplectic_plane():
     from mukailat.isometries import Isometry, IsometryError, reflection
     model = MukaiModel(2)
     # the reflection in (1, 1, 1, 0, 0, 0) sends e2+f2 to (-1, -1, 0, 1, 0, 0)
-    h = reflection(model.h2_lattice, (1, 1, 1, 0, 0, 0))
-    phi = Isometry(model.lattice, model.lattice, h2_lift(h.matrix))
+    h = reflection(U3, (1, 1, 1, 0, 0, 0))
+    phi = Isometry(MUKAI, MUKAI, h2_lift(h.matrix))
     with pytest.raises(IsometryError, match="symplectic plane"):
         hodge_ori(model, phi)
 
@@ -206,18 +202,42 @@ def test_hodge_ori_rejects_wrong_lattice():
 
 def test_epsilon_ori_rejects_wrong_lattice():
     from mukailat.isometries import identity_isometry, IsometryError
-    model = MukaiModel(2)
-    for lat in (model.h2_lattice, v_perp(model, MkTriple(1, 3).v)):
+    for lat in (U3, v_perp(MkTriple(1, 3).v)):
         with pytest.raises(IsometryError, match="rank-8 lattice"):
-            epsilon_ori(model, identity_isometry(lat))
+            epsilon_ori(identity_isometry(lat))
 
 
 def test_vperp_gram_matches_pairwise_inner_products():
     """The gram is one product B G B^T; the former r^2 inner products are
     the reference."""
-    model = MukaiModel(3)
     for m, k in ((1, 3), (2, 5), (3, 11)):
-        vp = v_perp(model, MukaiVector(m, (0,) * 6, -m * k))
+        vp = v_perp(MukaiVector(m, (0,) * 6, -m * k))
         basis = vp.embedding.basis
-        assert vp.gram == tuple(tuple(model.lattice.inner(a, b)
+        assert vp.gram == tuple(tuple(MUKAI.inner(a, b)
                                       for b in basis) for a in basis)
+
+
+def test_mukai_orthogonal_basis_is_computed_once(monkeypatch):
+    """One rank-8 lattice per process: once its orthogonal basis is known,
+    the models, actions, certificates and orientation characters of every
+    t read it, and no other rank-8 basis is computed."""
+    from mukailat import intmat
+    from mukailat.monodromy import propdual_word
+    assert epsilon_ori(fm_action("poincare_dual")) == 1
+    assert "orthogonal_basis" in vars(MUKAI)
+    real, calls = intmat.orthogonal_basis, []
+
+    def counting(gram):
+        if gram == MUKAI_GRAM:
+            calls.append(gram)
+        return real(gram)
+
+    monkeypatch.setattr(intmat, "orthogonal_basis", counting)
+    for t in (2, 3, 5):
+        model = MukaiModel(t)
+        cert = propdual_word(MkTriple(2, 3, t))
+        assert cert.composite.source is cert.composite.target is MUKAI
+        assert epsilon_ori(cert.composite) == cert.ori == 1
+        assert hodge_ori(model, fm_action("poincare_dual")) == 1
+    assert MUKAI.signature() == (4, 4)
+    assert calls == []

@@ -6,7 +6,8 @@ import json
 from mukailat import isometries, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
                              check_fm_orientation, check_index_formula,
-                             check_lemsimo, check_vperp_structure)
+                             check_lemsimo, check_similitude,
+                             check_vperp_structure)
 
 
 def test_registry_names_are_unique():
@@ -50,6 +51,19 @@ def test_index_formula_check_reports_a_mismatch(monkeypatch):
         == ("pass", {"k_range": [3, 11]})
 
 
+def test_similitude_check_reports_a_wrong_complement(monkeypatch):
+    """Handed the complement of k = 4 while it tests k = 3, the check is a
+    `fail` naming the first m whose vector the basis does not annihilate,
+    not an exception."""
+    real = verify.complement
+    monkeypatch.setattr(verify, "complement", lambda k: real(4))
+    assert check_similitude(VerifyConfig(similitude_samples=10)) \
+        == ("fail", {"m": 2, "case": "basis"})
+    monkeypatch.setattr(verify, "complement", real)
+    assert check_similitude(VerifyConfig(similitude_samples=10)) \
+        == ("pass", {"pairs": 30})
+
+
 def test_lemsimo_check_skips_at_bound_zero():
     status, witness = check_lemsimo(VerifyConfig(bound=0))
     assert status == "skipped"
@@ -57,8 +71,9 @@ def test_lemsimo_check_skips_at_bound_zero():
 
 
 def test_fm_orientation_passes_reuse_one_model():
-    """Every pass reads the one model per t, so the FM actions built by the
-    first pass serve the later ones and the cache stops growing."""
+    """Every pass reads the one FM action per (kind, class), so the actions
+    built by the first pass serve the later ones and the cache stops
+    growing."""
     mukai._fm_action.cache_clear()
     cfg = VerifyConfig(word_samples=20)
     sizes = []
@@ -119,8 +134,8 @@ def test_benchmark_passes_are_pinned():
 
 
 def test_vperp_structure_reads_the_complement_cache(monkeypatch):
-    """The check reads each triple's complement, so a second run builds no
-    v_perp: the 36 triples fit in the complement cache."""
+    """The check reads the complement of each k, so a second run builds no
+    v_perp: the 18 values of k fit in the complement cache."""
     assert check_vperp_structure(VerifyConfig()) \
         == ("pass", {"k_range": [3, 20]})
 
