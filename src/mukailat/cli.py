@@ -244,15 +244,23 @@ def main(argv=None):
     itself), 1 for a condition that fails on well-formed input, such as an
     OverflowError (a search box that would leave int64), and 1 for a
     RuntimeError: an internal invariant that failed (IndexMismatch,
-    ExtensionInternalError, a wrong `solve` answer)."""
-    args = build_parser().parse_args(argv)
+    ExtensionInternalError, a wrong `solve` answer).  Python's limit on the
+    digits of an int-str conversion is lifted for the call and restored on
+    return, so every integer argument reads and every exact answer prints."""
+    limit = sys.get_int_max_str_digits() \
+        if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (KeyError, TypeError, ValueError, OverflowError,
             RuntimeError) as exc:
         print("error: %s" % " ".join(str(exc).split()), file=sys.stderr)
         return 2 if isinstance(exc, BadInput) else 1
-
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 if __name__ == "__main__":
     sys.exit(main())

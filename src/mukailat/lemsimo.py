@@ -12,7 +12,7 @@ Every search is bounded and reports honest exhaustion.
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, partial, reduce
 from math import gcd
 
 import numpy as np
@@ -99,7 +99,7 @@ def build_targets(problem):
     coordinates of (t1, t2) form a unit minor, so a rational combination of
     the t_i is integral exactly when its coefficients are: the prescribed
     images stay in the lattice exactly when the span of the inputs is
-    primitive."""
+    primitive.  The span of the targets is read from the target side."""
     beta1, beta2 = target_betas(problem.k, problem.l)
     if abs(problem.l) == 2 * problem.k - 2:
         raise LatticeError("span of the inputs is degenerate")
@@ -108,8 +108,56 @@ def build_targets(problem):
         raise TargetsNotIntegral(
             "span of the inputs is not primitive; prescribed images have "
             "denominators")
-    s2 = AMBIENT.sublattice(targets(beta1, beta2), label="S2")
+    s2 = _target_side(problem.k, problem.l, problem.bound).glue2.sub
     return beta1, beta2, Isometry(s1, s2, intmat.identity(2))
+
+
+class _ScanPrefix:
+    """The items that a deterministic scan has yielded so far, and whether
+    it has ended.  It holds no iterator, so a kept prefix pins no box
+    arrays: a reader that runs past `items` restarts the scan and skips
+    them, which continues the same sequence."""
+
+    def __init__(self):
+        self.items = []
+        self.done = False
+
+    def read(self, scan):
+        """The items of scan(): the listed ones, then the rest, appended as
+        they are first reached."""
+        yield from self.items
+        if self.done:
+            return
+        for item in itertools.islice(scan(), len(self.items), None):
+            self.items.append(item)
+            yield item
+        self.done = True
+
+
+class TargetSide:
+    """The target side of the solves on one (k, l, bound): the glue of S2
+    and K2, the splittings of K2 that companion scans have built, and per
+    (splitting index, radius) the discriminant generators that companion
+    searches have built.  Every value in it is finished (see _ScanPrefix)."""
+
+    def __init__(self, glue2):
+        self.glue2 = glue2
+        self.splits = _ScanPrefix()
+        self.generators = {}
+
+
+# (k, l, bound) keys whose target side is kept for reuse; a solve-small pool
+# of 1000 inputs holds 96-97 of them
+TARGET_SIDE_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=TARGET_SIDE_CACHE_SIZE)
+def _target_side(k, l, bound):
+    """The target side of (k, l, bound), built once: the targets
+    t_i = beta_i - f depend on (k, l) alone.  The caller has checked that
+    |l| != 2k - 2, so their span is nondegenerate."""
+    s2 = AMBIENT.sublattice(targets(*target_betas(k, l)), label="S2")
+    return TargetSide(glue(s2, AMBIENT.orth_complement(s2, label="K2")))
 
 
 @dataclass
@@ -288,23 +336,27 @@ def _minus_u_iso(block):
 
 
 def _split_pairs(K1, K2, bound, splits2):
-    """Pairs of splittings of K1 and K2 in (i, j) order, each built when the
-    scan first reaches it.  The first row appends the splittings of K2 to
-    splits2, and every later row rereads that list."""
-    more2 = itertools.islice(iter_splits(K2, bound), MAX_SPLITS)
+    """Pairs of splittings of K1 and K2 in (i, j) order, with the index j,
+    each built when the scan first reaches it.  splits2 is the prefix of
+    the splittings of K2 built so far, by this scan or an earlier one:
+    every row rereads it, and a row that runs past it extends it."""
+    def more2():
+        return itertools.islice(iter_splits(K2, bound), MAX_SPLITS)
+
     for split1 in itertools.islice(iter_splits(K1, bound), MAX_SPLITS):
-        yield from ((split1, split2) for split2 in splits2)
-        for split2 in more2:
-            splits2.append(split2)
-            yield split1, split2
+        for j, split2 in enumerate(splits2.read(more2)):
+            yield split1, j, split2
 
 
 def _companion_base(K1, K2, bound, splits2):
     """Isometry K1 -> K2 through the first pair of splittings whose rank-2
-    complements the box shows isometric, and the splitting of K2 it passes
-    through.  Rank-2 complements of different splittings can be inequivalent
-    even when the full lattices are isometric, so pairs are scanned."""
-    for split1, split2 in _split_pairs(K1, K2, bound, splits2):
+    complements the box shows isometric, and the index in splits2 of the
+    splitting of K2 it passes through.  Rank-2 complements of different
+    splittings can be inequivalent even when the full lattices are
+    isometric, so pairs are scanned."""
+    scanned = False
+    for split1, j, split2 in _split_pairs(K1, K2, bound, splits2):
+        scanned = True
         if split1.w_gram == split2.w_gram:
             pmat = intmat.identity(2)
         else:
@@ -312,35 +364,37 @@ def _companion_base(K1, K2, bound, splits2):
         if pmat is not None:
             break
     else:
-        raise NotFound(bound, stage="companion-w" if splits2 else "split")
+        raise NotFound(bound, stage="companion-w" if scanned else "split")
     mid = Isometry(split1.block, split2.block,
                    _block_diag(intmat.identity(2), pmat))
-    return split2.from_block.compose(mid).compose(split1.to_block), split2
+    return split2.from_block.compose(mid).compose(split1.to_block), j
 
 
-def find_companion(phi, glue1, glue2, bound):
-    """Isometry psi of the complements glue1.comp -> glue2.comp that extends
-    with phi, that is disc(psi) gamma1 == gamma2 disc(phi), and the
-    splittings of glue2.comp that the scan built, in order; bounded search,
-    honest NotFound."""
+def find_companion(phi, glue1, side, bound):
+    """Isometry psi of the complements glue1.comp -> K2 that extends with
+    phi, that is disc(psi) gamma1 == gamma2 disc(phi); bounded search,
+    honest NotFound.  The splittings of K2 and the generator sets come from
+    the target side, and the search extends them."""
     if bound <= 0:
         raise NotFound(bound, stage="companion")
-    splits2 = []
-    psi0, split2 = _companion_base(glue1.comp, glue2.comp, bound, splits2)
+    glue2 = side.glue2
+    psi0, j = _companion_base(glue1.comp, glue2.comp, bound, side.splits)
 
     d_k2 = glue2.disc_comp
     have = disc_map(psi0, glue1.disc_comp, d_k2).compose(glue1.gamma)
     want = glue2.gamma.compose(disc_map(phi, glue1.disc_sub, glue2.disc_sub))
     if have == want:
-        return psi0, splits2
+        return psi0
 
     # reflections in larger boxes are slow, so escalate the radius only
     # when the cheaper generator sets fail to reach the target
     for radius in sorted({min(bound, 3), min(bound, 6), bound}):
-        gens = _disc_generators(glue2.comp, split2, d_k2, radius)
-        h = _bfs_disc(have, want, gens, d_k2)
+        gens = side.generators.setdefault((j, radius), _ScanPrefix())
+        scan = partial(_disc_generators, glue2.comp, side.splits.items[j],
+                       d_k2, radius)
+        h = _bfs_disc(have, want, gens, scan, d_k2)
         if h is not None:
-            return h.compose(psi0), splits2
+            return h.compose(psi0)
     raise NotFound(bound, stage="companion")
 
 
@@ -400,34 +454,28 @@ def _reflection_image(data, u, gu, sq):
         for y, d in zip(data.generators, data.invariants)))
 
 
-def _bfs_disc(have, want, gens, data):
+def _bfs_disc(have, want, gens, scan, data):
     """Breadth-first search in the subgroup of discriminant automorphisms
-    generated by the witnesses of the (disc image, witness) iterator gens,
-    the first of them minus the identity; returns an isometry h with
-    disc(h) have == want, or None.  The generators are read into one list as
-    the first node reaches them and reread by every later node.  Nodes carry
-    generator-index paths: the witness is composed once, along the path."""
+    generated by the witnesses of the (disc image, witness) pairs of
+    scan(), the first of them minus the identity; returns an isometry h
+    with disc(h) have == want, or None.  gens is the prefix of scan()
+    built so far: every node rereads it, and a node that runs past it
+    extends it.  Nodes carry generator-index paths: the witness is
+    composed once, along the path."""
     ident = identity_disc_map(data)
-    listed = []
-
-    def generators():
-        yield from listed
-        for gen in gens:
-            listed.append(gen)
-            yield gen
-
     frontier = [(ident, ())]
     seen = {ident.images}
     while frontier:
         nxt = []
         for d, path in frontier:
-            for i, (gd, _) in enumerate(generators()):
+            for i, (gd, _) in enumerate(gens.read(scan)):
                 nd = gd.compose(d)
                 if nd.images in seen:
                     continue
                 if nd.compose(have) == want:
-                    return reduce(lambda wit, j: listed[j][1].compose(wit),
-                                  path + (i,), identity_isometry(data.lattice))
+                    return reduce(
+                        lambda wit, j: gens.items[j][1].compose(wit),
+                        path + (i,), identity_isometry(data.lattice))
                 seen.add(nd.images)
                 nxt.append((nd, path + (i,)))
         frontier = nxt
@@ -438,17 +486,15 @@ def solve(problem):
     """Run the full pipeline; returns a solution with a stage trace."""
     trace = []
     beta1, beta2, phi = build_targets(problem)
-    s1, s2 = phi.source, phi.target
+    side = _target_side(problem.k, problem.l, problem.bound)
     trace.append({"stage": "targets", "beta1": beta1, "beta2": beta2})
-    k1 = AMBIENT.orth_complement(s1, label="K1")
-    k2 = AMBIENT.orth_complement(s2, label="K2")
-    glue1 = glue(s1, k1)
-    glue2 = glue(s2, k2)
+    glue1 = glue(phi.source, AMBIENT.orth_complement(phi.source, label="K1"))
+    glue2 = side.glue2
     trace.append({"stage": "glue",
                   "disc_S1": glue1.disc_sub.invariants,
                   "disc_K1": glue1.disc_comp.invariants})
     try:
-        psi, splits2 = find_companion(phi, glue1, glue2, problem.bound)
+        psi = find_companion(phi, glue1, side, problem.bound)
     except NotFound as nf:
         raise NotFound(nf.bound, stage="companion:" + nf.stage)
     trace.append({"stage": "companion", "matrix": psi.matrix})
@@ -458,8 +504,9 @@ def solve(problem):
     # the extension is unique, so extend(id, c) extend(phi, psi) is
     # extend(phi, c psi): the swap of the split-off plane has det -1 and keeps
     # the orientation (it fixes u + u'), minus the identity on that plane has
-    # det 1 and reverses it, and neither may act on A_K2
-    split2 = splits2[0]
+    # det 1 and reverses it, and neither may act on A_K2; the changes of
+    # basis of the first splitting of K2 are kept with the target side
+    split2 = side.splits.items[0]
     fixed = psi
     if g.det() == -1:
         fixed = split2.pull_back(_swap_iso(split2.block)).compose(fixed)

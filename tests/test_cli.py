@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import sys
+from contextlib import contextmanager
 
 import pytest
 
 from mukailat.cli import build_parser, main
+from mukailat.intmat import identity, mat_mul
 from mukailat.lattices import hyperbolic_sum, direct_sum, rank_one
 
 
@@ -187,6 +190,42 @@ def test_reflect(tmp_path, capsys):
     # a vector whose length is not the rank of the lattice
     for u in ("1", "1,-1,0,0,0,0,0"):
         assert_bad_input(capsys, "reflect", str(path), "--u", u)
+
+
+@contextmanager
+def digits_unlimited():
+    """Lift the int-str digit limit of this interpreter for the block."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int-str digit limit")
+def test_answers_over_the_digit_limit_print(tmp_path, capsys):
+    """u = (1, 1 - N^2, N, N) on U + U has square 2 and reads under
+    Python's 4,300-digit limit, but its reflection has entries over it;
+    a gram entry of 5,000 digits reads.  The limit is back on return."""
+    limit = sys.get_int_max_str_digits()
+    n = 10 ** 1100 + 7
+    path = tmp_path / "uu.json"
+    path.write_text(json.dumps(hyperbolic_sum(2).to_json()))
+    code, out, _ = run_cli(capsys, "reflect", str(path),
+                           "--u", "1,%d,%d,%d" % (1 - n * n, n, n))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    with digits_unlimited():
+        doc = json.loads(out)
+    assert doc["square"] == 2
+    assert max(abs(x) for row in doc["matrix"] for x in row) > 10 ** 4300
+    assert mat_mul(doc["matrix"], doc["matrix"]) == identity(4)
+    entry = "2" + "0" * 4999
+    path.write_text('{"gram": [[%s]]}' % entry)
+    code, out, _ = run_cli(capsys, "disc-group", str(path))
+    assert code == 0 and sys.get_int_max_str_digits() == limit
+    assert out.startswith('{"invariants": [%s]' % entry)
 
 
 def test_fm(capsys):

@@ -1,5 +1,6 @@
 """End-to-end normal-form pipeline: targets, splittings, companion, solve."""
 
+import collections.abc
 import functools
 import hashlib
 import importlib.util
@@ -11,6 +12,7 @@ import sys
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -365,6 +367,9 @@ def test_solve_of_the_targets_is_the_identity():
 
 
 def test_solve_lists_the_splits_of_k2_once(monkeypatch):
+    """On a cold target side the splittings of K2 are listed once; a
+    second solve on the same (k, l) lists them no more."""
+    lemsimo._target_side.cache_clear()
     labels = []
     real = lemsimo.iter_splits
 
@@ -376,10 +381,17 @@ def test_solve_lists_the_splits_of_k2_once(monkeypatch):
     sol = solve(LemsimoProblem(**FIXTURE))
     assert "det-fix" in [s["stage"] for s in sol.trace]
     assert labels.count("K2") == 1
+    del labels[:]
+    warm = solve(LemsimoProblem(**FIXTURE))
+    assert labels == ["K1"]
+    assert warm.g.matrix == sol.g.matrix and warm.trace == sol.trace
 
 
 def test_solve_builds_one_split_of_each_complement_when_the_first_pair_fits(
         monkeypatch):
+    """One splitting of each complement on a cold target side; a second
+    solve on the same (k, l) builds only the splitting of K1."""
+    lemsimo._target_side.cache_clear()
     built = []
     real = lemsimo.Split
 
@@ -388,8 +400,111 @@ def test_solve_builds_one_split_of_each_complement_when_the_first_pair_fits(
         return real(*fields)
 
     monkeypatch.setattr(lemsimo, "Split", counting)
-    solve(LemsimoProblem(3, (5, 1, 2, -1, 1, -1), (-2, -3, -2, 2, 0, 0)))
+    problem = LemsimoProblem(3, (5, 1, 2, -1, 1, -1), (-2, -3, -2, 2, 0, 0))
+    solve(problem)
     assert len(built) == 2
+    del built[:]
+    solve(problem)
+    assert [fields[0].label for fields in built] == ["K1"]
+
+
+def _target_side_key(k, xi1, xi2, bound=10):
+    return k, AMBIENT.inner(xi1, xi2), bound
+
+
+def test_warm_answers_equal_cold_answers():
+    """The 120 seed-1 solve-small inputs, each solved on a cold target
+    side, then all of them on warm ones, in shuffled order and in order:
+    g, the betas and the trace agree across the three passes."""
+    problems = [LemsimoProblem(*item) for item in _solve_small_problems(1, 120)]
+
+    def answer(problem):
+        sol = solve(problem)
+        return sol.g.matrix, sol.beta1, sol.beta2, sol.trace
+
+    cold = []
+    for problem in problems:
+        lemsimo._target_side.cache_clear()
+        cold.append(answer(problem))
+    order = list(range(len(problems)))
+    random.Random(0).shuffle(order)
+    shuffled = {i: answer(problems[i]) for i in order}
+    assert [shuffled[i] for i in range(len(problems))] == cold
+    misses = lemsimo._target_side.cache_info().misses
+    assert [answer(problem) for problem in problems] == cold
+    assert lemsimo._target_side.cache_info().misses == misses
+    keys = {_target_side_key(p.k, p.xi1, p.xi2) for p in problems}
+    assert len(keys) == 65
+
+
+def test_warm_target_side_reports_the_split_stage(monkeypatch):
+    """K1 without splittings is a NotFound at the split stage, on a cold
+    target side and on a warm one that holds splittings of K2."""
+    problem = LemsimoProblem(**FIXTURE)
+    real = lemsimo.iter_splits
+
+    def none_for_k1(K, bound):
+        return iter(()) if K.label == "K1" else real(K, bound)
+
+    lemsimo._target_side.cache_clear()
+    solve(problem)
+    assert lemsimo._target_side(*_target_side_key(**FIXTURE)).splits.items
+    monkeypatch.setattr(lemsimo, "iter_splits", none_for_k1)
+    for clear in (False, True):
+        if clear:
+            lemsimo._target_side.cache_clear()
+        with pytest.raises(NotFound) as exc:
+            solve(problem)
+        assert exc.value.stage == "companion:split"
+
+
+def test_target_side_cache_holds_finished_values_only():
+    """Every value reachable from a cached target side is finished: no
+    generator, iterator or numpy array pins a scan's state or box.  The
+    cache is bounded by its constant."""
+    info = lemsimo._target_side.cache_info()
+    assert info.maxsize == lemsimo.TARGET_SIDE_CACHE_SIZE == 128
+    lemsimo._target_side.cache_clear()
+    keys = set()
+    for k, xi1, xi2 in _solve_small_problems(1, 120):
+        solve(LemsimoProblem(k, xi1, xi2))
+        keys.add(_target_side_key(k, xi1, xi2))
+    misses = lemsimo._target_side.cache_info().misses
+    sides = [lemsimo._target_side(*key) for key in sorted(keys)]
+    assert lemsimo._target_side.cache_info().misses == misses
+    assert any(side.generators for side in sides)
+    seen = set()
+    stack = list(sides)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        assert not isinstance(obj, (collections.abc.Iterator, np.ndarray))
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            stack.extend(obj)
+        elif hasattr(obj, "__dict__"):
+            stack.extend(vars(obj).values())
+
+
+def test_scan_prefix_continues_the_scan_it_restarts():
+    """A reader that stops early leaves a prefix; the next reader rereads
+    it, restarts the scan past it and lists the same sequence."""
+    prefix = lemsimo._ScanPrefix()
+    starts = []
+
+    def scan():
+        starts.append(1)
+        return iter(range(5))
+
+    assert list(itertools.islice(prefix.read(scan), 2)) == [0, 1]
+    assert prefix.items == [0, 1] and not prefix.done
+    assert list(prefix.read(scan)) == list(range(5))
+    assert prefix.items == list(range(5)) and prefix.done
+    assert list(prefix.read(scan)) == list(range(5)) and len(starts) == 2
 
 
 def test_solve_enumerates_no_discriminant_group(monkeypatch):
@@ -457,16 +572,16 @@ def test_lazy_pair_scan_matches_the_product_scan(monkeypatch):
         i, j, want = _reference_pair_scan(k1, k2, 10)
         matched.add((i, j))
         del built[:]
-        splits2 = []
+        splits2 = lemsimo._ScanPrefix()
         with monkeypatch.context() as m:
             m.setattr(lemsimo, "iter_splits", recording)
-            psi0, split2 = lemsimo._companion_base(k1, k2, 10, splits2)
+            psi0, got_j = lemsimo._companion_base(k1, k2, 10, splits2)
         assert psi0.matrix == want
-        assert splits2.index(split2) == j
+        assert got_j == j
         assert built.count("K1") == i + 1
-        assert built.count("K2") == len(splits2)
+        assert built.count("K2") == len(splits2.items)
         if i == 0:
-            assert len(splits2) == j + 1
+            assert len(splits2.items) == j + 1
     assert {(3, 0), (0, 29)} <= matched
 
 
@@ -538,7 +653,9 @@ def test_lazy_generator_search_matches_the_eager_one():
         k1 = AMBIENT.orth_complement(phi.source, label="K1")
         k2 = AMBIENT.orth_complement(phi.target, label="K2")
         glue1, glue2 = glue(phi.source, k1), glue(phi.target, k2)
-        psi0, split2 = lemsimo._companion_base(k1, k2, 10, [])
+        splits2 = lemsimo._ScanPrefix()
+        psi0, j = lemsimo._companion_base(k1, k2, 10, splits2)
+        split2 = splits2.items[j]
         data = glue2.disc_comp
         have = disc_map(psi0, glue1.disc_comp, data).compose(glue1.gamma)
         want = glue2.gamma.compose(
@@ -551,8 +668,9 @@ def test_lazy_generator_search_matches_the_eager_one():
                 have, want, _reference_disc_generators(k2, split2, data,
                                                        radius), data)
             got = lemsimo._bfs_disc(
-                have, want, lemsimo._disc_generators(k2, split2, data,
-                                                     radius), data)
+                have, want, lemsimo._ScanPrefix(),
+                functools.partial(lemsimo._disc_generators, k2, split2, data,
+                                  radius), data)
             assert (got and got.matrix) == (ref and ref.matrix)
             if ref is not None:
                 break
