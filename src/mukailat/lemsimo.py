@@ -113,22 +113,23 @@ def build_targets(problem):
 
 
 class _ScanPrefix:
-    """The items that a deterministic scan has yielded so far, and whether
-    it has ended.  It holds no iterator, so a kept prefix pins no box
-    arrays: a reader that runs past `items` restarts the scan and skips
-    them, which continues the same sequence."""
+    """The items that the deterministic scan() has yielded so far, and
+    whether it has ended.  It holds the scan's factory, not an iterator, so
+    a kept prefix pins no box arrays: a reader that runs past `items`
+    restarts the scan and skips them, which continues the same sequence."""
 
-    def __init__(self):
+    def __init__(self, scan):
+        self.scan = scan
         self.items = []
         self.done = False
 
-    def read(self, scan):
+    def read(self):
         """The items of scan(): the listed ones, then the rest, appended as
         they are first reached."""
         yield from self.items
         if self.done:
             return
-        for item in itertools.islice(scan(), len(self.items), None):
+        for item in itertools.islice(self.scan(), len(self.items), None):
             self.items.append(item)
             yield item
         self.done = True
@@ -140,9 +141,9 @@ class TargetSide:
     (splitting index, radius) the discriminant generators that companion
     searches have built.  Every value in it is finished (see _ScanPrefix)."""
 
-    def __init__(self, glue2):
+    def __init__(self, glue2, bound):
         self.glue2 = glue2
-        self.splits = _ScanPrefix()
+        self.splits = _ScanPrefix(partial(_first_splits, glue2.comp, bound))
         self.generators = {}
 
 
@@ -157,7 +158,8 @@ def _target_side(k, l, bound):
     t_i = beta_i - f depend on (k, l) alone.  The caller has checked that
     |l| != 2k - 2, so their span is nondegenerate."""
     s2 = AMBIENT.sublattice(targets(*target_betas(k, l)), label="S2")
-    return TargetSide(glue(s2, AMBIENT.orth_complement(s2, label="K2")))
+    return TargetSide(glue(s2, AMBIENT.orth_complement(s2, label="K2")),
+                      bound)
 
 
 @dataclass
@@ -335,27 +337,30 @@ def _minus_u_iso(block):
         ((-1, 0), (0, -1)), intmat.identity(block.rank - 2)))
 
 
-def _split_pairs(K1, K2, bound, splits2):
+def _first_splits(K, bound):
+    """The splittings of K that a companion scan reads, in order."""
+    return itertools.islice(iter_splits(K, bound), MAX_SPLITS)
+
+
+def _split_pairs(K1, bound, splits2):
     """Pairs of splittings of K1 and K2 in (i, j) order, with the index j,
     each built when the scan first reaches it.  splits2 is the prefix of
-    the splittings of K2 built so far, by this scan or an earlier one:
+    _first_splits(K2, bound) built so far, by this scan or an earlier one:
     every row rereads it, and a row that runs past it extends it."""
-    def more2():
-        return itertools.islice(iter_splits(K2, bound), MAX_SPLITS)
-
-    for split1 in itertools.islice(iter_splits(K1, bound), MAX_SPLITS):
-        for j, split2 in enumerate(splits2.read(more2)):
+    for split1 in _first_splits(K1, bound):
+        for j, split2 in enumerate(splits2.read()):
             yield split1, j, split2
 
 
-def _companion_base(K1, K2, bound, splits2):
+def _companion_base(K1, bound, splits2):
     """Isometry K1 -> K2 through the first pair of splittings whose rank-2
-    complements the box shows isometric, and the index in splits2 of the
-    splitting of K2 it passes through.  Rank-2 complements of different
-    splittings can be inequivalent even when the full lattices are
-    isometric, so pairs are scanned."""
+    complements the box shows isometric, and the index in splits2, the
+    scan prefix of the splittings of K2, of the splitting it passes
+    through.  Rank-2 complements of different splittings can be
+    inequivalent even when the full lattices are isometric, so pairs are
+    scanned."""
     scanned = False
-    for split1, j, split2 in _split_pairs(K1, K2, bound, splits2):
+    for split1, j, split2 in _split_pairs(K1, bound, splits2):
         scanned = True
         if split1.w_gram == split2.w_gram:
             pmat = intmat.identity(2)
@@ -378,7 +383,7 @@ def find_companion(phi, glue1, side, bound):
     if bound <= 0:
         raise NotFound(bound, stage="companion")
     glue2 = side.glue2
-    psi0, j = _companion_base(glue1.comp, glue2.comp, bound, side.splits)
+    psi0, j = _companion_base(glue1.comp, bound, side.splits)
 
     d_k2 = glue2.disc_comp
     have = disc_map(psi0, glue1.disc_comp, d_k2).compose(glue1.gamma)
@@ -389,10 +394,9 @@ def find_companion(phi, glue1, side, bound):
     # reflections in larger boxes are slow, so escalate the radius only
     # when the cheaper generator sets fail to reach the target
     for radius in sorted({min(bound, 3), min(bound, 6), bound}):
-        gens = side.generators.setdefault((j, radius), _ScanPrefix())
-        scan = partial(_disc_generators, glue2.comp, side.splits.items[j],
-                       d_k2, radius)
-        h = _bfs_disc(have, want, gens, scan, d_k2)
+        gens = side.generators.setdefault((j, radius), _ScanPrefix(partial(
+            _disc_generators, glue2.comp, side.splits.items[j], d_k2, radius)))
+        h = _bfs_disc(have, want, gens, d_k2)
         if h is not None:
             return h.compose(psi0)
     raise NotFound(bound, stage="companion")
@@ -454,21 +458,21 @@ def _reflection_image(data, u, gu, sq):
         for y, d in zip(data.generators, data.invariants)))
 
 
-def _bfs_disc(have, want, gens, scan, data):
+def _bfs_disc(have, want, gens, data):
     """Breadth-first search in the subgroup of discriminant automorphisms
-    generated by the witnesses of the (disc image, witness) pairs of
-    scan(), the first of them minus the identity; returns an isometry h
-    with disc(h) have == want, or None.  gens is the prefix of scan()
-    built so far: every node rereads it, and a node that runs past it
-    extends it.  Nodes carry generator-index paths: the witness is
-    composed once, along the path."""
+    generated by the witnesses of the (disc image, witness) pairs of the
+    scan prefix gens, the first of them minus the identity; returns an
+    isometry h with disc(h) have == want, or None.  Every node rereads the
+    pairs built so far, and a node that runs past them extends gens.
+    Nodes carry generator-index paths: the witness is composed once, along
+    the path."""
     ident = identity_disc_map(data)
     frontier = [(ident, ())]
     seen = {ident.images}
     while frontier:
         nxt = []
         for d, path in frontier:
-            for i, (gd, _) in enumerate(gens.read(scan)):
+            for i, (gd, _) in enumerate(gens.read()):
                 nd = gd.compose(d)
                 if nd.images in seen:
                     continue

@@ -486,6 +486,9 @@ def test_target_side_cache_holds_finished_values_only():
             stack.extend(obj.values())
         elif isinstance(obj, (list, tuple, set, frozenset)):
             stack.extend(obj)
+        elif isinstance(obj, functools.partial):
+            stack.append(obj.func)
+            stack.extend(obj.args)
         elif hasattr(obj, "__dict__"):
             stack.extend(vars(obj).values())
 
@@ -493,21 +496,22 @@ def test_target_side_cache_holds_finished_values_only():
 def test_scan_prefix_continues_the_scan_it_restarts():
     """A reader that stops early leaves a prefix; the next reader rereads
     it, restarts the scan past it and lists the same sequence."""
-    prefix = lemsimo._ScanPrefix()
     starts = []
 
     def scan():
         starts.append(1)
         return iter(range(5))
 
-    assert list(itertools.islice(prefix.read(scan), 2)) == [0, 1]
+    prefix = lemsimo._ScanPrefix(scan)
+    assert list(itertools.islice(prefix.read(), 2)) == [0, 1]
     assert prefix.items == [0, 1] and not prefix.done
-    assert list(prefix.read(scan)) == list(range(5))
+    assert list(prefix.read()) == list(range(5))
     assert prefix.items == list(range(5)) and prefix.done
-    assert list(prefix.read(scan)) == list(range(5)) and len(starts) == 2
+    assert list(prefix.read()) == list(range(5)) and len(starts) == 2
 
 
 def test_solve_enumerates_no_discriminant_group(monkeypatch):
+    lemsimo._target_side.cache_clear()
     calls = []
     real = DiscriminantData.elements
 
@@ -572,10 +576,11 @@ def test_lazy_pair_scan_matches_the_product_scan(monkeypatch):
         i, j, want = _reference_pair_scan(k1, k2, 10)
         matched.add((i, j))
         del built[:]
-        splits2 = lemsimo._ScanPrefix()
+        splits2 = lemsimo._ScanPrefix(
+            functools.partial(lemsimo._first_splits, k2, 10))
         with monkeypatch.context() as m:
             m.setattr(lemsimo, "iter_splits", recording)
-            psi0, got_j = lemsimo._companion_base(k1, k2, 10, splits2)
+            psi0, got_j = lemsimo._companion_base(k1, 10, splits2)
         assert psi0.matrix == want
         assert got_j == j
         assert built.count("K1") == i + 1
@@ -596,6 +601,7 @@ def test_solve_evaluates_less_than_one_rank_4_box(monkeypatch):
         scanned.append(len(vecs))
         return vecs, squares
 
+    lemsimo._target_side.cache_clear()
     monkeypatch.setattr(kernels, "box_squares", counting)
     solve(LemsimoProblem(**FIXTURE))
     assert 0 < sum(scanned) < 21 ** 4
@@ -653,8 +659,9 @@ def test_lazy_generator_search_matches_the_eager_one():
         k1 = AMBIENT.orth_complement(phi.source, label="K1")
         k2 = AMBIENT.orth_complement(phi.target, label="K2")
         glue1, glue2 = glue(phi.source, k1), glue(phi.target, k2)
-        splits2 = lemsimo._ScanPrefix()
-        psi0, j = lemsimo._companion_base(k1, k2, 10, splits2)
+        splits2 = lemsimo._ScanPrefix(
+            functools.partial(lemsimo._first_splits, k2, 10))
+        psi0, j = lemsimo._companion_base(k1, 10, splits2)
         split2 = splits2.items[j]
         data = glue2.disc_comp
         have = disc_map(psi0, glue1.disc_comp, data).compose(glue1.gamma)
@@ -668,9 +675,9 @@ def test_lazy_generator_search_matches_the_eager_one():
                 have, want, _reference_disc_generators(k2, split2, data,
                                                        radius), data)
             got = lemsimo._bfs_disc(
-                have, want, lemsimo._ScanPrefix(),
-                functools.partial(lemsimo._disc_generators, k2, split2, data,
-                                  radius), data)
+                have, want, lemsimo._ScanPrefix(functools.partial(
+                    lemsimo._disc_generators, k2, split2, data, radius)),
+                data)
             assert (got and got.matrix) == (ref and ref.matrix)
             if ref is not None:
                 break
@@ -757,6 +764,7 @@ def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
         built.append(self)
         real(self, *args)
 
+    lemsimo._target_side.cache_clear()
     monkeypatch.setattr(Isometry, "__init__", counting)
     for k, xi1, xi2 in _solve_small_problems(1, 120):
         solve(LemsimoProblem(k, xi1, xi2))
