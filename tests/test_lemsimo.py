@@ -4,6 +4,7 @@ import collections.abc
 import functools
 import hashlib
 import importlib.util
+import inspect
 import itertools
 import os
 import random
@@ -753,10 +754,14 @@ def test_reflection_images_read_off_the_vector_match_disc_map():
 
 def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
     """The 120 seed-1 solve-small solves construct at most 4,000 Isometry
-    objects: a reflection's discriminant image is read off its vector, a
-    splitting builds its changes of basis only when they are used, and the
-    search composes one witness along the path it finds (7,621 were built
-    when every candidate and every BFS node had its own Isometry)."""
+    objects on cold target sides: a reflection's discriminant image is read
+    off its vector, a splitting builds its changes of basis only when they
+    are used, and the search composes one witness along the path it finds
+    (7,621 were built when every candidate and every BFS node had its own
+    Isometry).  A second pass on the warm sides constructs at most 800: the
+    companion, the witness and a fixed answer are each one checked product
+    (1,731 were built when each factor was checked and every fix extended
+    the fixed companion again)."""
     built = []
     real = Isometry.__init__
 
@@ -766,9 +771,63 @@ def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
 
     lemsimo._target_side.cache_clear()
     monkeypatch.setattr(Isometry, "__init__", counting)
-    for k, xi1, xi2 in _solve_small_problems(1, 120):
-        solve(LemsimoProblem(k, xi1, xi2))
+    problems = [LemsimoProblem(*item) for item in _solve_small_problems(1, 120)]
+    for problem in problems:
+        solve(problem)
     assert len(built) <= 4000
+    del built[:]
+    for problem in problems:
+        solve(problem)
+    assert len(built) <= 800
+
+
+@pytest.mark.parametrize("k, xi1, xi2, fixes", [
+    (FIXTURE["k"], FIXTURE["xi1"], FIXTURE["xi2"], ["det-fix"]),
+    (5, (-3, -2, -2, 0, -2, 1), (-6, 0, -1, -2, -2, -1), ["ori-fix"]),
+    (3, (1, 1, 1, 0, 1, 1), (2, 1, 0, 2, -2, 0), ["det-fix", "ori-fix"]),
+])
+def test_a_kept_correction_equals_the_re_extension(monkeypatch, k, xi1, xi2,
+                                                    fixes):
+    """One seed-1 solve-small input per kind of fix: g is the extension of
+    phi and the fixed companion c psi, c the swap and then minus the
+    identity on the plane split off by the first splitting of K2, each
+    pulled back by composing with the changes of basis.  The correction
+    is kept with the target side, so a second solve on it extends psi
+    alone."""
+    lemsimo._target_side.cache_clear()
+    calls = []
+    real = lemsimo.extend_isometry
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lemsimo, "extend_isometry", counting)
+    problem = LemsimoProblem(k, xi1, xi2)
+    sol = solve(problem)
+    assert [s["stage"] for s in sol.trace if s["stage"].endswith("-fix")] \
+        == fixes
+    assert len(calls) == 2
+
+    _, _, phi = build_targets(problem)
+    side = lemsimo._target_side(k, problem.l, problem.bound)
+    glue1 = glue(phi.source, AMBIENT.orth_complement(phi.source, label="K1"))
+    companion = next(s["matrix"] for s in sol.trace
+                     if s["stage"] == "companion")
+    fixed = Isometry(glue1.comp, side.glue2.comp, companion)
+    split2 = side.splits.items[0]
+    for stage, base in (("det-fix", lemsimo._swap_iso),
+                        ("ori-fix", lemsimo._minus_u_iso)):
+        if stage in fixes:
+            c = split2.from_block.compose(base(split2.block)).compose(
+                split2.to_block)
+            fixed = c.compose(fixed)
+    assert sol.g.matrix == real(phi, fixed, glue1, side.glue2).matrix
+
+    del calls[:]
+    warm = solve(problem)
+    assert (warm.g.matrix, warm.trace) == (sol.g.matrix, sol.trace)
+    assert len(calls) == 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -839,9 +898,41 @@ else:
     assert out.stdout.startswith("RuntimeError"), out.stdout
 
 
+def _pipeline_digest():
+    """SHA-256 of repr((g.matrix, trace)) over the 60 solves of verify's
+    lemsimo-pipeline check, on its inputs drawn as the check draws them.
+    Self-contained, so its source also runs in a subprocess."""
+    import hashlib
+    from mukailat.lemsimo import LemsimoProblem, solve
+    from mukailat.verify import VerifyConfig, _rng, sample_admissible_pair
+    cfg = VerifyConfig()
+    rng = _rng(cfg, 8)
+    digest = hashlib.sha256()
+    for k in (3, 4, 5):
+        for _ in range(cfg.lemsimo_samples):
+            xi1, xi2 = sample_admissible_pair(rng, k)
+            sol = solve(LemsimoProblem(k, xi1, xi2, bound=cfg.bound))
+            digest.update(repr((sol.g.matrix, sol.trace)).encode())
+    return digest.hexdigest()
+
+
+def test_lemsimo_pipeline_answers_are_the_same_under_optimize():
+    """The answers behind verify's lemsimo-pipeline check, whose report is
+    only a count: g and the trace of its 60 solves hash to the same value
+    under python -O as in this process."""
+    script = inspect.getsource(_pipeline_digest) + "print(_pipeline_digest())"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(mukailat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == _pipeline_digest()
+
+
 def test_a_correction_acting_on_the_discriminant_is_a_bug(monkeypatch):
     """A determinant fix must act trivially on A_K2; one that does not is a
-    fault of the pipeline, reported as RuntimeError, not as an obstruction."""
+    fault of the pipeline, reported as RuntimeError, not as an obstruction.
+    The target side is cleared first: a warm side keeps its correction."""
+    lemsimo._target_side.cache_clear()
     monkeypatch.setattr(lemsimo, "_swap_iso", minus_identity)
     with pytest.raises(RuntimeError, match="discriminant"):
         solve(LemsimoProblem(**FIXTURE))
