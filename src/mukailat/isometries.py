@@ -36,7 +36,7 @@ class Isometry:
         self.matrix = m
 
     def __repr__(self):
-        return "Isometry(%dx%d)" % (len(self.matrix), len(self.matrix[0]))
+        return "Isometry(%dx%d)" % (self.target.rank, self.source.rank)
 
     def __eq__(self, other):
         return (isinstance(other, Isometry) and self.matrix == other.matrix

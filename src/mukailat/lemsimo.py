@@ -7,9 +7,10 @@ companion isometry of the complements matching the glue condition, and extend
 to the full lattice.  A wrong determinant or orientation is fixed on the
 companion (swap the isotropic generators of the split-off plane, then minus
 the identity on that plane): the extension of that correction is kept with
-the target side and multiplied onto the answer.  Each checked isometry is one
-integer product checked once.  Every search is bounded and reports honest
-exhaustion.
+the target side and multiplied onto the answer.  Inside the search, maps are
+integer matrices; a map passed on (the companion, a correction, the answer)
+is one integer product checked once as an Isometry.  Every search is bounded
+and reports honest exhaustion.
 """
 
 import itertools
@@ -25,8 +26,7 @@ from . import intmat, kernels
 from .intmat import (mat, mat_vec, mat_mul, dot, transpose, inv_unimodular,
                      solve_rational)
 from .lattices import IntegerLattice, LatticeError
-from .isometries import (Isometry, ori_char, identity_isometry,
-                         minus_identity)
+from .isometries import Isometry, ori_char, identity_isometry
 from .discriminant import (NotFound, ExtensionObstructed, glue, DiscMap,
                            extend_isometry, disc_map, identity_disc_map)
 from .mukai import U3 as AMBIENT
@@ -162,14 +162,13 @@ class TargetSide:
         key = det_fix, ori_fix
         if key not in self.corrections:
             split = self.splits.items[0]
-            base = identity_isometry(split.block)
-            if det_fix:
-                base = _swap_iso(split.block).compose(base)
+            c = SWAP if det_fix else intmat.identity(4)
             if ori_fix:
-                base = _minus_u_iso(split.block).compose(base)
+                c = mat_mul(MINUS_U, c)
             try:
                 self.corrections[key] = extend_isometry(
-                    identity_isometry(self.glue2.sub), split.pull_back(base),
+                    identity_isometry(self.glue2.sub),
+                    Isometry(split.lattice, split.lattice, split.pull_back(c)),
                     self.glue2, self.glue2)
             except ExtensionObstructed:
                 raise RuntimeError(
@@ -195,29 +194,21 @@ def _target_side(k, l, bound):
 @dataclass
 class Split:
     """A hyperbolic plane <u, u'> = U split off a rank-4 lattice, `basis`
-    the rows u, u', w1, w2.  The block (gram U + w_gram) and the changes of
-    basis to and from it are built on first access."""
+    the rows u, u', w1, w2: F = basis^T takes the block, of gram U + w_gram,
+    to the lattice, F^T G F == U + w_gram.  F^-1 is built on first access."""
     lattice: IntegerLattice
     basis: tuple
     w_gram: tuple
 
     @cached_property
-    def block(self):
-        return IntegerLattice(_block_diag(U_GRAM, self.w_gram), label="U+W")
+    def inverse(self):
+        """F^-1, from lattice coordinates to block coordinates."""
+        return inv_unimodular(transpose(self.basis))
 
-    @cached_property
-    def from_block(self):
-        return Isometry(self.block, self.lattice, transpose(self.basis))
-
-    @cached_property
-    def to_block(self):
-        return self.from_block.inverse()
-
-    def pull_back(self, base):
-        """The isometry of the lattice that acts as `base` on the block: one
-        product of the changes of basis around base, checked once."""
-        return Isometry(self.lattice, self.lattice, mat_mul(mat_mul(
-            self.from_block.matrix, base.matrix), self.to_block.matrix))
+    def pull_back(self, block_map):
+        """F B F^-1: the matrix of the map of the lattice that acts as the
+        block matrix B on the block."""
+        return mat_mul(mat_mul(transpose(self.basis), block_map), self.inverse)
 
 
 # splittings of each complement tried by the companion search
@@ -357,31 +348,15 @@ def _gram2_maps(g_from, g_to, bound):
                 yield p
 
 
-def _swap_iso(block):
-    """Interchange the two isotropic generators of the split-off plane."""
-    return Isometry(block, block,
-                    _block_diag(U_GRAM, intmat.identity(block.rank - 2)))
-
-
-def _minus_u_iso(block):
-    """Minus the identity on the split-off plane, identity elsewhere."""
-    return Isometry(block, block, _block_diag(
-        ((-1, 0), (0, -1)), intmat.identity(block.rank - 2)))
+# block maps of U + W: interchange the two isotropic generators of the
+# split-off plane, and minus the identity on that plane; identity on W
+SWAP = _block_diag(U_GRAM, intmat.identity(2))
+MINUS_U = _block_diag(((-1, 0), (0, -1)), intmat.identity(2))
 
 
 def _first_splits(K, bound):
     """The splittings of K that a companion scan reads, in order."""
     return itertools.islice(iter_splits(K, bound), MAX_SPLITS)
-
-
-def _split_pairs(K1, bound, splits2):
-    """Pairs of splittings of K1 and K2 in (i, j) order, with the index j,
-    each built when the scan first reaches it.  splits2 is the prefix of
-    _first_splits(K2, bound) built so far, by this scan or an earlier one:
-    every row rereads it, and a row that runs past it extends it."""
-    for split1 in _first_splits(K1, bound):
-        for j, split2 in enumerate(splits2.read()):
-            yield split1, j, split2
 
 
 def _companion_base(K1, bound, splits2):
@@ -390,24 +365,24 @@ def _companion_base(K1, bound, splits2):
     scan prefix of the splittings of K2, of the splitting it passes
     through.  Rank-2 complements of different splittings can be
     inequivalent even when the full lattices are isometric, so pairs are
-    scanned.  The isometry is the one product F2 Mid F1^-1, checked once:
-    F2, the change of basis of the K2 splitting, is checked on the target
-    side, so this check is that of the chain of checked factors."""
+    scanned in (i, j) order, each splitting built when the scan first
+    reaches it: every row rereads splits2, and a row that runs past it
+    extends it.  The isometry is the one product F2 Mid F1^-1, checked
+    once."""
     scanned = False
-    for split1, j, split2 in _split_pairs(K1, bound, splits2):
-        scanned = True
-        if split1.w_gram == split2.w_gram:
-            pmat = intmat.identity(2)
-        else:
-            pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound), None)
-        if pmat is not None:
-            break
-    else:
-        raise NotFound(bound, stage="companion-w" if scanned else "split")
-    mid = _block_diag(intmat.identity(2), pmat)
-    to_block1 = inv_unimodular(transpose(split1.basis))
-    return Isometry(K1, split2.lattice, mat_mul(mat_mul(
-        split2.from_block.matrix, mid), to_block1)), j
+    for split1 in _first_splits(K1, bound):
+        for j, split2 in enumerate(splits2.read()):
+            scanned = True
+            if split1.w_gram == split2.w_gram:
+                pmat = intmat.identity(2)
+            else:
+                pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound),
+                            None)
+            if pmat is not None:
+                mid = _block_diag(intmat.identity(2), pmat)
+                return Isometry(K1, split2.lattice, mat_mul(mat_mul(
+                    transpose(split2.basis), mid), split1.inverse)), j
+    raise NotFound(bound, stage="companion-w" if scanned else "split")
 
 
 def find_companion(phi, glue1, side, bound):
@@ -433,33 +408,34 @@ def find_companion(phi, glue1, side, bound):
             _disc_generators, glue2.comp, side.splits.items[j], d_k2, radius)))
         h = _bfs_disc(have, want, gens, d_k2)
         if h is not None:
-            return h.compose(psi0)
+            return Isometry(glue1.comp, glue2.comp, mat_mul(h, psi0.matrix))
     raise NotFound(bound, stage="companion")
 
 
 def _disc_generators(K, split, data, bound):
-    """Isometries of K whose discriminant images seed the subgroup search:
-    minus the identity, automorphisms of the rank-2 block, and the integral
-    reflections in coordinate-box vectors (square 2, then -2, then the rest).
-    Maps acting on the split-off plane alone are left out: that plane is
-    unimodular, so they act as the identity on A_K.  Yields (disc image,
-    witness) the first time each image appears; a reflection's image is read
-    off its vector, and its Isometry is built only when the image is new."""
+    """Matrices of isometries of K whose discriminant images seed the
+    subgroup search: minus the identity, automorphisms of the rank-2 block,
+    and the integral reflections in coordinate-box vectors (square 2, then
+    -2, then the rest).  Maps acting on the split-off plane alone are left
+    out: that plane is unimodular, so they act as the identity on A_K.
+    Yields (disc image, matrix) the first time each image appears; a
+    reflection's image is read off its vector, and its matrix is built only
+    when the image is new."""
     seen = set()
-    autos = (split.pull_back(Isometry(
-        split.block, split.block, _block_diag(intmat.identity(2), pm)))
-        for pm in _gram2_maps(split.w_gram, split.w_gram, bound))
-    for iso in itertools.chain((minus_identity(K),), autos):
-        d = disc_map(iso, data, data)
+    minus = tuple(tuple(-x for x in r) for r in intmat.identity(K.rank))
+    autos = (split.pull_back(_block_diag(intmat.identity(2), pm))
+             for pm in _gram2_maps(split.w_gram, split.w_gram, bound))
+    for m in itertools.chain((minus,), autos):
+        d = _disc_image(data, partial(mat_vec, m))
         if d.images not in seen:
             seen.add(d.images)
-            yield d, iso
+            yield d, m
     for u, gu, sq in _integral_reflections(K, bound):
-        d = _reflection_image(data, u, gu, sq)
+        d = _disc_image(data, lambda y: _reflect(y, u, gu, sq))
         if d.images not in seen:
             seen.add(d.images)
-            yield d, Isometry(K, K, transpose(tuple(
-                _reflect(e, u, gu, sq) for e in intmat.identity(K.rank))))
+            yield d, transpose(tuple(
+                _reflect(e, u, gu, sq) for e in intmat.identity(K.rank)))
 
 
 def _integral_reflections(K, radius):
@@ -486,21 +462,22 @@ def _reflect(x, u, gu, sq):
     return tuple(xi - c * ui for xi, ui in zip(x, u))
 
 
-def _reflection_image(data, u, gu, sq):
-    """disc_map of the reflection in u, read off (u, G u, u.u)."""
+def _disc_image(data, f):
+    """The automorphism of the discriminant group that a map of the lattice
+    induces, read off its images f(y) of the generator numerators y."""
     return DiscMap(data, data, tuple(
-        data.class_of(_reflect(y, u, gu, sq), d)
+        data.class_of(f(y), d)
         for y, d in zip(data.generators, data.invariants)))
 
 
 def _bfs_disc(have, want, gens, data):
     """Breadth-first search in the subgroup of discriminant automorphisms
-    generated by the witnesses of the (disc image, witness) pairs of the
-    scan prefix gens, the first of them minus the identity; returns an
-    isometry h with disc(h) have == want, or None.  Every node rereads the
-    pairs built so far, and a node that runs past them extends gens.
-    Nodes carry generator-index paths: the witness is the product of the
-    witness matrices along the path, checked once."""
+    generated by the (disc image, matrix) pairs of the scan prefix gens, the
+    first of them minus the identity; returns the matrix of an isometry h
+    with disc(h) have == want, or None.  Every node rereads the pairs built
+    so far, and a node that runs past them extends gens.  Nodes carry
+    generator-index paths: h is the product of the matrices along the
+    path."""
     ident = identity_disc_map(data)
     frontier = [(ident, ())]
     seen = {ident.images}
@@ -512,9 +489,9 @@ def _bfs_disc(have, want, gens, data):
                 if nd.images in seen:
                     continue
                 if nd.compose(have) == want:
-                    return Isometry(data.lattice, data.lattice, reduce(
-                        lambda m, j: mat_mul(gens.items[j][1].matrix, m),
-                        path + (i,), intmat.identity(data.lattice.rank)))
+                    return reduce(lambda m, j: mat_mul(gens.items[j][1], m),
+                                  path + (i,),
+                                  intmat.identity(data.lattice.rank))
                 seen.add(nd.images)
                 nxt.append((nd, path + (i,)))
         frontier = nxt

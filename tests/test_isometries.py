@@ -28,6 +28,15 @@ def test_constructor_rejects_non_isometry():
         Isometry(u, u, ((1, 0), (1, 1)))
 
 
+def test_repr_prints_target_and_source_ranks():
+    """The ranks are read off the lattices, so a map from or to the rank-0
+    lattice, whose matrix has no row or no column, prints too."""
+    zero, u = IntegerLattice(()), hyperbolic_plane()
+    assert repr(identity_isometry(zero)) == "Isometry(0x0)"
+    assert repr(Isometry(zero, u, ((), ()))) == "Isometry(2x0)"
+    assert repr(Isometry(rank_one(2), u, ((1,), (1,)))) == "Isometry(2x1)"
+
+
 def _draw_even_gram(draw, n):
     g = [[0] * n for _ in range(n)]
     for i in range(n):

@@ -247,14 +247,22 @@ def test_gram2_autos_contains_signs():
     assert ((0, 1), (1, 0)) in autos
 
 
+def _block_gram(w_gram):
+    """U + W: the gram of the block of a splitting with rank-2 gram W."""
+    (a, b), (c, d) = w_gram
+    return (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, a, b), (0, 0, c, d)
+
+
 def test_split_off_U_produces_unimodular_change():
     prob = LemsimoProblem(**FIXTURE)
     _, _, phi = build_targets(prob)
     k1 = AMBIENT.orth_complement(phi.source)
     split = split_off_U(k1, 10)
-    bg = split.block.gram
-    assert bg[0][0] == 0 and bg[1][1] == 0 and bg[0][1] == 1
-    assert abs(det(split.to_block.matrix)) == 1
+    f = transpose(split.basis)
+    assert mat_mul(mat_mul(transpose(f), k1.gram), f) == \
+        _block_gram(split.w_gram)
+    assert abs(det(f)) == 1
+    assert mat_mul(f, split.inverse) == identity(4)
     # several inequivalent splittings can exist
     assert len(list(iter_splits(k1, 10))) >= 1
 
@@ -262,8 +270,8 @@ def test_split_off_U_produces_unimodular_change():
 def _reference_splits(K, bound):
     """The former split enumeration, kept as a reference: W is the saturated
     kernel of the pairings with u and u', every sign of u is tried, and a
-    non-unimodular change of basis is skipped.  Yields (from_block matrix,
-    w_gram) pairs."""
+    non-unimodular change of basis is skipped.  Yields (F, w_gram) pairs,
+    F the change of basis from the block, whose columns are u, u', w1, w2."""
     seen = set()
     for u in isotropic_vectors(K.gram, bound):
         if gcd(*[abs(c) for c in u]) != 1:
@@ -297,7 +305,7 @@ def test_splits_match_reference_enumeration():
         _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
         for s in (phi.source, phi.target):
             comp = AMBIENT.orth_complement(s)
-            got = [(sp.from_block.matrix, sp.w_gram) for sp in
+            got = [(transpose(sp.basis), sp.w_gram) for sp in
                    itertools.islice(iter_splits(comp, 10), MAX_SPLITS)]
             ref = list(itertools.islice(_reference_splits(comp, 10),
                                         MAX_SPLITS))
@@ -526,6 +534,29 @@ def test_solve_enumerates_no_discriminant_group(monkeypatch):
     assert calls == []
 
 
+# the block maps of the det and ori fixes: the swap of the two isotropic
+# generators of the split-off plane, and minus the identity on it
+SWAP = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+MINUS_U = ((-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _block_changes(split):
+    """The block U + W of a splitting as a lattice, with the change of basis
+    F from it and F^-1, both checked isometries: the former layout of a
+    splitting, kept as a reference for its matrices."""
+    block = IntegerLattice(_block_gram(split.w_gram))
+    from_block = Isometry(block, split.lattice, transpose(split.basis))
+    return block, from_block, from_block.inverse()
+
+
+def _reference_pull_back(split, matrix):
+    """The checked isometry of the lattice that acts as matrix on the block,
+    composed from checked factors."""
+    block, from_block, to_block = _block_changes(split)
+    return from_block.compose(Isometry(block, block, matrix)).compose(
+        to_block)
+
+
 def _reference_pair_scan(K1, K2, bound):
     """The former scan, kept as a reference: list up to MAX_SPLITS
     splittings of each complement, then take the first pair in
@@ -540,9 +571,11 @@ def _reference_pair_scan(K1, K2, bound):
         else:
             pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound), None)
         if pmat is not None:
-            mid = Isometry(split1.block, split2.block,
+            block1, _, to_block1 = _block_changes(split1)
+            block2, from_block2, _ = _block_changes(split2)
+            mid = Isometry(block1, block2,
                            lemsimo._block_diag(identity(2), pmat))
-            psi0 = split2.from_block.compose(mid).compose(split1.to_block)
+            psi0 = from_block2.compose(mid).compose(to_block1)
             return i, j, psi0.matrix
     return None
 
@@ -612,13 +645,11 @@ def _reference_disc_generators(K, split, data, bound):
     """The former eager generator set, kept as a reference: every candidate
     is built, then one witness is kept per discriminant image."""
     cands = [minus_identity(K)]
-    for base in (lemsimo._swap_iso(split.block),
-                 lemsimo._minus_u_iso(split.block)):
-        cands.append(split.pull_back(base))
+    for base in (SWAP, MINUS_U):
+        cands.append(_reference_pull_back(split, base))
     for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
-        base = Isometry(split.block, split.block,
-                        lemsimo._block_diag(identity(2), pm))
-        cands.append(split.pull_back(base))
+        cands.append(_reference_pull_back(
+            split, lemsimo._block_diag(identity(2), pm)))
     cands.extend(_reflection_isometry(K, *r)
                  for r in _integral_reflections(K, bound))
     seen = {}
@@ -653,7 +684,10 @@ def _reference_bfs_disc(have, want, gens, data):
 def test_lazy_generator_search_matches_the_eager_one():
     """On the 120 seed-1 solve-small inputs, the search over generators
     built as it reaches them returns the witness of the eager search, at
-    every radius find_companion tries."""
+    every radius find_companion tries.  Each generator matrix it builds is
+    that of a checked isometry of the eager set with the same image, apart
+    from the identity image, which the eager set first reaches through
+    the swap."""
     searches = 0
     for k, xi1, xi2 in _solve_small_problems(1, 120):
         _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
@@ -672,14 +706,15 @@ def test_lazy_generator_search_matches_the_eager_one():
             continue
         for radius in (3, 6, 10):
             searches += 1
-            ref = _reference_bfs_disc(
-                have, want, _reference_disc_generators(k2, split2, data,
-                                                       radius), data)
-            got = lemsimo._bfs_disc(
-                have, want, lemsimo._ScanPrefix(functools.partial(
-                    lemsimo._disc_generators, k2, split2, data, radius)),
-                data)
-            assert (got and got.matrix) == (ref and ref.matrix)
+            ref_gens = _reference_disc_generators(k2, split2, data, radius)
+            ref = _reference_bfs_disc(have, want, ref_gens, data)
+            gens = lemsimo._ScanPrefix(functools.partial(
+                lemsimo._disc_generators, k2, split2, data, radius))
+            got = lemsimo._bfs_disc(have, want, gens, data)
+            assert got == (ref and ref.matrix)
+            checked = {d.images: iso.matrix for d, iso in ref_gens}
+            for d, m in gens.items:
+                assert d.is_identity() or checked[d.images] == m
             if ref is not None:
                 break
     assert searches >= 100
@@ -738,8 +773,9 @@ def _solve_small_k2s(seed):
 
 def test_reflection_images_read_off_the_vector_match_disc_map():
     """For every integral reflection of the seed-1 K2 complements at radius
-    3 and 6, the discriminant image read off (u, G u, u.u) is disc_map of
-    the reflection's matrix; squares other than +-2 are among them."""
+    3 and 6, the discriminant image read off (u, G u, u.u), and the one read
+    off the reflection's matrix, are disc_map of the reflection; squares
+    other than +-2 are among them."""
     squares = set()
     for k2 in _solve_small_k2s(1):
         data = DiscriminantData(k2)
@@ -747,21 +783,24 @@ def test_reflection_images_read_off_the_vector_match_disc_map():
             for u, gu, sq in _integral_reflections(k2, radius):
                 squares.add(sq)
                 iso = _reflection_isometry(k2, u, gu, sq)
-                assert lemsimo._reflection_image(data, u, gu, sq) == \
-                    disc_map(iso, data, data)
+                want = disc_map(iso, data, data)
+                assert lemsimo._disc_image(
+                    data, lambda y: lemsimo._reflect(y, u, gu, sq)) == want
+                assert lemsimo._disc_image(
+                    data, functools.partial(mat_vec, iso.matrix)) == want
     assert squares - {2, -2}
 
 
 def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
     """The 120 seed-1 solve-small solves construct at most 4,000 Isometry
-    objects on cold target sides: a reflection's discriminant image is read
-    off its vector, a splitting builds its changes of basis only when they
-    are used, and the search composes one witness along the path it finds
-    (7,621 were built when every candidate and every BFS node had its own
-    Isometry).  A second pass on the warm sides constructs at most 800: the
-    companion, the witness and a fixed answer are each one checked product
-    (1,731 were built when each factor was checked and every fix extended
-    the fixed companion again)."""
+    objects with the target side cleared before every solve (7,621 were
+    built when every candidate and every BFS node had its own Isometry).
+    A pass that clears it once constructs at most 1,000, and a second pass
+    on the warm sides at most 600: inside the companion search maps are
+    integer matrices, and only the base companion, the companion, a
+    correction with its extension and the answer are checked, each as one
+    product (2,151 and 651 were built when the splittings' changes of
+    basis, the block maps and the generators were checked too)."""
     built = []
     real = Isometry.__init__
 
@@ -769,16 +808,21 @@ def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
         built.append(self)
         real(self, *args)
 
-    lemsimo._target_side.cache_clear()
     monkeypatch.setattr(Isometry, "__init__", counting)
     problems = [LemsimoProblem(*item) for item in _solve_small_problems(1, 120)]
     for problem in problems:
+        lemsimo._target_side.cache_clear()
         solve(problem)
     assert len(built) <= 4000
+    lemsimo._target_side.cache_clear()
     del built[:]
     for problem in problems:
         solve(problem)
-    assert len(built) <= 800
+    assert len(built) <= 1000
+    del built[:]
+    for problem in problems:
+        solve(problem)
+    assert len(built) <= 600
 
 
 @pytest.mark.parametrize("k, xi1, xi2, fixes", [
@@ -816,12 +860,9 @@ def test_a_kept_correction_equals_the_re_extension(monkeypatch, k, xi1, xi2,
                      if s["stage"] == "companion")
     fixed = Isometry(glue1.comp, side.glue2.comp, companion)
     split2 = side.splits.items[0]
-    for stage, base in (("det-fix", lemsimo._swap_iso),
-                        ("ori-fix", lemsimo._minus_u_iso)):
+    for stage, base in (("det-fix", SWAP), ("ori-fix", MINUS_U)):
         if stage in fixes:
-            c = split2.from_block.compose(base(split2.block)).compose(
-                split2.to_block)
-            fixed = c.compose(fixed)
+            fixed = _reference_pull_back(split2, base).compose(fixed)
     assert sol.g.matrix == real(phi, fixed, glue1, side.glue2).matrix
 
     del calls[:]
@@ -839,8 +880,8 @@ def _split_blocks():
         xi1, xi2 = sample_admissible_pair(rng, k)
         _, _, phi = build_targets(LemsimoProblem(k, xi1, xi2))
         k1 = AMBIENT.orth_complement(phi.source)
-        blocks += [s.block.gram for s in itertools.islice(iter_splits(k1, 4),
-                                                          3)]
+        blocks += [_block_gram(s.w_gram)
+                   for s in itertools.islice(iter_splits(k1, 4), 3)]
     return tuple(blocks)
 
 
@@ -882,8 +923,7 @@ def test_solve_raises_when_a_correction_fails_under_optimize():
     assert "det-fix" in stages
     script = """
 import mukailat.lemsimo as lm
-from mukailat.isometries import identity_isometry
-lm._swap_iso = identity_isometry
+lm.SWAP = lm.intmat.identity(4)
 try:
     sol = lm.solve(lm.LemsimoProblem(**%r))
 except RuntimeError as exc:
@@ -933,6 +973,7 @@ def test_a_correction_acting_on_the_discriminant_is_a_bug(monkeypatch):
     fault of the pipeline, reported as RuntimeError, not as an obstruction.
     The target side is cleared first: a warm side keeps its correction."""
     lemsimo._target_side.cache_clear()
-    monkeypatch.setattr(lemsimo, "_swap_iso", minus_identity)
+    monkeypatch.setattr(lemsimo, "SWAP", tuple(
+        tuple(-x for x in row) for row in identity(4)))
     with pytest.raises(RuntimeError, match="discriminant"):
         solve(LemsimoProblem(**FIXTURE))
