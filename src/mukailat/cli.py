@@ -17,8 +17,8 @@ from .lattices import IntegerLattice
 from .isometries import Isometry, minus_reflection
 from .discriminant import (DiscriminantData, characters, in_W, in_N, NotFound,
                            index_monodromy, enum_disc_autos)
-from .mukai import MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori, \
-    DecisionDegenerate
+from .mukai import (MukaiModel, MkTriple, FM_ACTIONS, fm_action, hodge_ori,
+                   epsilon_ori, DecisionDegenerate)
 from .monodromy import GroupoidWord, certify, complement
 from .lemsimo import LemsimoProblem, solve
 from .verify import VerifyConfig, run_suite, CHECKS
@@ -207,8 +207,7 @@ def build_parser():
     sp.set_defaults(fn=cmd_reflect)
 
     sp = sub.add_parser("fm")
-    sp.add_argument("kind", choices=("tensor", "poincare", "dual",
-                                     "poincare_dual", "elliptic"))
+    sp.add_argument("kind", choices=tuple(FM_ACTIONS))
     sp.add_argument("--t", type=int, default=2)
     sp.add_argument("--c", default=None, help="tensor class, 6 ints")
     sp.set_defaults(fn=cmd_fm)

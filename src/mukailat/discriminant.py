@@ -172,11 +172,13 @@ def identity_disc_map(data):
     return DiscMap(data, data, identity(len(data.invariants)))
 
 
-def disc_map(g, source_data, target_data):
-    """Induced map on discriminant groups of an isometry g, given the
-    DiscriminantData of g.source and of g.target."""
+def disc_map(f, source_data, target_data):
+    """Induced map on discriminant groups of a linear map f of vectors, given
+    the DiscriminantData of its source and of its target: `g.apply` for an
+    isometry g, or any f that extends to the duals, such as an integral
+    reflection.  The image of a generator y / d is the class of f(y) / d."""
     return DiscMap(source_data, target_data, tuple(
-        target_data.class_of(g.apply(v), d)
+        target_data.class_of(f(v), d)
         for v, d in zip(source_data.generators, source_data.invariants)))
 
 
@@ -277,8 +279,8 @@ def extend_isometry(phi, psi, glue1, glue2):
     through the glue anti-isometries."""
     S1, K1 = glue1.sub, glue1.comp
     S2, K2 = glue2.sub, glue2.comp
-    phibar = disc_map(phi, glue1.disc_sub, glue2.disc_sub)
-    psibar = disc_map(psi, glue1.disc_comp, glue2.disc_comp)
+    phibar = disc_map(phi.apply, glue1.disc_sub, glue2.disc_sub)
+    psibar = disc_map(psi.apply, glue1.disc_comp, glue2.disc_comp)
     lhs = psibar.compose(glue1.gamma)
     rhs = glue2.gamma.compose(phibar)
     if lhs != rhs:
@@ -315,7 +317,7 @@ def characters(g, data):
     return {"det": -1 if det_char(g) else 1,
             "ori": ori_char(g),
             "disc": {1: "+id", -1: "-id", None: "other"}[
-                disc_map(g, data, data).sign()]}
+                disc_map(g.apply, data, data).sign()]}
 
 
 def in_W(chars):

@@ -8,12 +8,20 @@ here can silently overflow or round.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, mul
 
 
 def mat(rows):
     return tuple(tuple(r) for r in rows)
+
+
+def int_mat(rows):
+    """mat(rows); TypeError unless every entry is an int (not a bool)."""
+    m = mat(rows)
+    if not set(map(type, chain.from_iterable(m))) <= {int}:
+        raise TypeError("matrix entries must be integers")
+    return m
 
 
 def json_object(doc, what):
@@ -46,6 +54,16 @@ def identity(n):
 
 def transpose(a):
     return tuple(zip(*a)) if a else ()
+
+
+def block_diag(*blocks):
+    """The block-diagonal matrix of the square blocks, in order."""
+    n = sum(map(len, blocks))
+    rows, off = [], 0
+    for b in blocks:
+        rows += [(0,) * off + tuple(r) + (0,) * (n - off - len(b)) for r in b]
+        off += len(b)
+    return tuple(rows)
 
 
 # The one dot-product kernel, sum(map(mul, u, v)), spelled out in the two

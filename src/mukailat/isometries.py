@@ -2,14 +2,16 @@
 
 An isometry is stored as an integer matrix whose columns are the images of
 the source basis vectors in target coordinates, so vectors transform by
-matrix * column.  The defining identity M^T * G_target * M == G_source is
-checked at construction, on the entries with i <= j: both sides are
-symmetric.
+matrix * column.  Its entries are ints (TypeError otherwise), and the
+defining identity M^T * G_target * M == G_source is checked at
+construction, on the entries with i <= j: both sides are symmetric.
 """
 
+from operator import neg, sub
+
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, dot, transpose, inv_unimodular,
-                     int_matrix, json_object)
+from .intmat import (int_mat, mat_mul, mat_vec, dot, transpose,
+                     inv_unimodular, int_matrix, json_object)
 from .lattices import IntegerLattice
 
 
@@ -19,7 +21,7 @@ class IsometryError(ValueError):
 
 class Isometry:
     def __init__(self, source, target, matrix):
-        m = mat(matrix)
+        m = int_mat(matrix)
         if len(m) != target.rank or any(len(r) != source.rank for r in m):
             raise IsometryError("matrix shape does not match lattices")
         # M^T G M is symmetric like source.gram, so its entries with i <= j
@@ -119,6 +121,22 @@ def ori_char(g):
     return 0 if d > 0 else 1
 
 
+def reflect(x, u, gu, sq):
+    """x - (2 x.Gu / u.u) u, the reflection in u of x, read off gu = G u and
+    sq = u.u; x may be a lattice vector or the numerator of a dual one.
+    The reflection is integral when u.u divides 2 G u."""
+    c = 2 * dot(x, gu) // sq
+    return tuple(xi - c * ui for xi, ui in zip(x, u))
+
+
+def reflection_matrix(u, gu, sq):
+    """The matrix of `reflect`: column j is e_j - c_j u with
+    c_j = 2 (G u)_j / u.u, read once per column, so row i is e_i - u_i c."""
+    cs = [2 * x // sq for x in gu]
+    return tuple(tuple(map(sub, e, map(ui.__mul__, cs)))
+                 for e, ui in zip(intmat.identity(len(u)), u))
+
+
 def reflection(lat, u):
     """Reflection in a vector of square +-2 (integral on any even lattice)."""
     return _signed_reflection(lat, u, False, "reflection vector")
@@ -131,15 +149,13 @@ def minus_reflection(lat, u):
 
 
 def _signed_reflection(lat, u, minus, what):
-    """x -> sign (x - s (x.u) u) with s = (u.u)/2 = +-1, read off gu = G u:
-    entry (i, j) is sign (delta_ij - s u_i gu_j), where sign is -s for the
-    minus reflection and 1 otherwise.  One checked Isometry."""
+    """reflection_matrix(u, G u, u.u) for u of square +-2, negated for the
+    minus reflection when u.u == 2.  One checked Isometry."""
     gu = mat_vec(lat.gram, u)
     uu = dot(u, gu)
     if uu not in (2, -2):
         raise IsometryError("%s must have square +-2" % what)
-    s = uu // 2
-    sign = -s if minus else 1
-    return Isometry(lat, lat, tuple(
-        tuple(sign * (int(i == j) - s * ui * x) for j, x in enumerate(gu))
-        for i, ui in enumerate(u)))
+    m = reflection_matrix(u, gu, uu)
+    if minus and uu == 2:
+        m = tuple(tuple(map(neg, r)) for r in m)
+    return Isometry(lat, lat, m)

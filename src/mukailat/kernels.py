@@ -1,10 +1,11 @@
-"""Vectorized coordinate-box searches.
+"""Vectorized coordinate-box searches, the only module that imports numpy.
 
 The only numerically hot loops in the package are enumerations of lattice
-vectors with a prescribed square inside a coordinate box.  They are
-evaluated with numpy, and the isotropic search one slab of fixed first
-coordinate at a time, so a caller that stops early evaluates only the slabs
-it reached.  Results come in lexicographic order; inputs that could overflow
+vectors inside a coordinate box: those of a prescribed square, and those
+whose reflection is integral.  They are evaluated with numpy, and the
+isotropic search one slab of fixed first coordinate at a time, so a caller
+that stops early evaluates only the slabs it reached.  Results come as
+tuples of Python ints in lexicographic order; inputs that could overflow
 int64 are rejected, never wrapped.
 """
 
@@ -63,6 +64,24 @@ def vectors_with_square(gram, bound, target):
     vecs, sq = box_squares(gram, bound)
     hit = vecs[sq == target]
     return [tuple(int(x) for x in row) for row in hit]
+
+
+def integral_reflections(gram, radius):
+    """(u, u.u) for the box vectors u of nonzero square whose reflection is
+    integral on the lattice (u.u divides 2 G u): square 2 first, then
+    square -2, then every other square, each in lexicographic box order."""
+    vecs, sqs = box_squares(gram, radius)
+    n = len(gram)
+    # narrow an index array one gram column at a time: no second full-box
+    # array is built, and the overflow guard of box_squares bounds pair2
+    idx = np.flatnonzero(sqs)
+    for j in range(n):
+        pair2 = 2 * sum(vecs[idx, i] * gram[i][j] for i in range(n))
+        idx = idx[pair2 % sqs[idx] == 0]
+    hit = sqs[idx]
+    idx = np.concatenate((idx[hit == 2], idx[hit == -2], idx[abs(hit) != 2]))
+    for u, sq in zip(vecs[idx].tolist(), sqs[idx].tolist()):
+        yield tuple(u), sq
 
 
 def isotropic_vectors(gram, bound):

@@ -10,8 +10,9 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intmat
-from .intmat import (mat, mat_mul, mat_vec, dot, transpose, row_basis, snf,
-                     kernel_int, int_matrix, json_object)
+from .intmat import (mat, int_mat, mat_mul, mat_vec, dot, transpose,
+                     row_basis, snf, kernel_int, int_matrix, json_object,
+                     block_diag)
 
 
 class LatticeError(ValueError):
@@ -40,12 +41,12 @@ class Embedding:
 class IntegerLattice:
     """Even nondegenerate lattice over Z.
 
-    gram[i][j] is the pairing of basis vectors i and j.  Vectors are tuples
-    of ints in basis coordinates.
+    gram[i][j] is the pairing of basis vectors i and j, an int (TypeError
+    otherwise).  Vectors are tuples of ints in basis coordinates.
     """
 
     def __init__(self, gram, label=None, embedding=None):
-        g = mat(gram)
+        g = int_mat(gram)
         n = len(g)
         for row in g:
             if len(row) != n:
@@ -229,15 +230,7 @@ def hyperbolic_plane():
 
 def direct_sum(*lats, label=None):
     """Orthogonal direct sum; no embedding data on the result."""
-    n = sum(l.rank for l in lats)
-    g = [[0] * n for _ in range(n)]
-    off = 0
-    for l in lats:
-        for i in range(l.rank):
-            for j in range(l.rank):
-                g[off + i][off + j] = l.gram[i][j]
-        off += l.rank
-    return IntegerLattice(g, label=label)
+    return IntegerLattice(block_diag(*(l.gram for l in lats)), label=label)
 
 
 def hyperbolic_sum(copies, label=None):

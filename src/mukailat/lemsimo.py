@@ -18,16 +18,15 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial, reduce
 from math import gcd
 
-import numpy as np
-
 from . import intmat, kernels
 # solve_rational has no caller here; perfbench's tracer test asserts this
 # binding, so it stays until that test stops naming the search layers
-from .intmat import (mat, mat_vec, mat_mul, dot, transpose, inv_unimodular,
-                     solve_rational)
+from .intmat import (mat, mat_vec, mat_mul, transpose, inv_unimodular,
+                     block_diag, solve_rational)
 from .lattices import IntegerLattice, LatticeError
-from .isometries import Isometry, ori_char, identity_isometry
-from .discriminant import (NotFound, ExtensionObstructed, glue, DiscMap,
+from .isometries import (Isometry, ori_char, identity_isometry, reflect,
+                         reflection_matrix)
+from .discriminant import (NotFound, ExtensionObstructed, glue,
                            extend_isometry, disc_map, identity_disc_map)
 from .mukai import U3 as AMBIENT
 
@@ -216,13 +215,6 @@ MAX_SPLITS = 32
 U_GRAM = ((0, 1), (1, 0))
 
 
-def _block_diag(top, bottom):
-    """Block-diagonal matrix with the square blocks top and bottom."""
-    a, b = len(top), len(bottom)
-    return (tuple(tuple(r) + (0,) * b for r in top)
-            + tuple((0,) * a + tuple(r) for r in bottom))
-
-
 def iter_splits(K, bound):
     """Yield hyperbolic-plane splittings of K, one per distinct complement
     gram, from primitive isotropic box vectors pairing onto all of Z.
@@ -350,8 +342,8 @@ def _gram2_maps(g_from, g_to, bound):
 
 # block maps of U + W: interchange the two isotropic generators of the
 # split-off plane, and minus the identity on that plane; identity on W
-SWAP = _block_diag(U_GRAM, intmat.identity(2))
-MINUS_U = _block_diag(((-1, 0), (0, -1)), intmat.identity(2))
+SWAP = block_diag(U_GRAM, intmat.identity(2))
+MINUS_U = block_diag(((-1, 0), (0, -1)), intmat.identity(2))
 
 
 def _first_splits(K, bound):
@@ -379,7 +371,7 @@ def _companion_base(K1, bound, splits2):
                 pmat = next(_gram2_maps(split2.w_gram, split1.w_gram, bound),
                             None)
             if pmat is not None:
-                mid = _block_diag(intmat.identity(2), pmat)
+                mid = block_diag(intmat.identity(2), pmat)
                 return Isometry(K1, split2.lattice, mat_mul(mat_mul(
                     transpose(split2.basis), mid), split1.inverse)), j
     raise NotFound(bound, stage="companion-w" if scanned else "split")
@@ -396,8 +388,9 @@ def find_companion(phi, glue1, side, bound):
     psi0, j = _companion_base(glue1.comp, bound, side.splits)
 
     d_k2 = glue2.disc_comp
-    have = disc_map(psi0, glue1.disc_comp, d_k2).compose(glue1.gamma)
-    want = glue2.gamma.compose(disc_map(phi, glue1.disc_sub, glue2.disc_sub))
+    have = disc_map(psi0.apply, glue1.disc_comp, d_k2).compose(glue1.gamma)
+    want = glue2.gamma.compose(
+        disc_map(phi.apply, glue1.disc_sub, glue2.disc_sub))
     if have == want:
         return psi0
 
@@ -423,51 +416,19 @@ def _disc_generators(K, split, data, bound):
     when the image is new."""
     seen = set()
     minus = tuple(tuple(-x for x in r) for r in intmat.identity(K.rank))
-    autos = (split.pull_back(_block_diag(intmat.identity(2), pm))
+    autos = (split.pull_back(block_diag(intmat.identity(2), pm))
              for pm in _gram2_maps(split.w_gram, split.w_gram, bound))
     for m in itertools.chain((minus,), autos):
-        d = _disc_image(data, partial(mat_vec, m))
+        d = disc_map(partial(mat_vec, m), data, data)
         if d.images not in seen:
             seen.add(d.images)
             yield d, m
-    for u, gu, sq in _integral_reflections(K, bound):
-        d = _disc_image(data, lambda y: _reflect(y, u, gu, sq))
+    for u, sq in kernels.integral_reflections(K.gram, bound):
+        gu = mat_vec(K.gram, u)
+        d = disc_map(lambda y: reflect(y, u, gu, sq), data, data)
         if d.images not in seen:
             seen.add(d.images)
-            yield d, transpose(tuple(
-                _reflect(e, u, gu, sq) for e in intmat.identity(K.rank)))
-
-
-def _integral_reflections(K, radius):
-    """(u, G u, u.u) for the box vectors u of nonzero square whose reflection
-    is integral on K (u.u divides 2 G u).  Square 2 comes first, then square
-    -2, then every other square, each in lexicographic box order."""
-    vecs, sqs = kernels.box_squares(K.gram, radius)
-    n = K.rank
-    # narrow an index array one gram column at a time: no second full-box
-    # array is built, and the overflow guard of box_squares bounds pair2
-    idx = np.flatnonzero(sqs)
-    for j in range(n):
-        pair2 = 2 * sum(vecs[idx, i] * K.gram[i][j] for i in range(n))
-        idx = idx[pair2 % sqs[idx] == 0]
-    hit = sqs[idx]
-    idx = np.concatenate((idx[hit == 2], idx[hit == -2], idx[abs(hit) != 2]))
-    for u, sq in zip(vecs[idx].tolist(), sqs[idx].tolist()):
-        yield tuple(u), mat_vec(K.gram, u), sq
-
-
-def _reflect(x, u, gu, sq):
-    """x - (2 x.Gu / u.u) u: the reflection in u of x, in K or in its dual."""
-    c = 2 * dot(x, gu) // sq
-    return tuple(xi - c * ui for xi, ui in zip(x, u))
-
-
-def _disc_image(data, f):
-    """The automorphism of the discriminant group that a map of the lattice
-    induces, read off its images f(y) of the generator numerators y."""
-    return DiscMap(data, data, tuple(
-        data.class_of(f(y), d)
-        for y, d in zip(data.generators, data.invariants)))
+            yield d, reflection_matrix(u, gu, sq)
 
 
 def _bfs_disc(have, want, gens, data):

@@ -242,9 +242,8 @@ MINUS_DUAL = tuple(tuple(-x if i in (0, 7) else x for x in row)
                    for i, row in enumerate(identity(8)))
 
 
-def minus_dual_restricted(triple):
+def minus_dual_restricted(k):
     """Exact matrix of minus-the-dual-action on the canonical complement
-    basis (the reflection composite in the square -2 vectors (1,0,1) and
-    (1,0,-1), restricted)."""
-    return restrict(Isometry(MUKAI, MUKAI, MINUS_DUAL),
-                    complement(triple.k)[0])
+    basis of v = m(1, 0, -k), for any m (the reflection composite in the
+    square -2 vectors (1,0,1) and (1,0,-1), restricted)."""
+    return restrict(Isometry(MUKAI, MUKAI, MINUS_DUAL), complement(k)[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import mat, transpose, identity, json_object
+from .intmat import transpose, identity, json_object, block_diag
 from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, ori_char
 
@@ -27,25 +27,11 @@ class DecisionDegenerate(ValueError):
     cannot decide."""
 
 
-def _h2_gram():
-    g = [[0] * 6 for _ in range(6)]
-    for b in range(3):
-        g[2 * b][2 * b + 1] = g[2 * b + 1][2 * b] = 1
-    return mat(g)
-
-
-def _mukai_gram():
-    g = [[0] * 8 for _ in range(8)]
-    h2 = _h2_gram()
-    for i in range(6):
-        for j in range(6):
-            g[1 + i][1 + j] = h2[i][j]
-    g[0][7] = g[7][0] = -1
-    return mat(g)
-
-
-H2_GRAM = _h2_gram()
-MUKAI_GRAM = _mukai_gram()
+H2_GRAM = block_diag(*[((0, 1), (1, 0))] * 3)
+# the degree-0 and degree-4 parts pair to -1
+MUKAI_GRAM = (((0,) * 7 + (-1,),)
+              + tuple((0,) + row + (0,) for row in H2_GRAM)
+              + ((-1,) + (0,) * 7,))
 # the one rank-8 lattice and the one U^3 of the process, so each Smith form,
 # orthogonal basis and positive frame is computed once
 MUKAI = IntegerLattice(MUKAI_GRAM, label="mukai")
@@ -163,6 +149,21 @@ def v_perp(v):
     return MUKAI.sublattice(basis, label="v_perp")
 
 
+# the linear action on (r, xi, a) of each elementary derived equivalence:
+# tensoring by a line bundle of class c (the one action that reads c), the
+# Poincare bundle, the dual, both, and the elliptic-fibration transform,
+# which sends (1,0,0), (0,0,1), e, f to (0,e,1), (0,-f,0), (-1,-f,0),
+# (0,0,1) and is minus the identity on the other two blocks
+FM_ACTIONS = {
+    "tensor": lambda r, xi, a, c: (
+        r, tuple(x + r * ci for x, ci in zip(xi, c)),
+        a + U3.inner(xi, c) + r * (U3.norm(c) // 2)),
+    "poincare": lambda r, xi, a, c: (a, tuple(-x for x in xi), r),
+    "dual": lambda r, xi, a, c: (r, tuple(-x for x in xi), a),
+    "poincare_dual": lambda r, xi, a, c: (a, xi, r),
+    "elliptic": lambda r, xi, a, c: (
+        -xi[0], (r, -a - xi[0]) + tuple(-x for x in xi[2:]), r + xi[1]),
+}
 # (kind, class) keys whose checked action is kept for reuse
 FM_ACTION_CACHE_SIZE = 128
 
@@ -176,47 +177,17 @@ def fm_action(kind, c=None):
 
 @lru_cache(maxsize=FM_ACTION_CACHE_SIZE)
 def _fm_action(kind, c):
-    n = 8
-    cols = []
+    if kind not in FM_ACTIONS:
+        raise ValueError("unknown action kind: %r" % (kind,))
     if kind == "tensor":
         if c is None:
             raise ValueError("tensor action needs a class")
         if len(c) != 6 or any(c[2:]):
             raise ValueError("tensor class must lie in the Neron-Severi block")
-        csq = U3.norm(c)
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            r, xi, a = e[0], e[1:7], e[7]
-            xi2 = tuple(x + r * ci for x, ci in zip(xi, c))
-            a2 = a + U3.inner(xi, c) + r * (csq // 2)
-            cols.append((r,) + xi2 + (a2,))
-    elif kind == "poincare":
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            cols.append((e[7],) + tuple(-x for x in e[1:7]) + (e[0],))
-    elif kind == "dual":
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            cols.append((e[0],) + tuple(-x for x in e[1:7]) + (e[7],))
-    elif kind == "poincare_dual":
-        for j in range(n):
-            e = tuple(int(i == j) for i in range(n))
-            cols.append((e[7],) + tuple(e[1:7]) + (e[0],))
-    elif kind == "elliptic":
-        images = {
-            0: (0, 1, 0, 0, 0, 0, 0, 1),    # (1,0,0) -> (0,e,1)
-            7: (0, 0, -1, 0, 0, 0, 0, 0),   # (0,0,1) -> (0,-f,0)
-            1: (-1, 0, -1, 0, 0, 0, 0, 0),  # e -> (-1,-f,0)
-            2: (0, 0, 0, 0, 0, 0, 0, 1),    # f -> (0,0,1)
-        }
-        for j in range(n):
-            if j in images:
-                cols.append(images[j])
-            else:
-                cols.append(tuple(-int(i == j) for i in range(n)))
-    else:
-        raise ValueError("unknown action kind: %r" % (kind,))
-    return Isometry(MUKAI, MUKAI, transpose(cols))
+    # column j is the image of the basis vector e_j, read as (r, xi, a)
+    cols = (FM_ACTIONS[kind](e[0], e[1:7], e[7], c) for e in identity(8))
+    return Isometry(MUKAI, MUKAI,
+                    transpose([(r,) + xi + (a,) for r, xi, a in cols]))
 
 
 def h2_lift(h):

@@ -96,7 +96,7 @@ def check_character_table(cfg):
             want_det = uu // 2
             if rho.det() != want_det:
                 return "fail", {"k": k, "u": u, "reason": "det"}
-            sign = disc_map(rho, data, data).sign()
+            sign = disc_map(rho.apply, data, data).sign()
             if sign != -uu // 2:
                 return "fail", {"k": k, "u": u, "reason": "disc"}
             tested += 1
@@ -231,7 +231,7 @@ def check_elliptic(cfg):
 def check_propdual(cfg):
     for (m, k) in ((2, 3), (2, 5), (3, 4)):
         triple = MkTriple(m, k, cfg.t)
-        target = minus_dual_restricted(triple)
+        target = minus_dual_restricted(k)
         # the same matrix obtained from the actual reflection composite
         s = (1, 0, 0, 0, 0, 0, 0, 1)
         s1 = (1, 0, 0, 0, 0, 0, 0, -1)

@@ -20,9 +20,8 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    count_distinct_primes, index_monodromy,
                                    glue, extend_isometry, ExtensionObstructed,
                                    NotFound, characters, in_W, in_N)
-from mukailat.kernels import vectors_with_square
-from mukailat.lemsimo import (AMBIENT, LemsimoProblem, solve,
-                              _integral_reflections)
+from mukailat.kernels import vectors_with_square, integral_reflections
+from mukailat.lemsimo import AMBIENT, LemsimoProblem, solve
 from mukailat.mukai import MUKAI, MkTriple, v_perp
 from mukailat.verify import _random_primitive_sublattice, sample_admissible_pair
 
@@ -97,16 +96,16 @@ def test_disc_map_of_reflections():
     data = DiscriminantData(lat)
     for u in ((1, -1, 0, 0, 0, 0, 0), (1, 1, 0, 0, 0, 0, 0),
               (1, 2, 0, 0, 0, 0, 1)):
-        assert disc_map(reflection(lat, u), data, data).sign() == 1
-    assert disc_map(minus_reflection(lat, (1, 1, 0, 0, 0, 0, 0)),
+        assert disc_map(reflection(lat, u).apply, data, data).sign() == 1
+    assert disc_map(minus_reflection(lat, (1, 1, 0, 0, 0, 0, 0)).apply,
                     data, data).sign() == -1
-    assert disc_map(identity_isometry(lat), data, data).sign() == 1
+    assert disc_map(identity_isometry(lat).apply, data, data).sign() == 1
 
 
 def test_disc_map_compose_and_inverse():
     lat = _perp(5)
     data = DiscriminantData(lat)
-    d = disc_map(minus_identity(lat), data, data)
+    d = disc_map(minus_identity(lat).apply, data, data)
     assert d.compose(d).is_identity()
     assert identity_disc_map(data).sign() == 1
 
@@ -187,23 +186,24 @@ def test_integer_layer_matches_fraction_lifts(gram, data):
     num = tuple(int(x * disc.exponent) for x in y)
     assert disc.class_of(num, disc.exponent) == ref.class_of(y)
     # induced maps of words in -1 and integral reflections
-    # each reflection built from the (u, G u, u.u) that is yielded: column
-    # j is e_j - (2 gu_j / sq) u
+    # each reflection built from the (u, u.u) that is yielded and gu = G u:
+    # column j is e_j - (2 gu_j / sq) u
     n = lat.rank
     gens = [minus_identity(lat)] + [
         Isometry(lat, lat, transpose([
             tuple(int(i == j) - 2 * gu[j] // sq * u[i] for i in range(n))
             for j in range(n)]))
-        for u, gu, sq in _integral_reflections(lat, 1)]
+        for u, sq in integral_reflections(lat.gram, 1)
+        for gu in (mat_vec(lat.gram, u),)]
     word = data.draw(st.lists(st.sampled_from(gens), min_size=1, max_size=3))
     g = identity_isometry(lat)
     for h in word:
-        assert disc_map(h.compose(g), disc, disc) == \
-            disc_map(h, disc, disc).compose(disc_map(g, disc, disc))
+        assert disc_map(h.compose(g).apply, disc, disc) == disc_map(
+            h.apply, disc, disc).compose(disc_map(g.apply, disc, disc))
         g = h.compose(g)
-    d = disc_map(g, disc, disc)
+    d = disc_map(g.apply, disc, disc)
     assert d.images == ref.disc_images(g)
-    assert disc_map(g.inverse(), disc, disc).compose(d).is_identity()
+    assert disc_map(g.inverse().apply, disc, disc).compose(d).is_identity()
 
 
 @settings(max_examples=60, deadline=None)

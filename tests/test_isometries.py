@@ -28,6 +28,22 @@ def test_constructor_rejects_non_isometry():
         Isometry(u, u, ((1, 0), (1, 1)))
 
 
+def test_constructors_reject_non_integer_entries():
+    """A Fraction or float entry is refused even where the form identity
+    holds: diag(2, 1/2) would be an isometry of U with det 1, and
+    diag(2, 0.5, -1) on U + <-4> would read det -1, ori 0 and disc -id."""
+    u = hyperbolic_plane()
+    u4 = direct_sum(u, rank_one(-4))
+    with pytest.raises(TypeError):
+        Isometry(u, u, ((2, 0), (0, Fraction(1, 2))))
+    with pytest.raises(TypeError):
+        Isometry(u4, u4, ((2, 0, 0), (0, 0.5, 0), (0, 0, -1)))
+    for gram in (((0, 1.0), (1.0, 0)), ((0, True), (True, 0)),
+                 ((Fraction(2), 0), (0, 2))):
+        with pytest.raises(TypeError):
+            IntegerLattice(gram)
+
+
 def test_repr_prints_target_and_source_ranks():
     """The ranks are read off the lattices, so a map from or to the rank-0
     lattice, whose matrix has no row or no column, prints too."""

@@ -19,21 +19,22 @@ from hypothesis import assume, given, settings, strategies as st
 
 import mukailat
 from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
-                             kernel_int, identity, solve_rational)
+                             kernel_int, identity, solve_rational, block_diag)
 from mukailat import kernels
 from mukailat.discriminant import (DiscriminantData, NotFound, glue, disc_map,
                                    identity_disc_map)
 from mukailat.isometries import (Isometry, ori_char, reflection,
-                                 minus_identity, identity_isometry)
-from mukailat.kernels import vectors_with_square, isotropic_vectors
+                                 minus_identity, identity_isometry, reflect,
+                                 reflection_matrix)
+from mukailat.kernels import (vectors_with_square, isotropic_vectors,
+                              integral_reflections)
 from mukailat.lattices import IntegerLattice, LatticeError
 import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
                               build_targets, target_betas, targets,
                               TargetsNotIntegral, split_off_U, iter_splits,
                               AMBIENT, F_VEC, MAX_SPLITS,
-                              _reduce_gram2, _gram2_maps,
-                              _integral_reflections)
+                              _reduce_gram2, _gram2_maps)
 from mukailat.verify import sample_admissible_pair, _sample_lemsimo_xi
 
 
@@ -574,7 +575,7 @@ def _reference_pair_scan(K1, K2, bound):
             block1, _, to_block1 = _block_changes(split1)
             block2, from_block2, _ = _block_changes(split2)
             mid = Isometry(block1, block2,
-                           lemsimo._block_diag(identity(2), pmat))
+                           block_diag(identity(2), pmat))
             psi0 = from_block2.compose(mid).compose(to_block1)
             return i, j, psi0.matrix
     return None
@@ -649,12 +650,12 @@ def _reference_disc_generators(K, split, data, bound):
         cands.append(_reference_pull_back(split, base))
     for pm in _gram2_maps(split.w_gram, split.w_gram, bound):
         cands.append(_reference_pull_back(
-            split, lemsimo._block_diag(identity(2), pm)))
-    cands.extend(_reflection_isometry(K, *r)
-                 for r in _integral_reflections(K, bound))
+            split, block_diag(identity(2), pm)))
+    cands.extend(_reflection_isometry(K, u, sq)
+                 for u, sq in integral_reflections(K.gram, bound))
     seen = {}
     for iso in cands:
-        d = disc_map(iso, data, data)
+        d = disc_map(iso.apply, data, data)
         if d.images not in seen:
             seen[d.images] = (d, iso)
     return list(seen.values())
@@ -699,9 +700,10 @@ def test_lazy_generator_search_matches_the_eager_one():
         psi0, j = lemsimo._companion_base(k1, 10, splits2)
         split2 = splits2.items[j]
         data = glue2.disc_comp
-        have = disc_map(psi0, glue1.disc_comp, data).compose(glue1.gamma)
+        have = disc_map(psi0.apply, glue1.disc_comp, data).compose(
+            glue1.gamma)
         want = glue2.gamma.compose(
-            disc_map(phi, glue1.disc_sub, glue2.disc_sub))
+            disc_map(phi.apply, glue1.disc_sub, glue2.disc_sub))
         if have == want:
             continue
         for radius in (3, 6, 10):
@@ -729,9 +731,10 @@ def test_bound_zero_reports_not_found():
     assert exc.value.stage.startswith("companion")
 
 
-def _reflection_isometry(K, u, gu, sq):
-    """The reflection in u built from (u, G u, u.u) as _integral_reflections
-    yields them: column j is e_j - (2 gu_j / sq) u."""
+def _reflection_isometry(K, u, sq):
+    """The reflection in u built from (u, u.u) as integral_reflections
+    yields them and gu = G u: column j is e_j - (2 gu_j / sq) u."""
+    gu = mat_vec(K.gram, u)
     n = len(u)
     cols = [tuple(int(i == j) - 2 * gu[j] // sq * u[i] for i in range(n))
             for j in range(n)]
@@ -773,21 +776,25 @@ def _solve_small_k2s(seed):
 
 def test_reflection_images_read_off_the_vector_match_disc_map():
     """For every integral reflection of the seed-1 K2 complements at radius
-    3 and 6, the discriminant image read off (u, G u, u.u), and the one read
-    off the reflection's matrix, are disc_map of the reflection; squares
-    other than +-2 are among them."""
+    3 and 6, reflection_matrix is the matrix of the reflection, and the
+    discriminant image read off the vector by reflect, and the one read off
+    reflection_matrix, are disc_map of the reflection; squares other than
+    +-2 are among them."""
     squares = set()
     for k2 in _solve_small_k2s(1):
         data = DiscriminantData(k2)
         for radius in (3, 6):
-            for u, gu, sq in _integral_reflections(k2, radius):
+            for u, sq in integral_reflections(k2.gram, radius):
                 squares.add(sq)
-                iso = _reflection_isometry(k2, u, gu, sq)
-                want = disc_map(iso, data, data)
-                assert lemsimo._disc_image(
-                    data, lambda y: lemsimo._reflect(y, u, gu, sq)) == want
-                assert lemsimo._disc_image(
-                    data, functools.partial(mat_vec, iso.matrix)) == want
+                gu = mat_vec(k2.gram, u)
+                iso = _reflection_isometry(k2, u, sq)
+                matrix = reflection_matrix(u, gu, sq)
+                assert matrix == iso.matrix
+                want = disc_map(iso.apply, data, data)
+                assert disc_map(lambda y: reflect(y, u, gu, sq),
+                                data, data) == want
+                assert disc_map(functools.partial(mat_vec, matrix),
+                                data, data) == want
     assert squares - {2, -2}
 
 
@@ -904,10 +911,11 @@ def test_integral_reflections_match_reference(data, radius):
     gram = data.draw(st.one_of(small_even_grams(),
                                st.sampled_from(_split_blocks())))
     K = IntegerLattice(gram)
-    yielded = list(_integral_reflections(K, radius))
-    for u, gu, sq in yielded:
-        assert gu == mat_vec(K.gram, u) and sq == K.norm(u)
-    got = [_reflection_isometry(K, *r) for r in yielded]
+    yielded = list(integral_reflections(K.gram, radius))
+    for u, sq in yielded:
+        assert sq == K.norm(u)
+    got = [Isometry(K, K, reflection_matrix(u, mat_vec(K.gram, u), sq))
+           for u, sq in yielded]
     ref = _reference_integral_reflections(K, radius)
     assert sorted(r.matrix for r in got) == sorted(r.matrix for r in ref)
     first = [reflection(K, u) for sq in (2, -2)

@@ -122,7 +122,7 @@ def test_certify_functorial_on_concatenation():
 def test_propdual_certificate_characters():
     for (m, k) in ((2, 3), (3, 4)):
         triple = MkTriple(m, k, 2)
-        target = minus_dual_restricted(triple)
+        target = minus_dual_restricted(k)
         for p in (1, 2):
             cert = propdual_word(triple, p)
             assert cert.ori == 1

@@ -1,5 +1,6 @@
 """Rank-8 lattice model, pairing, derived-equivalence actions, orientation."""
 
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,17 @@ def test_elliptic_action_images():
     assert ell.apply((0, 0, 1, 0, 0, 0, 0, 0)) == (0, 0, 0, 0, 0, 0, 0, 1)
     # degree-2 classes orthogonal to the first block are negated
     assert ell.apply((0, 0, 0, 1, 0, 0, 0, 0)) == (0, 0, 0, -1, 0, 0, 0, 0)
+
+
+def test_fm_action_table_is_pinned():
+    """Every column of every action: the SHA-256 of the matrices of two
+    tensor classes and the four other kinds."""
+    mats = [fm_action(kind, c).matrix for kind, c in (
+        ("tensor", (1, 2, 0, 0, 0, 0)), ("tensor", (3, -1, 0, 0, 0, 0)),
+        ("poincare", None), ("dual", None), ("poincare_dual", None),
+        ("elliptic", None))]
+    assert hashlib.sha256(repr(mats).encode()).hexdigest() == (
+        "55c39ebdb69f6ae3ef64ed71c87d8e57b34a9f11fc8eee146df5f8315e12bc3d")
 
 
 def test_orientation_table():
