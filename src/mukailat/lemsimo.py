@@ -4,13 +4,12 @@ U^3 onto a normal form by a determinant-1, orientation-preserving isometry.
 Stages: build the target pair and the rank-2 isometry between the spans,
 split a hyperbolic plane off each rank-4 complement by bounded search, find a
 companion isometry of the complements matching the glue condition, and extend
-to the full lattice.  A wrong determinant or orientation is fixed on the
-companion (swap the isotropic generators of the split-off plane, then minus
-the identity on that plane): the extension of that correction is kept with
-the target side and multiplied onto the answer.  Inside the search, maps are
-integer matrices; a map passed on (the companion, a correction, the answer)
-is one integer product checked once as an Isometry.  Every search is bounded
-and reports honest exhaustion.
+to the full lattice.  A wrong determinant or orientation is fixed by the
+reflections of U^3 in u - u' and u + u', (u, u') the hyperbolic pair split
+off K2: they are kept with the target side and multiplied onto the answer.
+Inside the search, maps are integer matrices; a map passed on (the
+companion, a correction, the answer) is one integer product checked once as
+an Isometry.  Every search is bounded and reports honest exhaustion.
 """
 
 import itertools
@@ -24,10 +23,10 @@ from . import intmat, kernels
 from .intmat import (mat, mat_vec, mat_mul, transpose, inv_unimodular,
                      block_diag, solve_rational)
 from .lattices import IntegerLattice, LatticeError
-from .isometries import (Isometry, ori_char, identity_isometry, reflect,
+from .isometries import (Isometry, ori_char, reflect, reflection,
                          reflection_matrix)
-from .discriminant import (NotFound, ExtensionObstructed, glue,
-                           extend_isometry, disc_map, identity_disc_map)
+from .discriminant import (NotFound, glue, extend_isometry, disc_map,
+                           identity_disc_map)
 from .mukai import U3 as AMBIENT
 
 
@@ -141,38 +140,29 @@ class TargetSide:
     """The target side of the solves on one (k, l, bound): the glue of S2
     and K2, the splittings of K2 that companion scans have built, per
     (splitting index, radius) the discriminant generators that companion
-    searches have built, and per (det_fix, ori_fix) the correction that
-    solves have built.  Every value in it is finished (see _ScanPrefix)."""
+    searches have built, and the det/ori corrections once a solve has
+    needed them.  Every value in it is finished (see _ScanPrefix)."""
 
     def __init__(self, glue2, bound):
         self.glue2 = glue2
         self.splits = _ScanPrefix(partial(_first_splits, glue2.comp, bound))
         self.generators = {}
-        self.corrections = {}
 
-    def correction(self, det_fix, ori_fix):
-        """The isometry E of U^3 that is the identity on S2 and acts on K2
-        as c, the swap of the plane split off by the first splitting of K2
-        (det_fix) and then minus the identity on that plane (ori_fix).  The
-        extension is unique, so E extend(phi, psi) is extend(phi, c psi):
-        the swap has det -1 and keeps the orientation (it fixes u + u'),
-        minus the identity on the plane has det 1 and reverses it, and
-        neither may act on A_K2."""
-        key = det_fix, ori_fix
-        if key not in self.corrections:
-            split = self.splits.items[0]
-            c = SWAP if det_fix else intmat.identity(4)
-            if ori_fix:
-                c = mat_mul(MINUS_U, c)
-            try:
-                self.corrections[key] = extend_isometry(
-                    identity_isometry(self.glue2.sub),
-                    Isometry(split.lattice, split.lattice, split.pull_back(c)),
-                    self.glue2, self.glue2)
-            except ExtensionObstructed:
-                raise RuntimeError(
-                    "correction acts on the discriminant") from None
-        return self.corrections[key]
+    @cached_property
+    def corrections(self):
+        """Per (det_fix, ori_fix), the isometry E of U^3 multiplied onto an
+        answer, from the reflections in u - u' (square -2: det -1, keeps
+        the orientation) and u + u' (square 2: det -1, reverses it), with
+        (u, u') the hyperbolic pair of the first splitting of K2.  Both lie
+        in a unimodular plane of K2 orthogonal to S2, so E fixes S2 and
+        acts trivially on A_K2: E extend(phi, psi) is extend(phi, c psi),
+        c the action of E on K2."""
+        u, uprime = map(self.glue2.comp.to_ambient,
+                        self.splits.items[0].basis[:2])
+        minus = reflection(AMBIENT, tuple(a - b for a, b in zip(u, uprime)))
+        plus = reflection(AMBIENT, tuple(a + b for a, b in zip(u, uprime)))
+        return {(True, False): minus, (False, True): plus.compose(minus),
+                (True, True): plus}
 
 
 # (k, l, bound) keys whose target side is kept for reuse; a solve-small pool
@@ -212,7 +202,6 @@ class Split:
 
 # splittings of each complement tried by the companion search
 MAX_SPLITS = 32
-U_GRAM = ((0, 1), (1, 0))
 
 
 def iter_splits(K, bound):
@@ -338,12 +327,6 @@ def _gram2_maps(g_from, g_to, bound):
             p = ((c1[0], c2[0]), (c1[1], c2[1]))
             if abs(intmat.det(p)) == 1:
                 yield p
-
-
-# block maps of U + W: interchange the two isotropic generators of the
-# split-off plane, and minus the identity on that plane; identity on W
-SWAP = block_diag(U_GRAM, intmat.identity(2))
-MINUS_U = block_diag(((-1, 0), (0, -1)), intmat.identity(2))
 
 
 def _first_splits(K, bound):
@@ -484,7 +467,7 @@ def solve(problem):
     if ori_fix:
         trace.append({"stage": "ori-fix"})
     if det_fix or ori_fix:
-        g = side.correction(det_fix, ori_fix).compose(g)
+        g = side.corrections[det_fix, ori_fix].compose(g)
         det, ori = g.det(), ori_char(g)
 
     if det != 1:

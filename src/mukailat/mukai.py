@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .intmat import transpose, identity, json_object, block_diag
+from .intmat import (transpose, identity, json_object, int_vector,
+                     block_diag)
 from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, ori_char
 
@@ -65,7 +66,13 @@ class MukaiVector:
 
     @classmethod
     def from_json(cls, d):
-        return cls(d["r"], tuple(d["xi"]), d["a"])
+        """Vector from a JSON document; TypeError unless r, a and the
+        entries of the list xi are ints, so no float or bool reaches the
+        exact core."""
+        r, a = json_object(d, "Mukai vector")["r"], d["a"]
+        if type(r) is not int or type(a) is not int:
+            raise TypeError("r and a must be integers, got %r" % ((r, a),))
+        return cls(r, int_vector(d["xi"]), a)
 
 
 def mukai_pairing(x, y):
@@ -171,7 +178,8 @@ FM_ACTION_CACHE_SIZE = 128
 def fm_action(kind, c=None):
     """Cohomological action of an elementary derived equivalence, as an
     isometry of `MUKAI`.  The action is built and checked once per
-    (kind, c) and shared: callers must not mutate it."""
+    (kind, c) and shared: callers must not mutate it.  Only `tensor` takes
+    a class c; ValueError for a class with any other kind."""
     return _fm_action(kind, None if c is None else tuple(c))
 
 
@@ -184,6 +192,9 @@ def _fm_action(kind, c):
             raise ValueError("tensor action needs a class")
         if len(c) != 6 or any(c[2:]):
             raise ValueError("tensor class must lie in the Neron-Severi block")
+    elif c is not None:
+        raise ValueError("only the tensor action takes a class, got %r for %r"
+                         % (c, kind))
     # column j is the image of the basis vector e_j, read as (r, xi, a)
     cols = (FM_ACTIONS[kind](e[0], e[1:7], e[7], c) for e in identity(8))
     return Isometry(MUKAI, MUKAI,

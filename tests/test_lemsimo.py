@@ -22,7 +22,7 @@ from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
                              kernel_int, identity, solve_rational, block_diag)
 from mukailat import kernels
 from mukailat.discriminant import (DiscriminantData, NotFound, glue, disc_map,
-                                   identity_disc_map)
+                                   extend_isometry, identity_disc_map)
 from mukailat.isometries import (Isometry, ori_char, reflection,
                                  minus_identity, identity_isometry, reflect,
                                  reflection_matrix)
@@ -804,8 +804,8 @@ def test_solve_small_builds_at_most_4000_isometries(monkeypatch):
     built when every candidate and every BFS node had its own Isometry).
     A pass that clears it once constructs at most 1,000, and a second pass
     on the warm sides at most 600: inside the companion search maps are
-    integer matrices, and only the base companion, the companion, a
-    correction with its extension and the answer are checked, each as one
+    integer matrices, and only the base companion, the companion, the
+    corrections of a target side and the answer are checked, each as one
     product (2,151 and 651 were built when the splittings' changes of
     basis, the block maps and the generators were checked too)."""
     built = []
@@ -843,8 +843,8 @@ def test_a_kept_correction_equals_the_re_extension(monkeypatch, k, xi1, xi2,
     phi and the fixed companion c psi, c the swap and then minus the
     identity on the plane split off by the first splitting of K2, each
     pulled back by composing with the changes of basis.  The correction
-    is kept with the target side, so a second solve on it extends psi
-    alone."""
+    is a product of reflections of U^3, so a solve extends psi alone,
+    cold and warm."""
     lemsimo._target_side.cache_clear()
     calls = []
     real = lemsimo.extend_isometry
@@ -858,7 +858,7 @@ def test_a_kept_correction_equals_the_re_extension(monkeypatch, k, xi1, xi2,
     sol = solve(problem)
     assert [s["stage"] for s in sol.trace if s["stage"].endswith("-fix")] \
         == fixes
-    assert len(calls) == 2
+    assert len(calls) == 1
 
     _, _, phi = build_targets(problem)
     side = lemsimo._target_side(k, problem.l, problem.bound)
@@ -925,13 +925,14 @@ def test_integral_reflections_match_reference(data, radius):
 
 def test_solve_raises_when_a_correction_fails_under_optimize():
     """The self-checks of solve are exceptions, so python -O keeps them: a
-    determinant correction that fixes nothing must raise, not return an
-    answer of determinant -1."""
+    determinant correction that fixes nothing, built from reflections that
+    are the identity, must raise, not return an answer of determinant -1."""
     stages = [s["stage"] for s in solve(LemsimoProblem(**FIXTURE)).trace]
     assert "det-fix" in stages
     script = """
 import mukailat.lemsimo as lm
-lm.SWAP = lm.intmat.identity(4)
+lm.reflection = lambda lat, u: lm.Isometry(lat, lat,
+                                           lm.intmat.identity(lat.rank))
 try:
     sol = lm.solve(lm.LemsimoProblem(**%r))
 except RuntimeError as exc:
@@ -943,7 +944,8 @@ else:
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.startswith("RuntimeError"), out.stdout
+    assert out.stdout.startswith(
+        "RuntimeError pipeline produced determinant -1"), out.stdout
 
 
 def _pipeline_digest():
@@ -976,12 +978,37 @@ def test_lemsimo_pipeline_answers_are_the_same_under_optimize():
     assert out.stdout.strip() == _pipeline_digest()
 
 
-def test_a_correction_acting_on_the_discriminant_is_a_bug(monkeypatch):
-    """A determinant fix must act trivially on A_K2; one that does not is a
-    fault of the pipeline, reported as RuntimeError, not as an obstruction.
-    The target side is cleared first: a warm side keeps its correction."""
+def test_corrections_are_the_former_extensions():
+    """On the target side of each of the 120 seed-1 solve-small inputs,
+    the correction of each (det_fix, ori_fix) is an isometry of U^3 with
+    the (det, ori) that undoes the fix, it fixes t1 and t2, it maps K2
+    onto itself acting as the identity on A_K2, and it equals the former
+    correction: the extension of the identity on S2 and of the block map
+    c on K2, pulled back through the first splitting of K2."""
     lemsimo._target_side.cache_clear()
-    monkeypatch.setattr(lemsimo, "SWAP", tuple(
-        tuple(-x for x in row) for row in identity(4)))
-    with pytest.raises(RuntimeError, match="discriminant"):
-        solve(LemsimoProblem(**FIXTURE))
+    keys = set()
+    for k, xi1, xi2 in _solve_small_problems(1, 120):
+        solve(LemsimoProblem(k, xi1, xi2))
+        keys.add(_target_side_key(k, xi1, xi2))
+    blocks = {(True, False): (SWAP, -1, 0), (False, True): (MINUS_U, 1, 1),
+              (True, True): (mat_mul(MINUS_U, SWAP), -1, 1)}
+    for k, l, bound in sorted(keys):
+        side = lemsimo._target_side(k, l, bound)
+        glue2 = side.glue2
+        K2, d_k2 = glue2.comp, glue2.disc_comp
+        split = side.splits.items[0]
+        assert set(side.corrections) == set(blocks)
+        for key, (block, det_want, ori_want) in blocks.items():
+            corr = side.corrections[key]
+            assert corr.source is AMBIENT and corr.target is AMBIENT
+            assert (corr.det(), ori_char(corr)) == (det_want, ori_want)
+            for t in targets(*target_betas(k, l)):
+                assert corr.apply(t) == t
+            on_k2 = transpose([K2.from_ambient(corr.apply(K2.to_ambient(e)))
+                               for e in identity(K2.rank)])
+            assert disc_map(functools.partial(mat_vec, on_k2),
+                            d_k2, d_k2).is_identity()
+            former = extend_isometry(identity_isometry(glue2.sub),
+                                     _reference_pull_back(split, block),
+                                     glue2, glue2)
+            assert corr.matrix == former.matrix

@@ -35,6 +35,21 @@ def test_mukai_vector_helpers():
         MukaiVector(1, (0, 0, 0), 0)
 
 
+@pytest.mark.parametrize("doc", [
+    {"r": 1.5, "xi": [0.5, 0, 0, 0, 0, True], "a": 0},
+    {"r": 1, "xi": [0, 0, 0, 0, 0, 0], "a": 0.0},
+    {"r": True, "xi": [0, 0, 0, 0, 0, 0], "a": 0},
+    {"r": 1, "xi": [0, 0, 0, 0, 0, 1.0], "a": 0},
+    {"r": 1, "xi": [0, 0, 0, 0, 0, True], "a": 0},
+    [1, [0, 0, 0, 0, 0, 0], 0],
+])
+def test_mukai_vector_from_json_refuses_non_integers(doc):
+    """Floats and bools never reach the exact core: the float document
+    below would give a vector whose square is 0.0."""
+    with pytest.raises(TypeError):
+        MukaiVector.from_json(doc)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         MukaiModel(1)
@@ -131,6 +146,15 @@ def test_fm_action_is_built_once_and_shared():
         assert eval_phi_tilde(word) == phi
         assert fm_action("poincare") is phi
     assert mukai._fm_action.cache_info().currsize == size
+
+
+def test_only_the_tensor_action_takes_a_class():
+    """A class passed with another kind is refused, not cached next to
+    the action without it."""
+    for c in ((1, 2, 0, 0, 0, 0), (1, 2, 3)):
+        with pytest.raises(ValueError, match="only the tensor action"):
+            fm_action("poincare", c)
+    assert fm_action("poincare") is fm_action("poincare")
 
 
 def test_tensor_action_on_rank_one():
