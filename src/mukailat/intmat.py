@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 from itertools import chain, repeat
-from operator import add, mul
+from operator import add, mul, neg, sub
 
 
 def mat(rows):
@@ -71,24 +71,40 @@ def block_diag(*blocks):
 # zip, map stops at the shorter operand.
 
 def mat_mul(a, b):
-    """a * b.  A row of a with at most a third of its entries nonzero gives
-    its output row as the sum of x * (row j of b) over its nonzero entries
-    x = a[i][j]; a denser row takes one dot product per column of b.  The
-    crossover is measured: summing rows is cheaper up to 1 nonzero of 4,
-    2 of 6 and 3 of 8.  Both paths cut mismatched operands as zip does, and
-    the output width is len(transpose(b))."""
-    bt = transpose(b)
-    n = len(bt)
+    """a * b.  A row of a with at most half of its entries nonzero gives its
+    output row as the sum of x * (row j of b) over its nonzero entries
+    x = a[i][j], where an entry 1 adds row j as it is and -1 subtracts it,
+    with no multiplication; a row with one entry 1 is row j of b itself.  A
+    denser row takes one dot product per column of b, and b is transposed
+    only for such a row.  The crossover is measured on 8-row products:
+    summing rows is cheaper up to all but one of 7 or 8 entries when they
+    are all +-1, and up to 1 nonzero of 2 or 4 and 3 of 6 or 8 when none
+    is; at one half, a row with no +-1 entry costs at most 14% more.  Both
+    paths cut mismatched operands as zip does, and the output width is
+    len(transpose(b))."""
+    n = min(map(len, b)) if b else 0
+    bt = None
     out = []
     for row in a:
-        if 3 * (len(row) - row.count(0)) <= len(row):
+        if 2 * (len(row) - row.count(0)) <= len(row):
             acc = None
             for x, brow in zip(row, b):
-                if x:
+                if not x:
+                    continue
+                if x == 1:
+                    acc = (tuple(brow[:n]) if acc is None
+                           else tuple(map(add, acc, brow)))
+                elif x == -1:
+                    acc = (tuple(map(neg, brow[:n])) if acc is None
+                           else tuple(map(sub, acc, brow)))
+                else:
                     terms = map(mul, repeat(x, n), brow)
-                    acc = list(terms) if acc is None else list(map(add, acc, terms))
-            out.append((0,) * n if acc is None else tuple(acc))
+                    acc = (tuple(terms) if acc is None
+                           else tuple(map(add, acc, terms)))
+            out.append((0,) * n if acc is None else acc)
         else:
+            if bt is None:
+                bt = transpose(b)
             out.append(tuple([sum(map(mul, row, col)) for col in bt]))
     return tuple(out)
 

@@ -111,8 +111,8 @@ def _token_matrix(token):
     an isometry of U^3: its block lift is then an isometry of the rank-8
     lattice by construction.  Every token matrix M is an
     isometry of G = MUKAI_GRAM, and G is its own inverse, so an inverse
-    token is G * M^T * G; G is a signed permutation, so its entry (i, j) is
-    G[i][p(i)] * G[j][p(j)] * M[p(j)][p(i)]."""
+    token is G * M^T * G, built once per kind for a token that takes no
+    parameters."""
     if token.kind == "surface_lift":
         h = Isometry(U3, U3, token.params[0])
         if h.det() != 1:
@@ -124,9 +124,23 @@ def _token_matrix(token):
         return identity(8)
     if token.kind == "inverse":
         m = _token_matrix(token.params[0])
-        return tuple(tuple(si * sj * m[pj][pi] for pj, sj in _GRAM_ENTRIES)
-                     for pi, si in _GRAM_ENTRIES)
+        if token.params[0].kind in NULLARY_KINDS:
+            return _nullary_inverse(m)
+        return _gram_adjoint(m)
     return fm_action(token.kind, *token.params).matrix
+
+
+def _gram_adjoint(m):
+    """G * M^T * G for G = MUKAI_GRAM; G is a signed permutation, so its
+    entry (i, j) is G[i][p(i)] * G[j][p(j)] * M[p(j)][p(i)]."""
+    return tuple(tuple(si * sj * m[pj][pi] for pj, sj in _GRAM_ENTRIES)
+                 for pi, si in _GRAM_ENTRIES)
+
+
+# the inverse of a token that takes no parameters, kept per matrix, so once
+# per kind: the token's own matrix is still read from the FM action cache,
+# which holds no inverse
+_nullary_inverse = lru_cache(maxsize=len(NULLARY_KINDS))(_gram_adjoint)
 
 
 @dataclass(frozen=True)
@@ -174,8 +188,9 @@ def restrict(g, sub, sign=1):
     The images are formed as (B g^T)^T, with the sparse basis on the left."""
     num, den = sub.projection
     bt = transpose(sub.embedding.basis)
-    images = tuple(tuple(sign * x for x in row) for row in zip(
-        *mat_mul(sub.embedding.basis, transpose(g.matrix))))
+    images = transpose(mat_mul(sub.embedding.basis, transpose(g.matrix)))
+    if sign != 1:
+        images = tuple(tuple(sign * x for x in row) for row in images)
     r = tuple(tuple(x // den for x in row) for row in mat_mul(num, images))
     if mat_mul(bt, r) != images:
         raise WordError("restriction left the sublattice")

@@ -41,6 +41,9 @@ U3 = IntegerLattice(H2_GRAM, label="U^3")
 
 @dataclass(frozen=True)
 class MukaiVector:
+    """(r, xi, a); ValueError unless xi has 6 coordinates, TypeError unless
+    every coordinate is an int (not a bool), so no float reaches the exact
+    core."""
     r: int
     xi: tuple
     a: int
@@ -48,6 +51,9 @@ class MukaiVector:
     def __post_init__(self):
         if len(self.xi) != 6:
             raise ValueError("degree-2 component must have 6 coordinates")
+        if any(type(x) is not int for x in (self.r, *self.xi, self.a)):
+            raise TypeError("Mukai vector coordinates must be integers, got %r"
+                            % ((self.r, self.xi, self.a),))
 
     def vec8(self):
         return (self.r,) + tuple(self.xi) + (self.a,)
@@ -66,13 +72,10 @@ class MukaiVector:
 
     @classmethod
     def from_json(cls, d):
-        """Vector from a JSON document; TypeError unless r, a and the
-        entries of the list xi are ints, so no float or bool reaches the
-        exact core."""
-        r, a = json_object(d, "Mukai vector")["r"], d["a"]
-        if type(r) is not int or type(a) is not int:
-            raise TypeError("r and a must be integers, got %r" % ((r, a),))
-        return cls(r, int_vector(d["xi"]), a)
+        """Vector from a JSON document; TypeError unless it is an object
+        and r, a and the entries of the list xi are ints."""
+        return cls(json_object(d, "Mukai vector")["r"], int_vector(d["xi"]),
+                   d["a"])
 
 
 def mukai_pairing(x, y):
@@ -110,12 +113,15 @@ class MkTriple:
     """Multiplicity m >= 1, a primitive square-2k vector with k > 2 and the
     polarization parameter t >= 2 of its model.  The complement of v = m*w
     is that of w, so it reads k alone; t only enters `propdual_word`'s
-    class."""
+    class.  TypeError unless m, k and t are ints (not bools)."""
     m: int
     k: int
     t: int = 2
 
     def __post_init__(self):
+        if any(type(x) is not int for x in (self.m, self.k, self.t)):
+            raise TypeError("m, k and t must be integers, got %r"
+                            % ((self.m, self.k, self.t),))
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.k <= 2:
@@ -136,12 +142,9 @@ class MkTriple:
 
     @classmethod
     def from_json(cls, d):
-        """Triple from a JSON document; TypeError unless m, k and t are
-        ints, so no float or bool reaches the exact core."""
-        vals = (json_object(d, "triple")["m"], d["k"], d.get("t", 2))
-        if any(type(x) is not int for x in vals):
-            raise TypeError("m, k and t must be integers, got %r" % (vals,))
-        return cls(*vals)
+        """Triple from a JSON document; TypeError unless it is an object
+        and m, k and t are ints."""
+        return cls(json_object(d, "triple")["m"], d["k"], d.get("t", 2))
 
 
 def v_perp(v):

@@ -331,6 +331,43 @@ def test_mat_mul_sparse_rows_match_triple_loop(a, b):
         assert _all_int(got)
 
 
+# 4 in 9 zeros, 4 in 9 +-1 (ints or Fractions), the entries whose row of b
+# mat_mul adds or subtracts with no multiplication, and 1 in 9 any value
+unit_entries = st.sampled_from(
+    (0, 0, 0, 0, 1, -1, Fraction(1), Fraction(-1), None)).flatmap(
+        lambda x: exact_entries if x is None else st.just(x))
+
+
+@st.composite
+def unit_operands(draw, max_len=8):
+    """(a, b): a of unit_entries, b of exact entries.  The rows of a run
+    around the row count of b, and those of b around one width, each one
+    entry short or long at random, so both operands are often ragged while
+    the output width stays mostly nonzero."""
+    inner, width = draw(st.integers(0, max_len)), draw(st.integers(1, max_len))
+
+    def rows(entries, count, length):
+        row = st.lists(entries, min_size=max(length - 1, 0),
+                       max_size=length + 1).map(tuple)
+        return draw(st.lists(row, min_size=count, max_size=count))
+
+    a = rows(unit_entries, draw(st.integers(0, max_len)), inner)
+    b = rows(exact_entries, max(inner + draw(st.integers(-1, 1)), 0), width)
+    return tuple(a), tuple(b)
+
+
+@given(unit_operands())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_unit_rows_match_triple_loop(operands):
+    """Rows that mix +-1 with zeros and other entries give the products of
+    the loops, on ragged operands too, and int operands give int entries."""
+    a, b = operands
+    got = mat_mul(a, b)
+    assert got == _mat_mul_loops(a, b)
+    if _all_int(a) and _all_int(b):
+        assert _all_int(got)
+
+
 @given(ragged(exact_entries), st.lists(exact_entries, max_size=5))
 @settings(max_examples=150, deadline=None)
 def test_mat_vec_matches_loop(a, v):

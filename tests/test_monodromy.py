@@ -51,6 +51,19 @@ def test_inverse_token_cancels():
     assert eval_phi_tilde(word).is_identity()
 
 
+@pytest.mark.parametrize("kind", monodromy.NULLARY_KINDS)
+def test_nullary_inverse_is_the_gram_adjoint(kind):
+    """The kept inverse of a token with no parameters is G * M^T * G for its
+    matrix M, the same object on every read, and the inverse of M."""
+    m = identity(8) if kind == "congruence" else fm_action(kind).matrix
+    g = mukai.MUKAI_GRAM
+    want = mat_mul(mat_mul(g, transpose(m)), g)
+    got = monodromy._token_matrix(inverse(Token(kind)))
+    assert got == want
+    assert mat_mul(got, m) == identity(8)
+    assert monodromy._token_matrix(inverse(Token(kind))) is got
+
+
 def test_eval_composes_in_path_order():
     t = tensor_l((0, 1, 0, 0, 0, 0))
     word = GroupoidWord(_triple(), (t, poincare()))

@@ -50,6 +50,24 @@ def test_mukai_vector_from_json_refuses_non_integers(doc):
         MukaiVector.from_json(doc)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: MukaiVector(1.5, (0.5, 0, 0, 0, 0, True), 0),
+    lambda: MukaiVector(1, (0, 0, 0, 0, 0, 0), 0.0),
+    lambda: MukaiVector(True, (0, 0, 0, 0, 0, 0), 0),
+    lambda: MukaiVector(1, (0, 0, 0, 0, 0, Fraction(1)), 0),
+    lambda: MkTriple(1, 3.5),
+    lambda: MkTriple(True, 3),
+    lambda: MkTriple(1, 3, 2.0),
+    lambda: MkTriple(1, 3, False),
+])
+def test_constructors_refuse_non_integers(make):
+    """The constructors refuse what `from_json` refuses, before any range
+    check: the first vector above would have square 0.0, and
+    `MkTriple(1, 3.5)` and `MkTriple(True, 3)` pass the range checks."""
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         MukaiModel(1)
