@@ -10,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .intmat import mat_mul, mat_vec, dot, transpose, snf, identity
+from .intmat import mat_mul, mat_vec, dot, transpose, snf, identity, ints
 from .lattices import IntegerLattice, Embedding, LatticeError
 from .isometries import Isometry, IsometryError, det_char, ori_char
 
@@ -75,7 +75,10 @@ class DiscriminantData:
         return itertools.product(*(range(d) for d in self.invariants))
 
     def reduce(self, cls):
-        return tuple(int(c) % d for c, d in zip(cls, self.invariants))
+        """cls reduced mod the invariants; TypeError unless it is all ints.
+        Every method that takes a class reads it through here."""
+        return tuple(c % d for c, d in zip(ints(cls, "class entries"),
+                                           self.invariants))
 
     def class_of(self, num, den):
         """Class of the dual point num / den (num an integer vector in
@@ -89,7 +92,8 @@ class DiscriminantData:
     def lift(self, cls):
         """(num, exponent): num / exponent is a dual point of class cls."""
         out = [0] * self.lattice.rank
-        for c, gen, d in zip(cls, self.generators, self.invariants):
+        for c, gen, d in zip(self.reduce(cls), self.generators,
+                             self.invariants):
             c *= self.exponent // d
             for a, x in enumerate(gen):
                 out[a] += c * x
@@ -298,7 +302,8 @@ def extend_isometry(phi, psi, glue1, glue2):
     m = tuple(tuple(dk * a + ds * b for a, b in zip(rs, rk))
               for rs, rk in zip(on_s, on_k))
     if any(x % den for row in m for x in row):
-        raise ExtensionInternalError("rational extension is not integral")
+        raise ExtensionInternalError(
+            "rational extension has non-integral entries")
     out = Isometry(S1.embedding.ambient, S2.embedding.ambient,
                    tuple(tuple(x // den for x in row) for row in m))
     # the restrictions must reproduce phi and psi exactly:

@@ -8,7 +8,7 @@ here can silently overflow or round.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from itertools import chain, repeat
+from itertools import repeat
 from operator import add, mul, neg, sub
 
 
@@ -16,12 +16,20 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
+def ints(values, what):
+    """values as a tuple; TypeError naming them `what` unless each entry
+    is an int (not a bool), so no float, bool or Fraction enters the exact
+    core: the one check, which every constructor and class reader calls."""
+    out = tuple(values)
+    for x in out:
+        if type(x) is not int:
+            raise TypeError("%s must be integers, got %r" % (what, out))
+    return out
+
+
 def int_mat(rows):
     """mat(rows); TypeError unless every entry is an int (not a bool)."""
-    m = mat(rows)
-    if not set(map(type, chain.from_iterable(m))) <= {int}:
-        raise TypeError("matrix entries must be integers")
-    return m
+    return tuple(ints(r, "matrix entries") for r in rows)
 
 
 def json_object(doc, what):
@@ -34,9 +42,9 @@ def json_object(doc, what):
 def int_vector(items):
     """A JSON list of ints as a tuple; TypeError for floats, bools or other
     entries, so nothing non-integral enters the exact routines."""
-    if not isinstance(items, list) or any(type(x) is not int for x in items):
+    if not isinstance(items, list):
         raise TypeError("expected a list of integers, got %r" % (items,))
-    return tuple(items)
+    return ints(items, "list entries")
 
 
 def int_matrix(rows):

@@ -60,7 +60,7 @@ class Isometry:
         try:
             inv = inv_unimodular(self.matrix)
         except ValueError:
-            raise IsometryError("inverse is not integral") from None
+            raise IsometryError("inverse has non-integral entries") from None
         return Isometry(self.target, self.source, inv)
 
     def det(self):

@@ -21,7 +21,7 @@ from . import intmat, kernels
 # solve_rational has no caller here; perfbench's tracer test asserts this
 # binding, so it stays until that test stops naming the search layers
 from .intmat import (mat, mat_vec, mat_mul, transpose, inv_unimodular,
-                     block_diag, solve_rational)
+                     block_diag, ints, solve_rational)
 from .lattices import IntegerLattice, LatticeError
 from .isometries import (Isometry, ori_char, reflect, reflection,
                          reflection_matrix)
@@ -40,8 +40,9 @@ F_VEC = (0, 1, 0, 0, 0, 0)
 
 
 def check_bound(bound):
-    """ValueError unless the searches of a solve can run their rank-4 box
-    of coordinates in [-bound, bound]."""
+    """TypeError unless bound is an int, ValueError unless the searches of
+    a solve can run their rank-4 box of coordinates in [-bound, bound]."""
+    ints((bound,), "bound")
     top = kernels.max_box_bound(4)
     if not 0 <= bound <= top:
         raise ValueError("bound must be in 0..%d, got %d" % (top, bound))
@@ -55,13 +56,14 @@ class LemsimoProblem:
     bound: int = 10
 
     def __post_init__(self):
+        ints((self.k, *self.xi1, *self.xi2), "k and the coordinates")
         if self.k <= 2:
             raise ValueError("k must be > 2")
         check_bound(self.bound)
         for xi in (self.xi1, self.xi2):
             if len(xi) != 6:
                 raise ValueError("vectors live in a rank-6 lattice")
-            if gcd(*[abs(int(c)) for c in xi]) != 1:
+            if gcd(*xi) != 1:
                 raise ValueError("input vectors must be primitive")
             if AMBIENT.norm(xi) != 2 * self.k - 2:
                 raise ValueError("input vectors must have square 2k-2")
@@ -250,7 +252,6 @@ def _solve_unit_pairing(pair):
     g = 0
     gx = [0] * len(pair)
     for i, c in enumerate(pair):
-        c = int(c)
         if c == 0:
             continue
         if g == 0:

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import (transpose, identity, json_object, int_vector,
-                     block_diag)
+                     block_diag, ints)
 from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, ori_char
 
@@ -51,9 +51,7 @@ class MukaiVector:
     def __post_init__(self):
         if len(self.xi) != 6:
             raise ValueError("degree-2 component must have 6 coordinates")
-        if any(type(x) is not int for x in (self.r, *self.xi, self.a)):
-            raise TypeError("Mukai vector coordinates must be integers, got %r"
-                            % ((self.r, self.xi, self.a),))
+        ints((self.r, *self.xi, self.a), "Mukai vector coordinates")
 
     def vec8(self):
         return (self.r,) + tuple(self.xi) + (self.a,)
@@ -62,7 +60,7 @@ class MukaiVector:
         return mukai_pairing(self, self)
 
     def is_primitive(self):
-        return gcd(*[abs(int(c)) for c in self.vec8()]) == 1
+        return gcd(*self.vec8()) == 1
 
     def scale(self, m):
         return MukaiVector(m * self.r, tuple(m * c for c in self.xi), m * self.a)
@@ -85,13 +83,14 @@ def mukai_pairing(x, y):
 class MukaiModel:
     """Fixed rational model of the weight-2 structure on `MUKAI`.
 
-    omega = e + t*f is the reference polarization (t >= 2) and the positive
-    plane (e2+f2, e3+f3) models the symplectic-form directions.  The model
-    holds only t and omega, which the cone test of `hodge_ori` and the
+    omega = e + t*f is the reference polarization (an int t >= 2) and the
+    positive plane (e2+f2, e3+f3) models the symplectic-form directions.  The
+    model holds only t and omega, which the cone test of `hodge_ori` and the
     effectivity of Mukai vectors read; the lattice does not depend on t.
     """
 
     def __init__(self, t=2):
+        ints((t,), "t")
         if t < 2:
             raise ValueError("polarization parameter t must be >= 2")
         self.t = t
@@ -119,9 +118,7 @@ class MkTriple:
     t: int = 2
 
     def __post_init__(self):
-        if any(type(x) is not int for x in (self.m, self.k, self.t)):
-            raise TypeError("m, k and t must be integers, got %r"
-                            % ((self.m, self.k, self.t),))
+        ints((self.m, self.k, self.t), "m, k and t")
         if self.m < 1:
             raise ValueError("m must be >= 1")
         if self.k <= 2:
@@ -182,8 +179,10 @@ def fm_action(kind, c=None):
     """Cohomological action of an elementary derived equivalence, as an
     isometry of `MUKAI`.  The action is built and checked once per
     (kind, c) and shared: callers must not mutate it.  Only `tensor` takes
-    a class c; ValueError for a class with any other kind."""
-    return _fm_action(kind, None if c is None else tuple(c))
+    a class c; ValueError for a class with any other kind.  TypeError
+    unless c is all ints, checked before the cache, whose keys cannot tell
+    1 from 1.0 or True."""
+    return _fm_action(kind, None if c is None else ints(c, "class entries"))
 
 
 @lru_cache(maxsize=FM_ACTION_CACHE_SIZE)

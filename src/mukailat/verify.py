@@ -6,8 +6,9 @@ is byte-stable for a fixed configuration.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import intmat
 from .intmat import transpose
@@ -40,18 +41,26 @@ class VerifyConfig:
     similitude_samples: int = 100
 
     def __post_init__(self):
-        MukaiModel(self.t)  # ValueError unless t >= 2
+        MukaiModel(self.t)  # TypeError unless an int, ValueError unless >= 2
         check_bound(self.bound)
 
     def to_json(self):
-        return {k: getattr(self, k) for k in (
-            "seed", "bound", "t", "index_k_max", "char_samples",
-            "word_samples", "beta_samples", "nikulin_samples",
-            "lemsimo_samples", "similitude_samples")}
+        return asdict(self)
 
 
 def _rng(cfg, idx):
     return random.Random(cfg.seed * 1009 + idx)
+
+
+def _sample_factors(rng, s, a_bound, b_bound):
+    """(a, b) with a * b == s, a drawn next from rng in [-a_bound, a_bound],
+    or None if a is 0, a does not divide s or |b| > b_bound: the last step
+    of every sampler below."""
+    a = rng.randint(-a_bound, a_bound)
+    if a == 0 or s % a:
+        return None
+    b = s // a
+    return None if abs(b) > b_bound else (a, b)
 
 
 def _sample_pm2_vector(rng, k, coord_bound=20):
@@ -60,16 +69,10 @@ def _sample_pm2_vector(rng, k, coord_bound=20):
         eps = rng.choice((1, -1))
         c = rng.randint(-3, 3)
         a2, b2, a3, b3 = (rng.randint(-3, 3) for _ in range(4))
-        a1 = rng.randint(-coord_bound, coord_bound)
-        if a1 == 0:
-            continue
-        s = eps + k * c * c - a2 * b2 - a3 * b3
-        if s % a1 != 0:
-            continue
-        b1 = s // a1
-        if abs(b1) > coord_bound:
-            continue
-        return (a1, b1, a2, b2, a3, b3, c)
+        ab = _sample_factors(rng, eps + k * c * c - a2 * b2 - a3 * b3,
+                             coord_bound, coord_bound)
+        if ab:
+            return ab + (a2, b2, a3, b3, c)
 
 
 def check_index_formula(cfg):
@@ -127,16 +130,9 @@ def _sample_hodge_pm2_h2(rng):
         eps = rng.choice((1, -1))
         x3 = rng.randint(-2, 2)
         x5 = rng.randint(-2, 2)
-        x1 = rng.randint(-5, 5)
-        if x1 == 0:
-            continue
-        s = eps + x3 * x3 + x5 * x5
-        if s % x1 != 0:
-            continue
-        x2 = s // x1
-        if abs(x2) > 20:
-            continue
-        return (x1, x2, x3, -x3, x5, -x5)
+        x12 = _sample_factors(rng, eps + x3 * x3 + x5 * x5, 5, 20)
+        if x12:
+            return x12 + (x3, -x3, x5, -x5)
 
 
 def _random_surface_lift(rng):
@@ -304,22 +300,12 @@ def check_nikulin(cfg):
 
 def _sample_lemsimo_xi(rng, k, coord_bound=6):
     """Primitive vector of square 2k-2 with bounded coordinates."""
-    from math import gcd
     while True:
         a2, b2, a3, b3 = (rng.randint(-2, 2) for _ in range(4))
-        a1 = rng.randint(-coord_bound, coord_bound)
-        if a1 == 0:
-            continue
-        s = (k - 1) - a2 * b2 - a3 * b3
-        if s % a1 != 0:
-            continue
-        b1 = s // a1
-        if abs(b1) > coord_bound:
-            continue
-        v = (a1, b1, a2, b2, a3, b3)
-        if gcd(*[abs(c) for c in v]) != 1:
-            continue
-        return v
+        ab = _sample_factors(rng, (k - 1) - a2 * b2 - a3 * b3,
+                             coord_bound, coord_bound)
+        if ab and gcd(*ab, a2, b2, a3, b3) == 1:
+            return ab + (a2, b2, a3, b3)
 
 
 def sample_admissible_pair(rng, k, coord_bound=6):

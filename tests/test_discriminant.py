@@ -58,6 +58,17 @@ def test_class_of_and_lift_are_inverse():
         assert data.class_of(*data.lift((c,))) == (c % 8,)
 
 
+@pytest.mark.parametrize("bad", [(1.5,), (True,), (Fraction(1),)])
+def test_class_readers_refuse_non_integers(bad):
+    """On the k = 3 complement a truncating reduce gave q((1.5,)) = 11/6,
+    and apply((1.5,)) = (1,); lift gave float numerators."""
+    data = DiscriminantData(v_perp(MkTriple(1, 3).v))
+    for read in (data.q, lambda c: data.b(c, (1,)), lambda c: data.b((1,), c),
+                 data.lift, identity_disc_map(data).apply):
+        with pytest.raises(TypeError):
+            read(bad)
+
+
 def test_class_of_rejects_non_dual_points():
     data = DiscriminantData(rank_one(-8))
     with pytest.raises(LatticeError):

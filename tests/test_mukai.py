@@ -12,6 +12,10 @@ from mukailat.mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing,
                             epsilon_ori, DecisionDegenerate, H2_GRAM,
                             MUKAI_GRAM, MUKAI, U3)
 from mukailat.discriminant import DiscriminantData
+from mukailat.lemsimo import LemsimoProblem, check_bound
+from mukailat.verify import VerifyConfig
+
+XI1, XI2 = (1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0)  # square 4, so k = 3
 
 
 def test_pairing_examples():
@@ -59,11 +63,23 @@ def test_mukai_vector_from_json_refuses_non_integers(doc):
     lambda: MkTriple(True, 3),
     lambda: MkTriple(1, 3, 2.0),
     lambda: MkTriple(1, 3, False),
+    lambda: MukaiModel(2.5),
+    lambda: MukaiModel(True),
+    lambda: MukaiModel(Fraction(3)),
+    lambda: LemsimoProblem(3.0, XI1, XI2),
+    lambda: LemsimoProblem(3, (1.0, 2, 0, 0, 0, 0), XI2),
+    lambda: LemsimoProblem(3, XI1, (0, 0, True, 2, 0, 0)),
+    lambda: LemsimoProblem(3, XI1, XI2, bound=2.5),
+    lambda: check_bound(2.5),
+    lambda: check_bound(True),
+    lambda: VerifyConfig(t=2.5),
+    lambda: VerifyConfig(t=2.5, bound=2.5),
 ])
 def test_constructors_refuse_non_integers(make):
     """The constructors refuse what `from_json` refuses, before any range
-    check: the first vector above would have square 0.0, and
-    `MkTriple(1, 3.5)` and `MkTriple(True, 3)` pass the range checks."""
+    check: the first vector above would have square 0.0, `MkTriple(1, 3.5)`
+    and `MkTriple(True, 3)` pass the range checks, and `MukaiModel(2.5)`
+    would make `hodge_ori` compute with floats."""
     with pytest.raises(TypeError):
         make()
 
@@ -173,6 +189,16 @@ def test_only_the_tensor_action_takes_a_class():
         with pytest.raises(ValueError, match="only the tensor action"):
             fm_action("poincare", c)
     assert fm_action("poincare") is fm_action("poincare")
+
+
+@pytest.mark.parametrize("bad", [(1, 2.0, 0, 0, 0, 0), (True, 2, 0, 0, 0, 0),
+                                 (1, Fraction(2), 0, 0, 0, 0)])
+def test_tensor_class_is_checked_before_the_cache(bad):
+    """An equal int class is cached first: the cache keys cannot tell
+    2.0, True or Fraction(2) from the int, so the check comes before them."""
+    assert fm_action("tensor", (1, 2, 0, 0, 0, 0))
+    with pytest.raises(TypeError):
+        fm_action("tensor", bad)
 
 
 def test_tensor_action_on_rank_one():
