@@ -12,7 +12,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .intmat import int_matrix, json_object
+from .intmat import int_matrix, json_object, ints
 from .lattices import IntegerLattice
 from .isometries import Isometry, minus_reflection
 from .discriminant import (DiscriminantData, characters, in_W, in_N, NotFound,
@@ -62,11 +62,7 @@ def _lattice(path):
 
 def _ints(text, n):
     """A vector of n comma-separated integers."""
-    u = tuple(int(x) for x in text.split(","))
-    if len(u) != n:
-        raise BadInput("expected %d comma-separated integers, got %d"
-                       % (n, len(u)))
-    return u
+    return ints(map(int, text.split(",")), "vector", n)
 
 
 def cmd_info(args):

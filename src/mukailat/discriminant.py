@@ -75,15 +75,16 @@ class DiscriminantData:
         return itertools.product(*(range(d) for d in self.invariants))
 
     def reduce(self, cls):
-        """cls reduced mod the invariants; TypeError unless it is all ints.
-        Every method that takes a class reads it through here."""
-        return tuple(c % d for c, d in zip(ints(cls, "class entries"),
-                                           self.invariants))
+        """cls, one int per invariant (intmat.ints), reduced mod them:
+        every method that takes a class reads it through here."""
+        return tuple(c % d for c, d in zip(
+            ints(cls, "class", len(self.invariants)), self.invariants))
 
     def class_of(self, num, den):
         """Class of the dual point num / den (num an integer vector in
         lattice coordinates)."""
-        coords = mat_vec(self._reducer, num)
+        coords = mat_vec(self._reducer,
+                         ints(num, "dual point", self.lattice.rank))
         if any(x % den for x in coords):
             raise LatticeError("vector is not in the dual lattice")
         return tuple(coords[i] // den % d

@@ -16,11 +16,14 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def ints(values, what):
-    """values as a tuple; TypeError naming them `what` unless each entry
-    is an int (not a bool), so no float, bool or Fraction enters the exact
-    core: the one check, which every constructor and class reader calls."""
+def ints(values, what, n=None):
+    """values as a tuple; ValueError naming them `what` unless there are n
+    of them (if n is given), TypeError unless each is an int (not a bool):
+    the one rule for what enters the exact core, which every reader calls."""
     out = tuple(values)
+    if n is not None and len(out) != n:
+        raise ValueError("%s must have %d entries, got %d"
+                         % (what, n, len(out)))
     for x in out:
         if type(x) is not int:
             raise TypeError("%s must be integers, got %r" % (what, out))
@@ -76,7 +79,7 @@ def block_diag(*blocks):
 
 # The one dot-product kernel, sum(map(mul, u, v)), spelled out in the two
 # hot loops: Python ints (or Fractions) throughout, so nothing wraps; like
-# zip, map stops at the shorter operand.
+# zip, map stops at the shorter operand, so only the public readers refuse.
 
 def mat_mul(a, b):
     """a * b.  A row of a with at most half of its entries nonzero gives its
@@ -373,7 +376,7 @@ def orthogonal_basis(g):
     v - w if that is isotropic too, for the first remaining w it pairs
     with; ValueError if there is none (g is degenerate)."""
     n = len(g)
-    work = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    work = identity(n)
     out = []
     while work:
         v = work[0]

@@ -11,7 +11,7 @@ from operator import neg, sub
 
 from . import intmat
 from .intmat import (int_mat, mat_mul, mat_vec, dot, transpose,
-                     inv_unimodular, int_matrix, json_object)
+                     inv_unimodular, int_matrix, json_object, ints)
 from .lattices import IntegerLattice
 
 
@@ -48,7 +48,7 @@ class Isometry:
         return hash((self.matrix,))
 
     def apply(self, v):
-        return mat_vec(self.matrix, v)
+        return mat_vec(self.matrix, ints(v, "vector", self.source.rank))
 
     def compose(self, other):
         """self after other (so the result maps other.source to self.target)."""

@@ -12,7 +12,7 @@ from functools import cached_property
 from . import intmat
 from .intmat import (mat, int_mat, mat_mul, mat_vec, dot, transpose,
                      row_basis, snf, kernel_int, int_matrix, json_object,
-                     block_diag)
+                     block_diag, ints)
 
 
 class LatticeError(ValueError):
@@ -42,7 +42,8 @@ class IntegerLattice:
     """Even nondegenerate lattice over Z.
 
     gram[i][j] is the pairing of basis vectors i and j, an int (TypeError
-    otherwise).  Vectors are tuples of ints in basis coordinates.
+    otherwise).  A vector is `rank` ints in basis coordinates, and every
+    method that takes one reads it through intmat.ints.
     """
 
     def __init__(self, gram, label=None, embedding=None):
@@ -83,7 +84,9 @@ class IntegerLattice:
         return hash(self.gram)
 
     def inner(self, u, v):
-        return dot(u, mat_vec(self.gram, v))
+        n = self.rank
+        return dot(ints(u, "vector", n),
+                   mat_vec(self.gram, ints(v, "vector", n)))
 
     def norm(self, u):
         return self.inner(u, u)
@@ -163,7 +166,8 @@ class IntegerLattice:
         """Coordinates of v (in this lattice's basis) inside the ambient lattice."""
         if self.embedding is None:
             raise LatticeError("lattice has no embedding")
-        return mat_vec(transpose(self.embedding.basis), v)
+        return mat_vec(transpose(self.embedding.basis),
+                       ints(v, "coordinates", self.rank))
 
     @cached_property
     def smith(self):
@@ -194,8 +198,9 @@ class IntegerLattice:
         projection maps back to w exactly when the projection is integral
         and w is in the span, since to_ambient is injective."""
         num, den = self.projection
+        w = ints(w, "ambient vector", self.embedding.ambient.rank)
         c = tuple(x // den for x in mat_vec(num, w))
-        if self.to_ambient(c) != tuple(w):
+        if self.to_ambient(c) != w:
             raise LatticeError("vector is not in the sublattice")
         return c
 

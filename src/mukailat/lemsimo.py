@@ -56,13 +56,14 @@ class LemsimoProblem:
     bound: int = 10
 
     def __post_init__(self):
-        ints((self.k, *self.xi1, *self.xi2), "k and the coordinates")
+        ints((self.k,), "k")
+        for name in ("xi1", "xi2"):  # kept as tuples: xi2 is compared below
+            object.__setattr__(self, name,
+                               ints(getattr(self, name), name, AMBIENT.rank))
         if self.k <= 2:
             raise ValueError("k must be > 2")
         check_bound(self.bound)
         for xi in (self.xi1, self.xi2):
-            if len(xi) != 6:
-                raise ValueError("vectors live in a rank-6 lattice")
             if gcd(*xi) != 1:
                 raise ValueError("input vectors must be primitive")
             if AMBIENT.norm(xi) != 2 * self.k - 2:

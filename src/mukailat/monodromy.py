@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
-                     int_vector, json_object)
+                     int_vector, json_object, ints)
 from .isometries import Isometry, ori_char
 from .discriminant import DiscriminantData, characters, in_N
 from .mukai import (MkTriple, MukaiVector, MUKAI, MUKAI_GRAM, U3, fm_action,
@@ -32,21 +32,27 @@ NULLARY_KINDS = ("poincare", "poincare_dual", "elliptic", "congruence")
 
 @dataclass(frozen=True)
 class Token:
-    """One elementary equivalence; ValueError for an unknown kind, a tensor
-    class without 6 entries or a surface lift that is not 6 x 6."""
+    """One elementary equivalence; WordError for an unknown kind, a kind
+    without one parameter (none if nullary), an inverse of a non-token or a
+    surface lift that is not 6 x 6; intmat.ints reads a tensor class."""
     kind: str
     params: tuple = ()
 
     def __post_init__(self):
+        unary = self.kind not in NULLARY_KINDS
+        if unary and self.kind not in ("surface_lift", "tensor", "inverse"):
+            raise WordError("unknown token kind: %r" % (self.kind,))
+        if len(self.params) != unary:
+            raise WordError("%s token takes %d parameters, got %r"
+                            % (self.kind, unary, self.params))
         if self.kind == "surface_lift":
             m = self.params[0]
             if len(m) != 6 or any(len(row) != 6 for row in m):
                 raise WordError("surface lift matrix must be 6 x 6")
         elif self.kind == "tensor":
-            if len(self.params[0]) != 6:
-                raise WordError("tensor class must have 6 entries")
-        elif self.kind != "inverse" and self.kind not in NULLARY_KINDS:
-            raise WordError("unknown token kind: %r" % (self.kind,))
+            ints(self.params[0], "tensor class", U3.rank)
+        elif self.kind == "inverse" and not isinstance(self.params[0], Token):
+            raise WordError("an inverse wraps a token")
 
     def to_json(self):
         if self.kind == "surface_lift":

@@ -41,20 +41,20 @@ U3 = IntegerLattice(H2_GRAM, label="U^3")
 
 @dataclass(frozen=True)
 class MukaiVector:
-    """(r, xi, a); ValueError unless xi has 6 coordinates, TypeError unless
-    every coordinate is an int (not a bool), so no float reaches the exact
-    core."""
+    """(r, xi, a); TypeError unless every coordinate is an int (not a
+    bool), so no float reaches the exact core, ValueError unless xi has 6
+    coordinates.  xi is kept as the tuple that intmat.ints returns."""
     r: int
     xi: tuple
     a: int
 
     def __post_init__(self):
-        if len(self.xi) != 6:
-            raise ValueError("degree-2 component must have 6 coordinates")
-        ints((self.r, *self.xi, self.a), "Mukai vector coordinates")
+        ints((self.r, self.a), "Mukai vector coordinates")
+        object.__setattr__(self, "xi", ints(self.xi, "degree-2 component",
+                                            U3.rank))
 
     def vec8(self):
-        return (self.r,) + tuple(self.xi) + (self.a,)
+        return (self.r,) + self.xi + (self.a,)
 
     def square(self):
         return mukai_pairing(self, self)
@@ -192,7 +192,7 @@ def _fm_action(kind, c):
     if kind == "tensor":
         if c is None:
             raise ValueError("tensor action needs a class")
-        if len(c) != 6 or any(c[2:]):
+        if any(ints(c, "tensor class", U3.rank)[2:]):
             raise ValueError("tensor class must lie in the Neron-Severi block")
     elif c is not None:
         raise ValueError("only the tensor action takes a class, got %r for %r"
@@ -235,8 +235,7 @@ def hodge_ori(model, phi):
             raise IsometryError("phi moves rho out of the symplectic plane")
     t = model.t
     omega8 = (0, 1, t, 0, 0, 0, 0, -t)  # (0, omega, -omega^2/2)
-    e0 = tuple(int(i == 0) for i in range(8))
-    e7 = tuple(int(i == 7) for i in range(8))
+    e0, *_, e7 = identity(8)
     r = phi.apply(e7)[0]
     chi = phi.apply(e0)[0]
     chi_om = phi.apply(omega8)[0]

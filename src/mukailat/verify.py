@@ -106,11 +106,13 @@ def check_character_table(cfg):
     return "pass", {"tested": tested}
 
 
+def _dual_reflections():
+    """The reflections in (1, 0, 1) and (1, 0, -1), of squares -2 and 2."""
+    return tuple(reflection(MUKAI, (1,) + (0,) * 6 + (s,)) for s in (1, -1))
+
+
 def check_involution(cfg):
-    s = (1, 0, 0, 0, 0, 0, 0, 1)    # square -2
-    s1 = (1, 0, 0, 0, 0, 0, 0, -1)  # square +2
-    rs = reflection(MUKAI, s)
-    rs1 = reflection(MUKAI, s1)
+    rs, rs1 = _dual_reflections()
     comp = rs.compose(rs1)
     if comp.matrix != MINUS_DUAL:
         return "fail", {"reason": "matrix", "got": comp.matrix}
@@ -225,13 +227,11 @@ def check_elliptic(cfg):
 
 
 def check_propdual(cfg):
+    # the same matrix obtained from the actual reflection composite
+    comp = Isometry.compose(*_dual_reflections())
     for (m, k) in ((2, 3), (2, 5), (3, 4)):
         triple = MkTriple(m, k, cfg.t)
         target = minus_dual_restricted(k)
-        # the same matrix obtained from the actual reflection composite
-        s = (1, 0, 0, 0, 0, 0, 0, 1)
-        s1 = (1, 0, 0, 0, 0, 0, 0, -1)
-        comp = reflection(MUKAI, s).compose(reflection(MUKAI, s1))
         if restrict(comp, target.source).matrix != target.matrix:
             return "fail", {"m": m, "k": k, "case": "reflection-vs-dual"}
         for p in (1, 2):
@@ -269,9 +269,7 @@ def check_nikulin(cfg):
         gd = glue(s, kk)
         # anti-isometry rechecked here: on generators always, and over the
         # whole group when it is small enough to enumerate
-        gcount = len(gd.disc_sub.invariants)
-        for a in range(gcount):
-            ea = tuple(int(a == x) for x in range(gcount))
+        for ea in intmat.identity(len(gd.disc_sub.invariants)):
             if (gd.disc_sub.q(ea) + gd.disc_comp.q(gd.gamma.apply(ea))) % 2:
                 return "fail", {"i": i, "case": "anti-isometry-gen"}
         if gd.disc_sub.order <= 100:

@@ -69,6 +69,65 @@ def test_class_readers_refuse_non_integers(bad):
             read(bad)
 
 
+# the k = 3 complement (rank 7 in the rank-8 lattice, invariants (6,)), a
+# reflection of U^3 and the vector or class that each reader below accepts
+_VP = v_perp(MkTriple(1, 3).v)
+_DATA = DiscriminantData(_VP)
+_G = reflection(AMBIENT, (1, 1, 0, 0, 0, 0))
+_E = (1, 2, 0, 0, 0, 0)
+_NUM, _DEN = _DATA.lift((1,))
+_READERS = {
+    "inner, left": (lambda u: AMBIENT.inner(u, _E), _E),
+    "inner, right": (lambda v: AMBIENT.inner(_E, v), _E),
+    "norm": (AMBIENT.norm, _E),
+    "to_ambient": (_VP.to_ambient, (1,) * 7),
+    "from_ambient": (_VP.from_ambient, _VP.to_ambient((1,) * 7)),
+    "Isometry.apply": (_G.apply, _E),
+    "reduce": (_DATA.reduce, (1,)),
+    "q": (_DATA.q, (1,)),
+    "b, left": (lambda c: _DATA.b(c, (1,)), (1,)),
+    "b, right": (lambda c: _DATA.b((1,), c), (1,)),
+    "lift": (_DATA.lift, (1,)),
+    "DiscMap.apply": (identity_disc_map(_DATA).apply, (1,)),
+    "DiscMap images": (lambda c: DiscMap(_DATA, _DATA, [c]), (1,)),
+    "class_of": (lambda y: _DATA.class_of(y, _DEN), _NUM),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_READERS))
+@pytest.mark.parametrize("fault", ["short", "long", "float", "bool",
+                                   "Fraction"])
+def test_vector_readers_refuse_wrong_lengths_and_non_integers(name, fault):
+    """Each public reader of a vector or a class refuses one entry too few
+    or too many with a ValueError that names the length, and a float, a
+    bool or a Fraction with a TypeError: none cuts or pads its input as zip
+    does, and none returns a result or ends in an IndexError."""
+    read, good = _READERS[name]
+    assert read(good) is not None
+    n = len(good)
+    bad = {"short": good[:-1], "long": good + (0,),
+           "float": (good[0] + 0.5,) + good[1:], "bool": (True,) + good[1:],
+           "Fraction": (Fraction(good[0]),) + good[1:]}[fault]
+    if len(bad) != n:
+        error, message = ValueError, "must have %d entries, got %d" % (
+            n, len(bad))
+    else:
+        error, message = TypeError, "must be integers"
+    with pytest.raises(error, match=message):
+        read(bad)
+
+
+def test_a_class_of_another_length_is_refused():
+    """On the k = 3 complement reduce zipped a class with the invariants:
+    q((1, 5)) was q((1,)), q(()) was 0, lift((1, 7)) was the lift of (1,)
+    and apply((2, 9)) was (2,)."""
+    for call in (lambda: _DATA.q((1, 5)), lambda: _DATA.q(()),
+                 lambda: _DATA.lift((1, 7)),
+                 lambda: identity_disc_map(_DATA).apply((2, 9))):
+        with pytest.raises(ValueError, match="class must have 1 entries"):
+            call()
+
+
 def test_class_of_rejects_non_dual_points():
     data = DiscriminantData(rank_one(-8))
     with pytest.raises(LatticeError):
@@ -155,10 +214,12 @@ class _FractionLifts:
         return out
 
     def q(self, cls):
-        return _frac_mod(self.lat.norm(self.lift(cls)), 2)
+        l = self.lift(cls)
+        return _frac_mod(intmat.dot(l, mat_vec(self.lat.gram, l)), 2)
 
     def b(self, cls1, cls2):
-        return _frac_mod(self.lat.inner(self.lift(cls1), self.lift(cls2)), 1)
+        return _frac_mod(intmat.dot(
+            self.lift(cls1), mat_vec(self.lat.gram, self.lift(cls2))), 1)
 
     def disc_images(self, g):
         return tuple(self.class_of(mat_vec(g.matrix, y)) for y in self.lifts)

@@ -52,6 +52,16 @@ def test_problem_validation():
         LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0))  # same vector
 
 
+def test_problem_keeps_tuples():
+    """A list equal to a tuple is the same vector: the list xi1 below passed
+    the "xi2 must differ from +-xi1" check and the solve failed later."""
+    with pytest.raises(ValueError, match="must differ"):
+        LemsimoProblem(3, [1, 2, 0, 0, 0, 0], (1, 2, 0, 0, 0, 0))
+    prob = LemsimoProblem(3, [1, 2, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0])
+    assert prob == LemsimoProblem(**FIXTURE)
+    assert type(prob.xi1) is tuple and type(prob.xi2) is tuple
+
+
 def test_target_betas_squares():
     for k in (3, 4, 5):
         for l in (-1, 0, 1, 5):

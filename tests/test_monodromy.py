@@ -64,6 +64,21 @@ def test_nullary_inverse_is_the_gram_adjoint(kind):
     assert monodromy._token_matrix(inverse(Token(kind))) is got
 
 
+@pytest.mark.parametrize("make", [
+    lambda: Token("tensor"), lambda: Token("surface_lift"),
+    lambda: Token("inverse"), lambda: Token("inverse", (5,)),
+    lambda: Token("congruence", (7,)), lambda: Token("poincare", ((),)),
+    lambda: Token("tensor", ((1, 2, 0, 0, 0, 0), (0,) * 6)),
+])
+def test_token_checks_its_parameters(make):
+    """A nullary kind takes no parameter and every other kind exactly one,
+    and an inverse wraps a token: the first three ended in IndexError, the
+    fourth in AttributeError at certify, and the fifth was accepted with its
+    parameter ignored."""
+    with pytest.raises(WordError):
+        make()
+
+
 def test_eval_composes_in_path_order():
     t = tensor_l((0, 1, 0, 0, 0, 0))
     word = GroupoidWord(_triple(), (t, poincare()))

@@ -39,6 +39,13 @@ def test_mukai_vector_helpers():
         MukaiVector(1, (0, 0, 0), 0)
 
 
+def test_mukai_vector_keeps_a_tuple():
+    """A list xi made a frozen vector that could not be hashed."""
+    v = MukaiVector(1, [0] * 6, 0)
+    assert hash(v) == hash(MukaiVector(1, (0,) * 6, 0))
+    assert v == MukaiVector(1, (0,) * 6, 0) and type(v.xi) is tuple
+
+
 @pytest.mark.parametrize("doc", [
     {"r": 1.5, "xi": [0.5, 0, 0, 0, 0, True], "a": 0},
     {"r": 1, "xi": [0, 0, 0, 0, 0, 0], "a": 0.0},
