@@ -9,6 +9,8 @@ of the dual by the lattice; it carries a quadratic form with values in Q mod
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import mod
 
 from .intmat import mat_mul, mat_vec, dot, transpose, snf, identity, ints
 from .lattices import IntegerLattice, Embedding, LatticeError
@@ -66,10 +68,7 @@ class DiscriminantData:
 
     @property
     def order(self):
-        out = 1
-        for d in self.invariants:
-            out *= d
-        return out
+        return prod(self.invariants)
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.invariants))
@@ -77,12 +76,14 @@ class DiscriminantData:
     def reduce(self, cls):
         """cls, one int per invariant (intmat.ints), reduced mod them:
         every method that takes a class reads it through here."""
-        return tuple(c % d for c, d in zip(
-            ints(cls, "class", len(self.invariants)), self.invariants))
+        return tuple(map(mod, ints(cls, "class", len(self.invariants)),
+                         self.invariants))
 
     def class_of(self, num, den):
         """Class of the dual point num / den (num an integer vector in
-        lattice coordinates)."""
+        lattice coordinates, den a positive int)."""
+        if ints((den,), "denominator")[0] < 1:
+            raise ValueError("denominator must be positive, got %d" % den)
         coords = mat_vec(self._reducer,
                          ints(num, "dual point", self.lattice.rank))
         if any(x % den for x in coords):
@@ -100,26 +101,28 @@ class DiscriminantData:
                 out[a] += c * x
         return tuple(out), self.exponent
 
-    def _square(self, cls1, cls2):
-        """E^2 b(cls1, cls2) as an integer, on the reduced classes."""
-        return dot(self.reduce(cls1), mat_vec(self.pairing, self.reduce(cls2)))
+    def square(self, cls1, cls2=None):
+        """E^2 b(cls1, cls2) as an integer (E the exponent) on the reduced
+        classes; cls2 None reads cls1 once, for E^2 q(cls1) mod 2 E^2.  The
+        one reader of the form: q, b and DiscMap.negates read it."""
+        c1 = self.reduce(cls1)
+        c2 = c1 if cls2 is None else self.reduce(cls2)
+        return dot(c1, mat_vec(self.pairing, c2))
 
     def q(self, cls):
         """Quadratic form value in [0, 2)."""
         n2 = self.exponent * self.exponent
-        return Fraction(self._square(cls, cls) % (2 * n2), n2)
+        return Fraction(self.square(cls) % (2 * n2), n2)
 
     def b(self, cls1, cls2):
         """Bilinear pairing value in [0, 1)."""
         n2 = self.exponent * self.exponent
-        return Fraction(self._square(cls1, cls2), n2) % 1
+        return Fraction(self.square(cls1, cls2) % n2, n2)
 
     def to_json(self):
-        vals = []
-        for ei in identity(len(self.invariants)):
-            q = self.q(ei)
-            vals.append("%d/%d" % (q.numerator, q.denominator))
-        return {"invariants": list(self.invariants), "qbar": vals}
+        qs = map(self.q, identity(len(self.invariants)))
+        return {"invariants": list(self.invariants),
+                "qbar": ["%d/%d" % (q.numerator, q.denominator) for q in qs]}
 
 
 class DiscMap:
@@ -158,6 +161,16 @@ class DiscMap:
 
     def is_identity(self):
         return self.images == identity(len(self.source.invariants))
+
+    def negates(self, cls1, cls2=None):
+        """True if q(f x) + q(x) is in 2Z (cls2 None), or b(f x, f y) +
+        b(x, y) in Z: in integers, s E_T^2 + t E_S^2 == 0 mod (2 or 1)
+        E_S^2 E_T^2 for s = E_S^2 b_S and t = E_T^2 b_T read by `square`."""
+        ns, nt = self.source.exponent ** 2, self.target.exponent ** 2
+        s = self.source.square(cls1, cls2)
+        t = self.target.square(self.apply(cls1),
+                               None if cls2 is None else self.apply(cls2))
+        return (s * nt + t * ns) % ((2 if cls2 is None else 1) * ns * nt) == 0
 
     def is_minus_identity(self):
         return self.images == tuple(
@@ -244,7 +257,7 @@ def glue(S, K):
     L = S.embedding.ambient
     if K.embedding.ambient is not L:
         raise LatticeError("S and K must share an ambient lattice")
-    if abs(L.det()) != 1:
+    if L.smith[0] != identity(L.rank):
         raise LatticeError("ambient lattice must be unimodular")
     r = S.rank
     d, u, v = snf(mat_mul(S.embedding.basis, L.gram))
@@ -269,11 +282,10 @@ def glue(S, K):
     # pairing on A_S is nondegenerate
     units = identity(len(disc_s.invariants))
     for i, ei in enumerate(units):
-        if (disc_s.q(ei) + disc_k.q(gamma.apply(ei))) % 2 != 0:
+        if not gamma.negates(ei):
             raise LatticeError("glue map is not an anti-isometry")
         for ej in units[i + 1:]:
-            if (disc_s.b(ei, ej)
-                    + disc_k.b(gamma.apply(ei), gamma.apply(ej))) % 1 != 0:
+            if not gamma.negates(ei, ej):
                 raise LatticeError("glue pairing is not anti-preserved")
     return GlueData(S, K, disc_s, disc_k, gamma)
 

@@ -8,7 +8,7 @@ here can silently overflow or round.
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from itertools import repeat
+from itertools import compress, repeat
 from operator import add, mul, neg, sub
 
 
@@ -91,17 +91,16 @@ def mat_mul(a, b):
     summing rows is cheaper up to all but one of 7 or 8 entries when they
     are all +-1, and up to 1 nonzero of 2 or 4 and 3 of 6 or 8 when none
     is; at one half, a row with no +-1 entry costs at most 14% more.  Both
-    paths cut mismatched operands as zip does, and the output width is
-    len(transpose(b))."""
+    paths cut mismatched operands as zip does (the sparse one visits only
+    the nonzero j below len(b)), and the output width is len(transpose(b))."""
     n = min(map(len, b)) if b else 0
     bt = None
     out = []
     for row in a:
         if 2 * (len(row) - row.count(0)) <= len(row):
             acc = None
-            for x, brow in zip(row, b):
-                if not x:
-                    continue
+            for j in compress(range(len(b)), row):
+                x, brow = row[j], b[j]
                 if x == 1:
                     acc = (tuple(brow[:n]) if acc is None
                            else tuple(map(add, acc, brow)))
@@ -129,7 +128,8 @@ def dot(u, v):
 
 
 def det(a):
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Determinant of a square integer matrix (fraction-free Bareiss); a row
+    with 0 below the pivot is kept as it is when pivot == prev."""
     n = len(a)
     if n == 0:
         return 1
@@ -145,11 +145,15 @@ def det(a):
                     break
             else:
                 return 0
-        for i in range(k + 1, n):
+        top = m[k]
+        p = top[k]
+        for row in m[k + 1:]:
+            x = row[k]
+            if x == 0 and p == prev:
+                continue
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
+                row[j] = (row[j] * p - x * top[j]) // prev
+        prev = p
     return sign * m[n - 1][n - 1]
 
 

@@ -139,18 +139,21 @@ def reflection_matrix(u, gu, sq):
 
 def reflection(lat, u):
     """Reflection in a vector of square +-2 (integral on any even lattice)."""
-    return _signed_reflection(lat, u, False, "reflection vector")
+    return Isometry(lat, lat, signed_reflection_matrix(
+        lat, u, False, "reflection vector"))
 
 
 def minus_reflection(lat, u):
     """-(u.u)/2 times the reflection in u, for u of square +-2: this is the
     reflection when u.u == -2 and minus the reflection when u.u == 2."""
-    return _signed_reflection(lat, u, True, "vector")
+    return Isometry(lat, lat, signed_reflection_matrix(lat, u, True))
 
 
-def _signed_reflection(lat, u, minus, what):
-    """reflection_matrix(u, G u, u.u) for u of square +-2, negated for the
-    minus reflection when u.u == 2.  One checked Isometry."""
+def signed_reflection_matrix(lat, u, minus, what="vector"):
+    """reflection_matrix(u, G u, u.u) for u (intmat.ints, named `what`) of
+    square +-2, negated for the minus reflection when u.u == 2: unchecked,
+    so its callers check it once, as an Isometry."""
+    u = ints(u, what, lat.rank)
     gu = mat_vec(lat.gram, u)
     uu = dot(u, gu)
     if uu not in (2, -2):
@@ -158,4 +161,4 @@ def _signed_reflection(lat, u, minus, what):
     m = reflection_matrix(u, gu, uu)
     if minus and uu == 2:
         m = tuple(tuple(map(neg, r)) for r in m)
-    return Isometry(lat, lat, m)
+    return m

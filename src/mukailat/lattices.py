@@ -130,15 +130,15 @@ class IntegerLattice:
         Returns an IntegerLattice embedded in self whose row basis spans
         span_Q(gens) intersected with self.  Degenerate spans are rejected.
         """
-        rows = mat(gens)
+        rows = tuple(ints(g, "generator", self.rank) for g in gens)
         if not rows:
             raise LatticeError("need at least one generator")
-        # saturated basis: the first r rows of inv(V^T) where snf(rows)=U D V
-        # and r is the rank, the number of nonzero entries of D
-        d, u, v = snf(rows)
+        # saturated basis: the first r rows of V^-1 (r nonzero entries in
+        # U rows V == D), read off U rows == D V^-1 by dividing row j by d_j
+        d, u, _ = snf(rows)
         r = sum(1 for i in range(min(len(d), self.rank)) if d[i][i] != 0)
-        vinv = intmat.inv_unimodular(v)
-        sat = tuple(tuple(vinv[j][c] for c in range(self.rank)) for j in range(r))
+        sat = tuple(tuple(x // d[j][j] for x in row)
+                    for j, row in enumerate(mat_mul(u[:r], rows)))
         return self.sublattice(row_basis(sat), label=label)
 
     def span(self, gens, label=None):

@@ -14,7 +14,8 @@ from . import intmat
 from .intmat import transpose
 from .lattices import LatticeError
 from .isometries import (Isometry, ori_char, reflection, minus_reflection,
-                         identity_isometry, minus_identity)
+                         signed_reflection_matrix, identity_isometry,
+                         minus_identity)
 from .discriminant import (disc_map, count_distinct_primes, enum_disc_autos,
                            glue, extend_isometry, ExtensionObstructed,
                            NotFound)
@@ -138,15 +139,13 @@ def _sample_hodge_pm2_h2(rng):
 
 
 def _random_surface_lift(rng):
-    """Product of two signed reflections with matching determinant signs."""
+    """Product of the minus reflections in two vectors of equal square +-2:
+    each has det -1 and ori 0, and the surface-lift token checks it once."""
     while True:
-        b1 = _sample_hodge_pm2_h2(rng)
-        b2 = _sample_hodge_pm2_h2(rng)
-        if U3.norm(b1) != U3.norm(b2):
-            continue
-        h = minus_reflection(U3, b1).compose(minus_reflection(U3, b2))
-        if h.det() == 1 and ori_char(h) == 0:
-            return h.matrix
+        b1, b2 = _sample_hodge_pm2_h2(rng), _sample_hodge_pm2_h2(rng)
+        if U3.norm(b1) == U3.norm(b2):
+            return intmat.mat_mul(signed_reflection_matrix(U3, b1, True),
+                                  signed_reflection_matrix(U3, b2, True))
 
 
 def _random_word_tokens(rng, length):
@@ -270,13 +269,11 @@ def check_nikulin(cfg):
         # anti-isometry rechecked here: on generators always, and over the
         # whole group when it is small enough to enumerate
         for ea in intmat.identity(len(gd.disc_sub.invariants)):
-            if (gd.disc_sub.q(ea) + gd.disc_comp.q(gd.gamma.apply(ea))) % 2:
+            if not gd.gamma.negates(ea):
                 return "fail", {"i": i, "case": "anti-isometry-gen"}
         if gd.disc_sub.order <= 100:
             for cls in gd.disc_sub.elements():
-                qs = gd.disc_sub.q(cls)
-                qk = gd.disc_comp.q(gd.gamma.apply(cls))
-                if (qs + qk) % 2 != 0:
+                if not gd.gamma.negates(cls):
                     return "fail", {"i": i, "case": "anti-isometry"}
         ext = extend_isometry(identity_isometry(s), identity_isometry(kk),
                               gd, gd)

@@ -1,5 +1,6 @@
 """Discriminant groups, glue data, and extension of isometries."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from mukailat.intmat import (det, inv_rational, inv_unimodular, mat, mat_vec,
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
-                                 reflection)
+                                 reflection, minus_reflection)
 from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    identity_disc_map, enum_disc_autos,
                                    count_distinct_primes, index_monodromy,
@@ -91,6 +92,12 @@ _READERS = {
     "DiscMap.apply": (identity_disc_map(_DATA).apply, (1,)),
     "DiscMap images": (lambda c: DiscMap(_DATA, _DATA, [c]), (1,)),
     "class_of": (lambda y: _DATA.class_of(y, _DEN), _NUM),
+    "square, left": (lambda c: _DATA.square(c, (1,)), (1,)),
+    "square, right": (lambda c: _DATA.square((1,), c), (1,)),
+    "DiscMap.negates": (identity_disc_map(_DATA).negates, (1,)),
+    "reflection": (lambda u: reflection(AMBIENT, u), (1, 1, 0, 0, 0, 0)),
+    "minus_reflection": (lambda u: minus_reflection(AMBIENT, u),
+                         (1, 1, 0, 0, 0, 0)),
 }
 
 
@@ -126,6 +133,18 @@ def test_a_class_of_another_length_is_refused():
                  lambda: identity_disc_map(_DATA).apply((2, 9))):
         with pytest.raises(ValueError, match="class must have 1 entries"):
             call()
+
+
+def test_class_of_reads_its_denominator():
+    """class_of(lift((1,))[0], 6.0) was the float class (1.0,); a
+    denominator is an int (intmat.ints) and positive."""
+    assert _DATA.class_of(_NUM, _DEN) == (1,)
+    for den in (6.0, True, Fraction(6)):
+        with pytest.raises(TypeError, match="denominator must be integers"):
+            _DATA.class_of(_NUM, den)
+    for den in (0, -6):
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            _DATA.class_of(_NUM, den)
 
 
 def test_class_of_rejects_non_dual_points():
@@ -447,6 +466,97 @@ def test_glue_matches_glue_group_reference():
             s = MUKAI.saturate((triple.v.vec8(),))
             k = v_perp(triple.v)
             assert glue(s, k).gamma.images == _glue_group_gamma(s, k)
+
+
+def _scaled(data, images, c):
+    return [data.reduce(tuple(c * x for x in im)) for im in images]
+
+
+# cyclic targets of exponents 2..10, for maps out of a glued A_S whose
+# target has another exponent than the source
+_CYCLIC = [(DiscriminantData(rank_one(n)), _FractionLifts(rank_one(n)))
+           for n in (2, -4, 6, -6, 8, -10)]
+
+
+def test_integer_anti_isometry_test_matches_fraction_sums():
+    """Over 200 glued pairs, DiscMap.negates decides, in integers, as the
+    Fraction values of the former presentation do: q(f x) + q(x) in 2Z on
+    every class (the first 40 of a large group), and b(f x, f y) + b(x, y)
+    in Z on the generators.  f is gamma, gamma times 0, 2, 3 and -1, random
+    images in A_K, or random images in a cyclic group of another exponent."""
+    rng = random.Random(17)
+    outcomes, cached_q = set(), {}
+    for _ in range(200):
+        s, k = _random_primitive_sublattice(rng)
+        gd = glue(s, k)
+        ref_s = _FractionLifts(s)
+        q_s = {x: ref_s.q(x)
+               for x in itertools.islice(gd.disc_sub.elements(), 40)}
+        units = intmat.identity(len(gd.disc_sub.invariants))
+        comp = (gd.disc_comp, _FractionLifts(k))
+        maps = [(comp, _scaled(gd.disc_comp, gd.gamma.images, c))
+                for c in (1, 0, 2, 3, -1)]
+        for target, ref_t in (comp, rng.choice(_CYCLIC)):
+            maps.append(((target, ref_t), [
+                tuple(rng.randrange(d) for d in target.invariants)
+                for _ in units]))
+        for (target, ref_t), ims in maps:
+            f = DiscMap(gd.disc_sub, target, ims)
+            q_t = cached_q.setdefault(
+                ref_t, functools.lru_cache(maxsize=None)(ref_t.q))
+            for x, qx in q_s.items():
+                want = (qx + q_t(f.apply(x))) % 2 == 0
+                assert f.negates(x) == want
+                outcomes.add(("q", want, target is comp[0]))
+            for x, y in itertools.product(units, repeat=2):
+                want = (ref_s.b(x, y) + ref_t.b(f.apply(x), f.apply(y))) % 1
+                assert f.negates(x, y) == (want == 0)
+                outcomes.add(("b", want == 0, target is comp[0]))
+    assert outcomes == {(form, want, same) for form in "qb"
+                        for want in (True, False) for same in (True, False)}
+
+
+def test_glue_refuses_a_gamma_that_is_not_an_anti_isometry(monkeypatch):
+    """glue raises LatticeError exactly when the Fraction values say that
+    its gamma, patched here, is not an anti-isometry on the generators: a
+    gamma patched to 0 always fails on a nontrivial group, -gamma never
+    does, and random images do either."""
+    built = []
+
+    class Patched(DiscMap):
+        def __init__(self, source, target, images):
+            super().__init__(source, target, patch(target, images))
+            built.append(self)
+
+    monkeypatch.setattr(discriminant, "DiscMap", Patched)
+    rng = random.Random(19)
+    outcomes = set()
+    patches = {"zero": lambda t, ims: _scaled(t, ims, 0),
+               "minus": lambda t, ims: _scaled(t, ims, -1),
+               "random": lambda t, ims: [
+                   tuple(rng.randrange(d) for d in t.invariants)
+                   for _ in ims]}
+    for _ in range(60):
+        s, k = _random_primitive_sublattice(rng)
+        ref_s, ref_k = _FractionLifts(s), _FractionLifts(k)
+        for name in ("zero", "minus") + ("random",) * 4:
+            patch = patches[name]
+            try:
+                glue(s, k)
+                refused = False
+            except LatticeError as e:
+                assert "anti" in str(e)
+                refused = True
+            f = built[-1]
+            units = intmat.identity(len(f.source.invariants))
+            anti = all(
+                (ref_s.b(x, y) + ref_k.b(f.apply(x), f.apply(y))) % 1 == 0
+                and (ref_s.q(x) + ref_k.q(f.apply(x))) % 2 == 0
+                for x in units for y in units)
+            assert refused == (not anti)
+            outcomes.add((name, refused))
+    assert outcomes == {("zero", True), ("minus", False), ("random", True),
+                        ("random", False)}
 
 
 def test_glue_reads_one_smith_form(monkeypatch):

@@ -40,17 +40,15 @@ def test_det_known_values():
     assert det(((1, 2), (2, 4))) == 0
 
 
-@given(square_matrices())
-@settings(max_examples=150, deadline=None)
-def test_det_matches_fraction_elimination(a):
+def _fraction_det(a):
+    """The determinant by Gaussian elimination over Fractions."""
     n = len(a)
     m = [[Fraction(x) for x in row] for row in a]
     d = Fraction(1)
     for c in range(n):
         piv = next((i for i in range(c, n) if m[i][c] != 0), None)
         if piv is None:
-            d = Fraction(0)
-            break
+            return Fraction(0)
         if piv != c:
             m[c], m[piv] = m[piv], m[c]
             d = -d
@@ -58,7 +56,42 @@ def test_det_matches_fraction_elimination(a):
         for i in range(c + 1, n):
             f = m[i][c] / m[c][c]
             m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    assert det(a) == d
+    return d
+
+
+@given(square_matrices())
+@settings(max_examples=150, deadline=None)
+def test_det_matches_fraction_elimination(a):
+    assert det(a) == _fraction_det(a)
+
+
+# mostly 0 and +-1: many rows have 0 below the pivot, and pivots of +-1
+# often equal the previous one, the case in which det leaves a row alone
+unit_heavy = st.sampled_from((0, 0, 0, 0, 1, -1, None)).flatmap(
+    lambda x: small_entries if x is None else st.just(x))
+
+
+@st.composite
+def sparse_square_matrices(draw, max_n=8):
+    """Square matrices of size 0..max_n: unit-heavy entries, or a product
+    L * R of triangular factors with +-1 on the diagonal and unit-heavy
+    entries off it, whose Bareiss pivots are often equal."""
+    n = draw(st.integers(0, max_n))
+    cells = [[draw(unit_heavy) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        return mat(cells)
+    low = [[cells[i][j] if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[cells[i][j] if j > i else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        low[i][i] = draw(st.sampled_from((1, -1)))
+        up[i][i] = draw(st.sampled_from((1, 1, -1)))
+    return mat_mul(mat(low), mat(up))
+
+
+@given(sparse_square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_of_sparse_matrices_matches_fraction_elimination(a):
+    assert det(a) == _fraction_det(a)
 
 
 @given(rect_matrices())
@@ -329,6 +362,40 @@ def test_mat_mul_sparse_rows_match_triple_loop(a, b):
     assert got == _mat_mul_loops(a, b)
     if _all_int(a) and _all_int(b):
         assert _all_int(got)
+
+
+@st.composite
+def cut_operands(draw, max_len=6):
+    """(a, b): b has up to max_len rows of about one width (each row one
+    entry short or long at random); the rows of a hold at most two nonzeros
+    and are up to two entries shorter or three longer than b has rows, and
+    a row longer than that puts a nonzero past the last row of b."""
+    nb, w = draw(st.integers(0, max_len)), draw(st.integers(1, max_len))
+    b = tuple(tuple(draw(small_entries)
+                    for _ in range(w + draw(st.integers(-1, 1))))
+              for _ in range(nb))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = max(0, nb + draw(st.integers(-2, 3)))
+        row = [0] * n
+        spots = set(draw(st.lists(st.integers(0, n - 1), max_size=1))
+                    if n else ())
+        if n > nb:
+            spots.add(draw(st.integers(nb, n - 1)))
+        for j in spots:
+            row[j] = draw(unit_heavy.filter(bool))
+        rows.append(tuple(row))
+    return tuple(rows), b
+
+
+@given(cut_operands())
+@settings(max_examples=200, deadline=None)
+def test_mat_mul_sparse_rows_cut_at_the_shorter_operand(operands):
+    """The sparse path visits only the nonzero entries of a row that have
+    a row of b, so it cuts a row of a that is longer than b is tall, and a
+    short row of b, as the triple loop (and zip) does."""
+    a, b = operands
+    assert mat_mul(a, b) == _mat_mul_loops(a, b)
 
 
 # 4 in 9 zeros, 4 in 9 +-1 (ints or Fractions), the entries whose row of b

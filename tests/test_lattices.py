@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import intmat, lattices
-from mukailat.intmat import mat_mul, mat_vec, row_basis, solve_rational
+from mukailat.intmat import (inv_unimodular, mat, mat_mul, mat_vec, row_basis,
+                             snf, solve_rational)
 from mukailat.lattices import (IntegerLattice, Embedding, LatticeError,
                                hyperbolic_plane, hyperbolic_sum, direct_sum,
                                rank_one)
@@ -69,6 +71,66 @@ def test_saturate_rejects_degenerate_span():
     u3 = hyperbolic_sum(3)
     with pytest.raises(LatticeError):
         u3.saturate(((1, 0, 0, 0, 0, 0),))  # isotropic line
+
+
+def _saturate_by_inverse(lat, gens):
+    """The former construction of a saturated basis, kept as the reference:
+    the first r rows of inv_unimodular(V), where snf(gens) = (D, U, V) and
+    r is the rank, the number of nonzero entries of D."""
+    d, _, v = snf(mat(gens))
+    r = sum(1 for i in range(min(len(d), lat.rank)) if d[i][i] != 0)
+    return row_basis(inv_unimodular(v)[:r])
+
+
+def test_saturate_matches_the_inverse_construction():
+    """Generators are integer combinations of 1..3 random vectors, more of
+    them than the rank at times (dependent), each scaled by 1..3 at times
+    (non-primitive); saturate reads the saturated basis off U * gens
+    without inverting V, and must give the reference basis, or refuse a
+    degenerate span exactly when the reference sublattice is refused."""
+    rng = random.Random(3)
+    seen, ranks = set(), set()
+    for lat in (hyperbolic_sum(3), direct_sum(hyperbolic_sum(2),
+                                              rank_one(-6), rank_one(4))):
+        for _ in range(150):
+            base = [tuple(rng.randint(-4, 4) for _ in range(lat.rank))
+                    for _ in range(rng.randint(1, 3))]
+            gens = []
+            for _ in range(rng.randint(1, 4)):
+                coef = [rng.randint(-3, 3) for _ in base]
+                scale = rng.randint(1, 3)
+                gens.append(tuple(scale * sum(map(mul, coef, col))
+                                  for col in zip(*base)))
+            want = _saturate_by_inverse(lat, gens)
+            try:
+                got = lat.saturate(gens).embedding.basis
+            except LatticeError:
+                with pytest.raises(LatticeError):
+                    lat.sublattice(want)
+                seen.add("refused")
+                continue
+            assert got == want
+            ranks.add(len(got))
+            seen.add("dependent" if len(gens) > len(got) else "independent")
+            if row_basis(mat(gens)) != got:
+                seen.add("non-primitive")
+    assert ranks == {1, 2, 3}
+    assert seen == {"refused", "dependent", "independent", "non-primitive"}
+
+
+def test_saturate_reads_each_generator_as_a_vector():
+    """A generator of 7 entries was cut to its first 6, so the saturation
+    of (1, 2, 0, 0, 0, 0, 5) was the line of (1, 2, 0, 0, 0, 0), and one of
+    2 entries ended in an IndexError; each generator is now read through
+    intmat.ints."""
+    u3 = hyperbolic_sum(3)
+    for gens, got in ((((1, 2, 0, 0, 0, 0, 5),), 7),
+                      (((1, 2), (3, 4), (5, 6)), 2)):
+        with pytest.raises(ValueError,
+                           match="generator must have 6 entries, got %d" % got):
+            u3.saturate(gens)
+    with pytest.raises(TypeError, match="generator must be integers"):
+        u3.saturate(((1.0, 2, 0, 0, 0, 0),))
 
 
 def test_zero_generators_are_refused():

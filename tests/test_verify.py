@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import random
 
 from mukailat import isometries, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
@@ -146,3 +147,17 @@ def test_vperp_structure_reads_the_complement_cache(monkeypatch):
         monkeypatch.setattr(module, "v_perp", refuse, raising=False)
     assert check_vperp_structure(VerifyConfig()) \
         == ("pass", {"k_range": [3, 20]})
+
+
+def test_sampled_surface_lifts_pass_the_one_token_check():
+    """_random_surface_lift multiplies two minus-reflection matrices and
+    checks nothing itself: 500 draws each pass the surface-lift token's
+    check (an isometry of U^3 with det 1 and ori 0), and the first 50 are
+    the matrices the former sampler returned, which checked each product
+    as an Isometry before returning it."""
+    rng = random.Random(11)
+    mats = [verify._random_surface_lift(rng) for _ in range(500)]
+    for m in mats:
+        monodromy._token_matrix(monodromy.surface_lift(m))
+    assert hashlib.sha256(json.dumps(mats[:50]).encode()).hexdigest() \
+        == "c8ac48427fe1eaee7dc2431fbe12ab0da76650e9d1a30a3bdb1a7df00b9b4b3d"
