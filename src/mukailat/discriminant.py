@@ -8,11 +8,12 @@ of the dual by the lattice; it carries a quadratic form with values in Q mod
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import prod
 from operator import mod
 
-from .intmat import mat_mul, mat_vec, dot, transpose, snf, identity, ints
+from .intmat import mat_mul, mat_vec, dot, transpose, identity, ints
 from .lattices import IntegerLattice, Embedding, LatticeError
 from .isometries import Isometry, IsometryError, det_char, ori_char
 
@@ -103,8 +104,8 @@ class DiscriminantData:
 
     def square(self, cls1, cls2=None):
         """E^2 b(cls1, cls2) as an integer (E the exponent) on the reduced
-        classes; cls2 None reads cls1 once, for E^2 q(cls1) mod 2 E^2.  The
-        one reader of the form: q, b and DiscMap.negates read it."""
+        classes; cls2 None reads cls1 once, for E^2 q(cls1) mod 2 E^2.  q and
+        b read it; DiscMap.negates reads `pairing` in a pulled-back form."""
         c1 = self.reduce(cls1)
         c2 = c1 if cls2 is None else self.reduce(cls2)
         return dot(c1, mat_vec(self.pairing, c2))
@@ -135,20 +136,24 @@ class DiscMap:
         if len(self.images) != len(source.invariants):
             raise IsometryError("wrong number of generator images")
 
-    def apply(self, cls):
+    def _combine(self, cls):
+        """sum of c_i * images[i] over a reduced class c, not reduced."""
         g = len(self.target.invariants)
         out = [0] * g
-        for c, im in zip(self.source.reduce(cls), self.images):
+        for c, im in zip(cls, self.images):
             for a in range(g):
                 out[a] += c * im[a]
-        return self.target.reduce(out)
+        return out
+
+    def apply(self, cls):
+        return self.target.reduce(self._combine(self.source.reduce(cls)))
 
     def compose(self, other):
-        """self after other."""
+        """self after other, combined from other's reduced images."""
         if other.target.invariants != self.source.invariants:
             raise IsometryError("composition mismatch")
         return DiscMap(other.source, self.target,
-                       tuple(self.apply(im) for im in other.images))
+                       tuple(map(self._combine, other.images)))
 
     def __eq__(self, other):
         return (isinstance(other, DiscMap)
@@ -162,15 +167,25 @@ class DiscMap:
     def is_identity(self):
         return self.images == identity(len(self.source.invariants))
 
+    @cached_property
+    def _form(self):
+        """(F, E_S^2 E_T^2), F = E_T^2 P_S + E_S^2 Gam P_T Gam^T the integer
+        form E_S^2 E_T^2 (b_S(x, y) + b_T(f x, f y)), P each `pairing` and
+        Gam the images as rows, so f x is x Gam, not reduced (see `negates`)."""
+        ns, nt = self.source.exponent ** 2, self.target.exponent ** 2
+        gp = mat_mul(self.images, self.target.pairing)  # rows im_i P_T
+        return tuple(tuple(nt * a + ns * dot(g, im)
+                           for a, im in zip(rs, self.images))
+                     for rs, g in zip(self.source.pairing, gp)), ns * nt
+
     def negates(self, cls1, cls2=None):
         """True if q(f x) + q(x) is in 2Z (cls2 None), or b(f x, f y) +
-        b(x, y) in Z: in integers, s E_T^2 + t E_S^2 == 0 mod (2 or 1)
-        E_S^2 E_T^2 for s = E_S^2 b_S and t = E_T^2 b_T read by `square`."""
-        ns, nt = self.source.exponent ** 2, self.target.exponent ** 2
-        s = self.source.square(cls1, cls2)
-        t = self.target.square(self.apply(cls1),
-                               None if cls2 is None else self.apply(cls2))
-        return (s * nt + t * ns) % ((2 if cls2 is None else 1) * ns * nt) == 0
+        b(x, y) in Z: x^T F y == 0 mod (2 or 1) E_S^2 E_T^2 with F of `_form`;
+        x Gam unreduced serves: E^2 q is defined mod 2 E^2 and E^2 b mod E^2."""
+        form, n2 = self._form
+        c1 = self.source.reduce(cls1)
+        c2 = c1 if cls2 is None else self.source.reduce(cls2)
+        return dot(c1, mat_vec(form, c2)) % ((2 if cls2 is None else 1) * n2) == 0
 
     def is_minus_identity(self):
         return self.images == tuple(
@@ -215,7 +230,8 @@ def enum_disc_autos(k):
     """
     if not 1 <= k <= MAX_K:
         raise ValueError("k must be in 1..%d, got %d" % (MAX_K, k))
-    return [a for a in range(1, 2 * k, 2) if (a * a - 1) % (4 * k) == 0]
+    m = 4 * k
+    return [a for a in range(1, 2 * k, 2) if a * a % m == 1]
 
 
 def count_distinct_primes(k):
@@ -248,10 +264,10 @@ def glue(S, K):
     isometry pairs on (S, K) extend to L.
 
     L is unimodular, so w -> (w . s_j)_j maps L onto the dual S^* exactly
-    when S is primitive: then the one Smith form u * (B_S G) * v == d has
-    every invariant factor 1, and R = v[:, :r] * u is a right inverse of
-    B_S G.  The vector w_i = R (gram_S y_i) of L projects to the generator
-    y_i of A_S, and gamma(y_i) is the class of its projection to K."""
+    when S is primitive: then the one Smith form u * (B_S G) * v == d,
+    `S.ambient_smith`, has every invariant factor 1, and R = v[:, :r] * u is
+    a right inverse of B_S G.  w_i = R (gram_S y_i) in L projects to the
+    generator y_i of A_S, and gamma(y_i) is the class of its image in K."""
     if S.embedding is None or K.embedding is None:
         raise LatticeError("S and K must be embedded")
     L = S.embedding.ambient
@@ -260,7 +276,7 @@ def glue(S, K):
     if L.smith[0] != identity(L.rank):
         raise LatticeError("ambient lattice must be unimodular")
     r = S.rank
-    d, u, v = snf(mat_mul(S.embedding.basis, L.gram))
+    d, u, v = S.ambient_smith
     if any(d[i][i] != 1 for i in range(r)):
         raise LatticeError("S must be primitive")
     if r + K.rank != L.rank:
@@ -291,11 +307,15 @@ def glue(S, K):
 
 
 def extend_isometry(phi, psi, glue1, glue2):
-    """Extend a pair of isometries (on a primitive sublattice and on its
-    complement) to the ambient lattice, when the discriminant actions agree
-    through the glue anti-isometries."""
+    """Extend phi: glue1.sub -> glue2.sub and psi: glue1.comp -> glue2.comp
+    (IsometryError for lattices of other grams) to the ambient lattice, when
+    the discriminant actions agree through the glue anti-isometries."""
     S1, K1 = glue1.sub, glue1.comp
     S2, K2 = glue2.sub, glue2.comp
+    if phi.source != S1 or phi.target != S2:
+        raise IsometryError("phi must map glue1.sub to glue2.sub")
+    if psi.source != K1 or psi.target != K2:
+        raise IsometryError("psi must map glue1.comp to glue2.comp")
     phibar = disc_map(phi.apply, glue1.disc_sub, glue2.disc_sub)
     psibar = disc_map(psi.apply, glue1.disc_comp, glue2.disc_comp)
     lhs = psibar.compose(glue1.gamma)

@@ -362,11 +362,15 @@ def solve_rational(a, b):
 
 def kernel_int(a):
     """Saturated basis (as rows) of {x : a @ x == 0} over Z."""
-    d, _, v = snf(a)
-    rank = sum(1 for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i] != 0)
-    cols = len(a[0])
-    vt = transpose(v)
-    return tuple(vt[j] for j in range(rank, cols))
+    return smith_kernel(snf(a))
+
+
+def smith_kernel(smith):
+    """The kernel rule on a Smith form (d, u, v) = snf(a): the columns of v
+    past the rank of d, a saturated basis (as rows) of {x : a @ x == 0}."""
+    d, _, v = smith
+    rank = sum(1 for i in range(min(len(d), len(v))) if d[i][i] != 0)
+    return transpose(v)[rank:]
 
 
 def orthogonal_basis(g):

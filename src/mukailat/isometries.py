@@ -113,9 +113,8 @@ def ori_char(g):
     if g.source.gram != g.target.gram:
         raise IsometryError("orientation character needs an endomorphism")
     cols, cg = g.source.positive_frame
-    # rhs = (C G g) C^T, with the sparse C G on the left of g
-    rhs = mat_mul(mat_mul(cg, g.matrix), transpose(cols))
-    d = intmat.det(rhs)
+    # det(rhs^T), rhs^T = C (C G g)^T: the sparse C G and C on the left
+    d = intmat.det(mat_mul(cols, transpose(mat_mul(cg, g.matrix))))
     if d == 0:
         raise IsometryError("image subspace degenerates under projection")
     return 0 if d > 0 else 1

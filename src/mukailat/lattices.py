@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from . import intmat
-from .intmat import (mat, int_mat, mat_mul, mat_vec, dot, transpose,
-                     row_basis, snf, kernel_int, int_matrix, json_object,
+from .intmat import (int_mat, mat_mul, mat_vec, dot, transpose,
+                     row_basis, snf, smith_kernel, int_matrix, json_object,
                      block_diag, ints)
 
 
@@ -21,21 +21,24 @@ class LatticeError(ValueError):
 
 @dataclass(frozen=True)
 class Embedding:
-    """Primitive-or-not embedding data: rows of `basis` are the basis vectors
-    of the sublattice written in coordinates of `ambient`.  `gram` is
-    B G B^T, formed here once: the one place a sublattice's gram is made."""
+    """Primitive-or-not embedding data: rows of `basis` (intmat.ints) are the
+    basis vectors of the sublattice in coordinates of `ambient`.  B G
+    (`basis_gram`, as (G B^T)^T: the sparse G on the left) and the gram
+    B G B^T are formed here once: the one place a sublattice's gram is made."""
     ambient: "IntegerLattice"
     basis: tuple  # r x n integer matrix, rows = basis vectors
+    basis_gram: tuple = field(init=False, repr=False, compare=False)
     gram: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        b = mat(self.basis)
+        b = tuple(ints(row, "embedding basis") for row in self.basis)
         ga = self.ambient.gram
         if any(len(row) != len(ga) for row in b):
             raise LatticeError("embedding basis must be rank x ambient rank")
+        bt = transpose(b)
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "gram",
-                           mat_mul(mat_mul(b, ga), transpose(b)))
+        object.__setattr__(self, "basis_gram", transpose(mat_mul(ga, bt)))
+        object.__setattr__(self, "gram", mat_mul(self.basis_gram, bt))
 
 
 class IntegerLattice:
@@ -143,15 +146,16 @@ class IntegerLattice:
 
     def span(self, gens, label=None):
         """Sublattice generated by gens (not saturated), canonical HNF basis."""
-        return self.sublattice(row_basis(mat(gens)), label=label)
+        return self.sublattice(row_basis(tuple(
+            ints(g, "generator", self.rank) for g in gens)), label=label)
 
     def orth_complement(self, sub, label=None):
         """Orthogonal complement of an embedded sublattice; always primitive."""
         if sub.embedding is None or sub.embedding.ambient is not self:
             raise LatticeError("sublattice is not embedded in this lattice")
-        # x is in the complement iff cond @ x == 0
-        cond = mat_mul(sub.embedding.basis, self.gram)
-        return self.sublattice(row_basis(kernel_int(cond)), label=label)
+        # x is in the complement iff B G x == 0
+        return self.sublattice(row_basis(smith_kernel(sub.ambient_smith)),
+                               label=label)
 
     def is_primitive(self, sub):
         """True if the embedded sublattice equals its saturation: Z^n / B is
@@ -177,6 +181,13 @@ class IntegerLattice:
         return snf(self.gram)
 
     @cached_property
+    def ambient_smith(self):
+        """snf(B G), computed once for `orth_complement` and `glue`."""
+        if self.embedding is None:
+            raise LatticeError("lattice has no embedding")
+        return snf(self.embedding.basis_gram)
+
+    @cached_property
     def projection(self):
         """(num, den): num is the integer r x n matrix den * gram^-1 * B * G
         (B the embedding basis, G the ambient gram), so num @ w / den are the
@@ -189,8 +200,7 @@ class IntegerLattice:
         den = d[-1][-1] if d else 1
         scaled_u = tuple(tuple(den // d[i][i] * x for x in row)
                          for i, row in enumerate(u))
-        bg = mat_mul(self.embedding.basis, self.embedding.ambient.gram)
-        return mat_mul(mat_mul(v, scaled_u), bg), den
+        return mat_mul(mat_mul(v, scaled_u), self.embedding.basis_gram), den
 
     def from_ambient(self, w):
         """Integer coordinates of an ambient vector in this lattice's basis;

@@ -18,7 +18,7 @@ from functools import lru_cache
 from math import gcd
 
 from .intmat import (transpose, identity, json_object, int_vector,
-                     block_diag, ints)
+                     block_diag, ints, dot)
 from .lattices import IntegerLattice
 from .isometries import Isometry, IsometryError, ori_char
 
@@ -235,10 +235,8 @@ def hodge_ori(model, phi):
             raise IsometryError("phi moves rho out of the symplectic plane")
     t = model.t
     omega8 = (0, 1, t, 0, 0, 0, 0, -t)  # (0, omega, -omega^2/2)
-    e0, *_, e7 = identity(8)
-    r = phi.apply(e7)[0]
-    chi = phi.apply(e0)[0]
-    chi_om = phi.apply(omega8)[0]
+    m0 = phi.matrix[0]  # the degree-0 parts of the images, row 0 of M
+    r, chi, chi_om = m0[7], m0[0], dot(m0, omega8)  # of e7, e0 and omega8
     u0 = (-r, 0, 0, 0, 0, 0, 0, chi)
     u1 = (0, -r, -r * t, 0, 0, 0, 0, r * t + chi_om)
     if r != 0:
@@ -250,7 +248,7 @@ def hodge_ori(model, phi):
                     for x, y in zip(phi.apply(u0)[1:7], phi.apply(u1)[1:7]))
     else:
         pu = phi.apply(omega8)[1:7]
-        pe = phi.apply(e0)[1:7]
+        pe = tuple(row[0] for row in phi.matrix[1:7])  # image of e0
         d0 = phi.apply(u0)[1:7]
         d1 = phi.apply(u1)[1:7]
         cls = tuple(chi * a - chi_om * b - t * (x - y)

@@ -275,15 +275,14 @@ def check_nikulin(cfg):
             for cls in gd.disc_sub.elements():
                 if not gd.gamma.negates(cls):
                     return "fail", {"i": i, "case": "anti-isometry"}
-        ext = extend_isometry(identity_isometry(s), identity_isometry(kk),
-                              gd, gd)
+        id_s = identity_isometry(s)
+        ext = extend_isometry(id_s, identity_isometry(kk), gd, gd)
         if not ext.is_identity():
             return "fail", {"i": i, "case": "identity-roundtrip"}
         exponent = gd.disc_sub.invariants[-1] if gd.disc_sub.invariants else 1
         if exponent > 2:
             try:
-                extend_isometry(identity_isometry(s), minus_identity(kk),
-                                gd, gd)
+                extend_isometry(id_s, minus_identity(kk), gd, gd)
                 return "fail", {"i": i, "case": "obstruction-missed"}
             except ExtensionObstructed:
                 obstructions += 1

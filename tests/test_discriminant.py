@@ -14,8 +14,8 @@ from mukailat.intmat import (det, inv_rational, inv_unimodular, mat, mat_vec,
                              snf, solve_rational, transpose)
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
-from mukailat.isometries import (Isometry, identity_isometry, minus_identity,
-                                 reflection, minus_reflection)
+from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
+                                 minus_identity, reflection, minus_reflection)
 from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    identity_disc_map, enum_disc_autos,
                                    count_distinct_primes, index_monodromy,
@@ -168,8 +168,13 @@ def _gcd_scan(k):
 
 
 def test_enum_disc_autos_matches_the_gcd_scan():
+    """The odd-a scan with a * a % 4k == 1 matches the gcd scan and the
+    former odd-a test (a^2 - 1) % 4k == 0."""
     for k in range(1, 2001):
-        assert enum_disc_autos(k) == _gcd_scan(k)
+        want = _gcd_scan(k)
+        assert enum_disc_autos(k) == want
+        assert want == [a for a in range(1, 2 * k, 2)
+                        if (a * a - 1) % (4 * k) == 0]
 
 
 def test_index_formula_matches_prime_count():
@@ -516,6 +521,132 @@ def test_integer_anti_isometry_test_matches_fraction_sums():
                         for want in (True, False) for same in (True, False)}
 
 
+def _negates_by_squares(f, x, y=None):
+    """The former DiscMap.negates, kept as the reference: E^2 b of x (and
+    y) in the source and of their images in the target, each class
+    reduced by `square` and `apply`, summed with the other exponent."""
+    ns, nt = f.source.exponent ** 2, f.target.exponent ** 2
+    s = f.source.square(x, y)
+    t = f.target.square(f.apply(x), None if y is None else f.apply(y))
+    return (s * nt + t * ns) % ((2 if y is None else 1) * ns * nt) == 0
+
+
+def _random_hom(rng, source, target):
+    """A random homomorphism: generator i of order d goes to a class whose
+    entry j is a multiple of e_j / gcd(d, e_j), e_j the target invariant."""
+    return DiscMap(source, target, [
+        tuple(rng.randrange(gcd(d, e)) * (e // gcd(d, e))
+              for e in target.invariants) for d in source.invariants])
+
+
+def _glued_maps(rng, count):
+    """(f, g): maps out of the A_S of `count` random glued pairs.  f is
+    gamma, gamma times 0, 2, 3 or -1, or a random homomorphism to A_K or to
+    a cyclic group of another exponent; g is a random homomorphism out of
+    f's target, to A_S or to a cyclic group."""
+    for _ in range(count):
+        s, k = _random_primitive_sublattice(rng)
+        gd = glue(s, k)
+        maps = [DiscMap(gd.disc_sub, gd.disc_comp,
+                        _scaled(gd.disc_comp, gd.gamma.images, c))
+                for c in (1, 0, 2, 3, -1)]
+        for target in (gd.disc_comp, rng.choice(_CYCLIC)[0]):
+            maps.append(_random_hom(rng, gd.disc_sub, target))
+        for f in maps:
+            target = rng.choice((gd.disc_sub, rng.choice(_CYCLIC)[0]))
+            yield f, _random_hom(rng, f.target, target)
+
+
+def _unreduced(rng, data, cls):
+    return tuple(c + rng.randint(-2, 2) * d
+                 for c, d in zip(cls, data.invariants))
+
+
+def test_negates_matches_the_three_reduce_formula():
+    """negates reads x^T F y on the pulled-back form F; the former sum of
+    `square` values is the reference, on every class of a small group (the
+    first 40 of a large one), on unreduced classes and on all generator
+    pairs, for glued pairs and targets of another exponent."""
+    rng = random.Random(23)
+    outcomes = set()
+    for f, _ in _glued_maps(rng, 120):
+        other = f.target.exponent != f.source.exponent
+        for x in itertools.islice(f.source.elements(), 40):
+            for cls in (x, _unreduced(rng, f.source, x)):
+                want = _negates_by_squares(f, cls)
+                assert f.negates(cls) == want
+                outcomes.add(("q", want, other))
+        units = intmat.identity(len(f.source.invariants))
+        for x, y in itertools.product(units, repeat=2):
+            want = _negates_by_squares(f, x, y)
+            assert f.negates(x, y) == want
+            assert f.negates(_unreduced(rng, f.source, x),
+                             _unreduced(rng, f.source, y)) == want
+            outcomes.add(("b", want, other))
+    assert outcomes == {(form, want, other) for form in "qb"
+                        for want in (True, False) for other in (True, False)}
+
+
+def test_negates_reduces_each_class_once(monkeypatch):
+    _, s, k = _glued_pair()
+    gamma = glue(s, k).gamma
+    assert len(gamma.source.invariants) == 2
+    gamma.negates((1, 1))  # builds the pulled-back form
+    calls = []
+    real = DiscriminantData.reduce
+
+    def counting(self, cls):
+        calls.append(cls)
+        return real(self, cls)
+
+    monkeypatch.setattr(DiscriminantData, "reduce", counting)
+    x, y = (5, -3), (7, 2)
+    assert gamma.negates(x)
+    assert calls == [x]
+    calls.clear()
+    assert gamma.negates(x, y)
+    assert calls == [x, y]
+
+
+def test_compose_equals_elementwise_apply():
+    """g.compose(f) reduces each image once; on every element (the first
+    60 of a large group) it agrees with g.apply(f.apply(x)), and its images
+    are those of the former construction, g.apply on each image of f."""
+    rng = random.Random(29)
+    for f, g in _glued_maps(rng, 60):
+        h = g.compose(f)
+        assert h.images == tuple(g.apply(im) for im in f.images)
+        for x in itertools.islice(f.source.elements(), 60):
+            assert h.apply(x) == g.apply(f.apply(x))
+
+
+def test_extend_isometry_refuses_isometries_of_other_lattices():
+    """phi must map glue1.sub to glue2.sub and psi glue1.comp to
+    glue2.comp: an identity of another sublattice (gram <6> against the
+    glued <4>), or a glue2 whose sublattice or complement has another gram,
+    is refused, naming the map, before its matrix is read."""
+    u3 = hyperbolic_sum(3)
+
+    def glued(v):
+        sub = u3.saturate((v,))
+        return glue(sub, u3.orth_complement(sub))
+
+    gd, gd6, gd2 = (glued(v) for v in ((1, 2, 0, 0, 0, 0), (1, 3, 0, 0, 0, 0),
+                                       (0, 0, 1, 2, 0, 0)))
+    assert gd.sub.gram == gd2.sub.gram == ((4,),) and gd6.sub.gram == ((6,),)
+    assert gd.comp.gram != gd2.comp.gram
+    id_s, id_k = identity_isometry(gd.sub), identity_isometry(gd.comp)
+    for phi, psi, glue2, name in (
+            (identity_isometry(gd6.sub), id_k, gd, "phi"),
+            (id_s, id_k, gd6, "phi"),
+            (id_s, identity_isometry(gd6.comp), gd, "psi"),
+            (id_s, id_s, gd, "psi"),
+            (id_s, id_k, gd2, "psi")):
+        with pytest.raises(IsometryError, match=name):
+            extend_isometry(phi, psi, gd, glue2)
+    assert extend_isometry(id_s, id_k, gd, gd).is_identity()
+
+
 def test_glue_refuses_a_gamma_that_is_not_an_anti_isometry(monkeypatch):
     """glue raises LatticeError exactly when the Fraction values say that
     its gamma, patched here, is not an anti-isometry on the generators: a
@@ -560,6 +691,8 @@ def test_glue_refuses_a_gamma_that_is_not_an_anti_isometry(monkeypatch):
 
 
 def test_glue_reads_one_smith_form(monkeypatch):
+    """A warm glue runs no snf: the Smith form of B_S G that
+    orth_complement computed is the one glue reads."""
     _, s, k = _glued_pair()
     glue(s, k)  # caches the Smith forms and projections of S and K
     calls = {"snf": 0, "hnf_row": 0}
@@ -576,7 +709,7 @@ def test_glue_reads_one_smith_form(monkeypatch):
             if getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counting(name, fn))
     glue(s, k)
-    assert calls == {"snf": 1, "hnf_row": 0}
+    assert calls == {"snf": 0, "hnf_row": 0}
 
 
 def test_extend_identity_roundtrip():

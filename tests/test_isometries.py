@@ -245,6 +245,35 @@ def test_ori_char_matches_rational_reference():
                 assert ori_char(g) == _reference_ori_char(g, lat, frame)
 
 
+def _ori_char_by_rhs(g):
+    """The former product, kept as the reference: the sign of det((C G g)
+    C^T), with the dense C G g on the left of C^T."""
+    cols, cg = g.source.positive_frame
+    d = det(mat_mul(mat_mul(cg, g.matrix), intmat.transpose(cols)))
+    assert d != 0
+    return 0 if d > 0 else 1
+
+
+def test_ori_char_matches_the_former_product():
+    """ori_char reads det(C (C G g)^T), the transpose of the former rhs,
+    on products of one to five reflections in roots of U^3, of the rank-8
+    lattice and of the complements of k = 3, 4, 7."""
+    from mukailat.mukai import U3
+    from mukailat.monodromy import complement
+    rng = random.Random(31)
+    seen = set()
+    for lat in (U3, MUKAI) + tuple(complement(k)[0] for k in (3, 4, 7)):
+        roots = (vectors_with_square(lat.gram, 1, 2)
+                 + vectors_with_square(lat.gram, 1, -2))
+        for _ in range(40):
+            g = identity_isometry(lat)
+            for u in rng.sample(roots, rng.randint(1, 5)):
+                g = reflection(lat, u).compose(g)
+            assert ori_char(g) == _ori_char_by_rhs(g)
+            seen.add(ori_char(g))
+    assert seen == {0, 1}
+
+
 def _unit_vector_reflection(lat, u):
     """The former construction, kept as the reference: column j is
     e_j - s (e_j . u) u, with one inner product per unit vector."""

@@ -133,6 +133,59 @@ def test_saturate_reads_each_generator_as_a_vector():
         u3.saturate(((1.0, 2, 0, 0, 0, 0),))
 
 
+def test_embedding_reads_each_basis_row_as_integers():
+    """span kept a bool basis entry, and a float generator failed with an
+    error that named the gram; the Embedding reads each row through
+    intmat.ints, so sublattice and Embedding refuse both, and span reads
+    each generator through it, as saturate does."""
+    u3 = hyperbolic_sum(3)
+    for row in ((True, 2, 0, 0, 0, 0), (1.5, 1, 0, 0, 0, 0),
+                (1, Fraction(2), 0, 0, 0, 0)):
+        for build in (lambda: u3.sublattice((row,)),
+                      lambda: Embedding(u3, (row,))):
+            with pytest.raises(TypeError,
+                               match="embedding basis must be integers"):
+                build()
+        with pytest.raises(TypeError, match="generator must be integers"):
+            u3.span(((2, 4, 0, 0, 0, 0), row))
+    with pytest.raises(ValueError, match="generator must have 6 entries"):
+        u3.span(((1, 2, 0, 0, 0, 0, 5),))
+    sub = u3.span(((1, 2, 0, 0, 0, 0),))
+    assert all(type(x) is int for x in sub.embedding.basis[0])
+
+
+def _kernel_by_snf(a):
+    """The former kernel_int, kept as the reference: the columns of v past
+    the rank of snf(a) = (d, u, v)."""
+    d, _, v = snf(a)
+    rank = sum(1 for i in range(min(len(d), len(d[0]))) if d[i][i] != 0)
+    vt = intmat.transpose(v)
+    return tuple(vt[j] for j in range(rank, len(a[0])))
+
+
+def test_orth_complement_matches_kernel_int():
+    """orth_complement reads the kernel off the sublattice's cached Smith
+    form of B G, which glue reads too; kernel_int and the complement's
+    basis match the former kernel rule."""
+    u3 = hyperbolic_sum(3)
+    lat = direct_sum(u3, rank_one(-6), rank_one(4))
+    rng = random.Random(41)
+    for amb in (u3, lat):
+        for _ in range(100):
+            gens = [tuple(rng.randint(-5, 5) for _ in range(amb.rank))
+                    for _ in range(rng.randint(1, 3))]
+            try:
+                sub = amb.saturate(gens)
+                comp = amb.orth_complement(sub)
+            except LatticeError:
+                continue
+            bg = mat_mul(sub.embedding.basis, amb.gram)
+            assert sub.embedding.basis_gram == bg
+            assert sub.ambient_smith == snf(bg)
+            assert intmat.kernel_int(bg) == _kernel_by_snf(bg)
+            assert comp.embedding.basis == row_basis(_kernel_by_snf(bg))
+
+
 def test_zero_generators_are_refused():
     """The zero vector spans nothing: saturate and span refuse it instead of
     returning a rank-0 lattice, whose complement cannot be formed, and so
@@ -149,7 +202,8 @@ def test_zero_generators_are_refused():
 
 def test_sublattice_constructors_form_one_gram_and_one_det(monkeypatch):
     """saturate, span and orth_complement each form B G B^T once (in the
-    Embedding) and take one determinant (in the lattice constructor)."""
+    Embedding, found by its output) and take one determinant (in the
+    lattice constructor)."""
     u3 = hyperbolic_sum(3)
     gens = ((1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))
     s = u3.saturate(gens)
@@ -162,7 +216,7 @@ def test_sublattice_constructors_form_one_gram_and_one_det(monkeypatch):
 
     def counting_mul(a, b):
         out = real_mul(a, b)
-        products.append((b, out))
+        products.append(out)
         return out
 
     monkeypatch.setattr(intmat, "det", counting_det)
@@ -173,8 +227,7 @@ def test_sublattice_constructors_form_one_gram_and_one_det(monkeypatch):
         products.clear()
         sub = build()
         assert dets == [sub.gram]
-        bt = intmat.transpose(sub.embedding.basis)
-        assert [out for b, out in products if b == bt] == [sub.gram]
+        assert products.count(sub.gram) == 1
 
 
 def test_orth_complement_is_orthogonal_and_primitive():

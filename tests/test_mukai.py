@@ -269,6 +269,59 @@ def test_orientation_table():
         assert hodge_ori(model, phi) == w
 
 
+def _hodge_ori_by_apply(model, phi):
+    """The former hodge_ori, kept as the reference: r, chi and chi_om as
+    the degree-0 parts of three whole `apply` calls."""
+    t = model.t
+    omega8 = (0, 1, t, 0, 0, 0, 0, -t)
+    e0 = (1,) + (0,) * 7
+    r = phi.apply((0,) * 7 + (1,))[0]
+    chi = phi.apply(e0)[0]
+    chi_om = phi.apply(omega8)[0]
+    u0 = (-r, 0, 0, 0, 0, 0, 0, chi)
+    u1 = (0, -r, -r * t, 0, 0, 0, 0, r * t + chi_om)
+    if r != 0:
+        c1, c2 = chi_om + r * t, chi - r * t
+        cls = tuple(c1 * x - c2 * y
+                    for x, y in zip(phi.apply(u0)[1:7], phi.apply(u1)[1:7]))
+    else:
+        cls = tuple(chi * a - chi_om * b - t * (x - y)
+                    for a, b, x, y in zip(phi.apply(omega8)[1:7],
+                                          phi.apply(e0)[1:7],
+                                          phi.apply(u0)[1:7],
+                                          phi.apply(u1)[1:7]))
+    if U3.norm(cls) <= 0:
+        return "degenerate"
+    return 0 if (r or 1) * U3.inner(cls, model.omega) > 0 else 1
+
+
+def test_hodge_ori_matches_the_apply_reference():
+    """hodge_ori reads r, chi and chi_om off row 0 of the matrix; on words
+    of one to four FM actions, with t = 2, 3, 5, it agrees with the
+    apply-based reference, and both the r = 0 and r != 0 branches and the
+    degenerate cone test occur."""
+    import random
+    rng = random.Random(37)
+    kinds = ("tensor", "poincare", "dual", "poincare_dual", "elliptic")
+    seen = set()
+    for _ in range(300):
+        model = MukaiModel(rng.choice((2, 3, 5)))
+        phi = fm_action("dual")
+        for kind in rng.choices(kinds, k=rng.randint(1, 4)):
+            c = ((rng.randint(-3, 3), rng.randint(-3, 3), 0, 0, 0, 0)
+                 if kind == "tensor" else None)
+            phi = fm_action(kind, c).compose(phi)
+        want = _hodge_ori_by_apply(model, phi)
+        try:
+            got = hodge_ori(model, phi)
+        except DecisionDegenerate:
+            got = "degenerate"
+        assert got == want
+        seen.add((phi.matrix[0][7] == 0, want))
+    assert {r0 for r0, _ in seen} == {True, False}
+    assert {w for _, w in seen} == {0, 1, "degenerate"}
+
+
 def test_hodge_ori_names_a_phi_that_moves_the_symplectic_plane():
     from mukailat.isometries import Isometry, IsometryError, reflection
     model = MukaiModel(2)
