@@ -13,8 +13,7 @@ from .discriminant import (DiscriminantData, DiscMap, GlueData, disc_map,
 from .mukai import (MukaiModel, MukaiVector, MkTriple, mukai_pairing, v_perp,
                     fm_action, hodge_ori, epsilon_ori, DecisionDegenerate)
 from .monodromy import (GroupoidWord, MonodromyCertificate, eval_phi_tilde,
-                        complement, psi_restrict, certify, propdual_word,
-                        surface_lift_in_N)
+                        complement, psi_restrict, certify, propdual_word)
 from .lemsimo import (LemsimoProblem, LemsimoSolution, build_targets,
                       find_companion, solve, TargetsNotIntegral)
 

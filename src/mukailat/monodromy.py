@@ -251,12 +251,6 @@ def propdual_word(triple, p=1):
     return certify(word)
 
 
-def surface_lift_in_N(h_matrix, triple):
-    """Certificate for the extension of a determinant-1 orientation-preserving
-    degree-2 isometry by the identity in degrees 0 and 4."""
-    return certify(GroupoidWord(triple, (surface_lift(h_matrix),)))
-
-
 # minus the dual action on the rank-8 lattice: -1 in degrees 0 and 4, the
 # identity in degree 2
 MINUS_DUAL = tuple(tuple(-x if i in (0, 7) else x for x in row)

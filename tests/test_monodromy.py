@@ -16,7 +16,7 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
                                 congruence_id, inverse, eval_phi_tilde,
                                 restrict, psi_restrict, certify, propdual_word,
-                                surface_lift_in_N, minus_dual_restricted)
+                                minus_dual_restricted)
 from mukailat.isometries import (Isometry, IsometryError,
                                  identity_isometry)
 from mukailat.intmat import identity, mat_mul, transpose
@@ -169,7 +169,7 @@ def test_surface_lift_certificate_in_N():
     h = minus_reflection(U3, (1, 1, 0, 0, 0, 0)).compose(
         minus_reflection(U3, (0, 0, 1, 1, 0, 0)))
     assert h.det() == 1
-    cert = surface_lift_in_N(h.matrix, triple)
+    cert = certify(GroupoidWord(triple, (surface_lift(h.matrix),)))
     assert cert.ori == 0
     assert cert.in_N
 

@@ -161,3 +161,32 @@ def test_sampled_surface_lifts_pass_the_one_token_check():
         monodromy._token_matrix(monodromy.surface_lift(m))
     assert hashlib.sha256(json.dumps(mats[:50]).encode()).hexdigest() \
         == "c8ac48427fe1eaee7dc2431fbe12ab0da76650e9d1a30a3bdb1a7df00b9b4b3d"
+
+
+def test_sampler_streams_are_pinned():
+    """The first 200 draws of the sublattice and admissible-pair samplers,
+    byte for byte: the nikulin and lemsimo reports carry only counts, so a
+    changed stream could otherwise pass every report pin."""
+    def digest(draws):
+        return hashlib.sha256(json.dumps(draws).encode()).hexdigest()
+
+    pinned = {
+        2: "26cf5fbe3e1fc6bc5a02f1804391cc3a368430880d07fb7ef4b4628daebbeae6",
+        4: "32e5202739b76407329c9d5c72becb8fa5f5cbc19cb4e7cb6edc3d97807c0981",
+    }
+    for max_rank, want in pinned.items():
+        rng = random.Random(max_rank)
+        draws = []
+        for _ in range(200):
+            s, k = verify._random_primitive_sublattice(rng, max_rank=max_rank)
+            draws.append([s.embedding.basis, k.embedding.basis])
+        assert digest(draws) == want
+    pinned = {
+        6: "329fcd0afbfd82b9ca3ef268dc5d813bccc8541a53614428c993ffa68115cc75",
+        20: "f0f50c7d8d36e4582d74f23fbff765b8936d17fc9a3b2e2399f69d85d82423c9",
+    }
+    for coord_bound, want in pinned.items():
+        rng = random.Random(coord_bound)
+        draws = [verify.sample_admissible_pair(rng, 3 + i % 3, coord_bound)
+                 for i in range(200)]
+        assert digest(draws) == want
