@@ -98,10 +98,6 @@ def elliptic():
     return Token("elliptic")
 
 
-def congruence_id():
-    return Token("congruence")
-
-
 def inverse(token):
     return Token("inverse", (token,))
 

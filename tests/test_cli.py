@@ -447,9 +447,9 @@ def test_outputs_are_pinned(capsys, argv, digest):
 def _word_documents():
     from mukailat.mukai import MkTriple
     from mukailat.isometries import minus_reflection
-    from mukailat.monodromy import (GroupoidWord, tensor_l, poincare_dual,
-                                    inverse, poincare, surface_lift,
-                                    congruence_id)
+    from mukailat.monodromy import (GroupoidWord, Token, tensor_l,
+                                    poincare_dual, inverse, poincare,
+                                    surface_lift)
     h2 = hyperbolic_sum(3)
     lift = surface_lift(minus_reflection(h2, (1, 1, 0, 0, 0, 0)).compose(
         minus_reflection(h2, (0, 0, 1, 1, 0, 0))).matrix)
@@ -460,7 +460,7 @@ def _word_documents():
             tensor_l(h1))).to_json(),
         "mixed": GroupoidWord(MkTriple(3, 5, 3), (
             lift, tensor_l(h2), poincare_dual(), inverse(poincare()),
-            tensor_l(h2), congruence_id(), inverse(lift))).to_json(),
+            tensor_l(h2), Token("congruence"), inverse(lift))).to_json(),
     }
 
 

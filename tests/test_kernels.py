@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from mukailat import kernels
 from mukailat.kernels import (backend_name, box_squares, vectors_with_square,
-                              isotropic_vectors)
+                              isotropic_vectors, integral_reflections)
 
 
 U2_GRAM = ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
@@ -74,12 +74,20 @@ def test_isotropic_vectors_of_rank_one():
 
 
 def test_isotropic_guards_raise_on_the_call():
+    """Both slab scans guard the full n-dimensional box, not the trailing
+    block they build.  The last two inputs pass the guards of the trailing
+    block: a rank-2 radius-1500 box within the int64 headroom of one
+    coordinate, and a 7073^2 box whose trailing block has 7073 vectors."""
     big = 2 ** 40
-    with pytest.raises(OverflowError):
-        isotropic_vectors(((big, 0), (0, big)), 10 ** 7)
-    with pytest.raises(MemoryError):
-        isotropic_vectors(tuple(tuple(2 * int(i == j) for j in range(8))
-                                for i in range(8)), 50)
+    wide = tuple(tuple(2 * int(i == j) for j in range(8)) for i in range(8))
+    for gram, bound, error in ((((big, 0), (0, big)), 10 ** 7, OverflowError),
+                               (wide, 50, MemoryError),
+                               (((big, 0), (0, big)), 1500, OverflowError),
+                               (((2, 0), (0, 2)), 3536, MemoryError)):
+        with pytest.raises(error):
+            isotropic_vectors(gram, bound)
+        with pytest.raises(error):
+            next(integral_reflections(gram, bound))
 
 
 def test_overflow_guard_raises():

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -23,11 +24,10 @@ from mukailat.intmat import (mat, mat_mul, mat_vec, transpose, det, row_basis,
 from mukailat import kernels
 from mukailat.discriminant import (DiscriminantData, NotFound, glue, disc_map,
                                    extend_isometry, identity_disc_map)
-from mukailat.isometries import (Isometry, ori_char, reflection,
-                                 minus_identity, identity_isometry, reflect,
+from mukailat.isometries import (Isometry, ori_char, minus_identity,
+                                 identity_isometry, reflect,
                                  reflection_matrix)
-from mukailat.kernels import (vectors_with_square, isotropic_vectors,
-                              integral_reflections)
+from mukailat.kernels import isotropic_vectors, integral_reflections
 from mukailat.lattices import IntegerLattice, LatticeError
 import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
@@ -752,26 +752,17 @@ def _reflection_isometry(K, u, sq):
 
 
 def _reference_integral_reflections(K, radius):
-    """The former pure-Python enumeration of integral reflections, kept as a
-    reference for the box-based one."""
-    out = []
-    n = K.rank
-    for u in itertools.product(range(-radius, radius + 1), repeat=n):
-        if not any(u):
-            continue
+    """The former pure-Python enumeration of integral reflections over the
+    whole box, kept as a reference for the slab scan: (u, u.u) in
+    lexicographic box order, sorted stably into square 2, square -2 and
+    every other square."""
+    hits = []
+    for u in itertools.product(range(-radius, radius + 1), repeat=K.rank):
         sq = K.norm(u)
-        if sq == 0:
-            continue
-        gu = mat_vec(K.gram, u)
-        if any((2 * c) % sq != 0 for c in gu):
-            continue
-        cols = []
-        for j in range(n):
-            coef = 2 * gu[j] // sq
-            cols.append(tuple((1 if i == j else 0) - coef * u[i]
-                              for i in range(n)))
-        out.append(Isometry(K, K, transpose(cols)))
-    return out
+        if sq and all((2 * c) % sq == 0 for c in mat_vec(K.gram, u)):
+            hits.append((u, sq))
+    return ([h for h in hits if h[1] == 2] + [h for h in hits if h[1] == -2]
+            + [h for h in hits if abs(h[1]) != 2])
 
 
 def _solve_small_k2s(seed):
@@ -904,33 +895,106 @@ def _split_blocks():
 
 @st.composite
 def small_even_grams(draw):
-    """Symmetric, even, nondegenerate rank-4 grams with small entries."""
-    g = [[0] * 4 for _ in range(4)]
-    for i in range(4):
+    """Symmetric, even, nondegenerate grams of rank 1..4, small entries."""
+    n = draw(st.integers(1, 4))
+    g = [[0] * n for _ in range(n)]
+    for i in range(n):
         g[i][i] = 2 * draw(st.integers(-3, 3))
-        for j in range(i + 1, 4):
+        for j in range(i + 1, n):
             g[i][j] = g[j][i] = draw(st.integers(-3, 3))
     gram = mat(g)
     assume(det(gram) != 0)
     return gram
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data(), radius=st.integers(1, 3))
+def _check_integral_reflections(K, radius):
+    """The slab scan yields the reference sequence, in order, as Python
+    ints, and each (u, u.u) builds the matrix of the reflection in u."""
+    yielded = list(integral_reflections(K.gram, radius))
+    assert yielded == _reference_integral_reflections(K, radius)
+    for u, sq in yielded:
+        assert all(type(x) is int for x in (*u, sq))
+        assert reflection_matrix(u, mat_vec(K.gram, u), sq) == \
+            _reflection_isometry(K, u, sq).matrix
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), radius=st.integers(0, 3))
 def test_integral_reflections_match_reference(data, radius):
     gram = data.draw(st.one_of(small_even_grams(),
                                st.sampled_from(_split_blocks())))
-    K = IntegerLattice(gram)
-    yielded = list(integral_reflections(K.gram, radius))
-    for u, sq in yielded:
-        assert sq == K.norm(u)
-    got = [Isometry(K, K, reflection_matrix(u, mat_vec(K.gram, u), sq))
-           for u, sq in yielded]
-    ref = _reference_integral_reflections(K, radius)
-    assert sorted(r.matrix for r in got) == sorted(r.matrix for r in ref)
-    first = [reflection(K, u) for sq in (2, -2)
-             for u in vectors_with_square(K.gram, radius, sq)]
-    assert got[:len(first)] == first
+    _check_integral_reflections(IntegerLattice(gram), radius)
+
+
+def test_integral_reflections_of_rank_one_and_two():
+    """A rank-1 gram has no trailing block: its slabs are the points of
+    [-radius, radius]."""
+    for gram in (((2,),), ((-2,),), ((4,),), ((-6,),), ((2, 1), (1, -2)),
+                 ((0, 1), (1, 0)), ((2, 3), (3, 4)), ((-4, 2), (2, 6))):
+        for radius in range(5):
+            _check_integral_reflections(IntegerLattice(mat(gram)), radius)
+    assert list(integral_reflections(((2,),), 2)) == \
+        [((-1,), 2), ((1,), 2), ((-2,), 8), ((2,), 8)]
+    assert list(integral_reflections(((2, 1), (1, -2)), 0)) == []
+
+
+def test_integral_reflections_hold_one_slab(monkeypatch):
+    """A radius-10 scan of a solve-small K2 gram, the widest that solve
+    makes, reads the box one slab at a time: it builds one box, of the
+    trailing block, and its traced peak stays under 4 MB (13.3 MB when it
+    built the 21^4 box at once)."""
+    k2 = _solve_small_k2s(1)[0]
+    dims = []
+    real = kernels._box
+
+    def recording(n, bound):
+        dims.append(n)
+        return real(n, bound)
+
+    monkeypatch.setattr(kernels, "_box", recording)
+    tracemalloc.start()
+    try:
+        hits = list(integral_reflections(k2.gram, 10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits and dims == [k2.rank - 1]
+    assert peak < 4 * 2 ** 20, peak
+
+
+# pool indices of the escalated seed-1 solves
+ESCALATED = [30, 45, 79, 96, 112, 123, 127, 129, 141, 166, 216, 267, 309, 351,
+             376, 379, 403, 420, 421, 481, 482, 484, 516, 533, 560, 653, 673,
+             675, 685, 701, 714, 716, 746, 747, 753, 754, 759, 807, 809, 871,
+             895, 917, 936, 975]
+
+
+def test_escalated_solves_are_pinned(monkeypatch):
+    """The first 1,000 seed-1 solve-small pool items whose companion search
+    runs past radius 3, the radius each reaches, and g and the trace of
+    each of their answers hash to the values taken while the reflection
+    scan built the whole box at once."""
+    rounds = []
+    real = lemsimo._bfs_disc
+
+    def counting(*args):
+        rounds.append(None)
+        return real(*args)
+
+    monkeypatch.setattr(lemsimo, "_bfs_disc", counting)
+    lemsimo._target_side.cache_clear()
+    reached = {}
+    digest = hashlib.sha256()
+    for i, item in enumerate(_solve_small_problems(1, 1000)):
+        del rounds[:]
+        sol = solve(LemsimoProblem(*item))
+        if len(rounds) > 1:
+            reached[i] = (3, 6, 10)[len(rounds) - 1]
+            digest.update(repr((sol.g.matrix, sol.trace)).encode())
+    assert {i for i, r in reached.items() if r == 10} == {267, 351, 516}
+    assert sorted(reached) == ESCALATED
+    assert digest.hexdigest() == \
+        "d036153a01e6fa94d1e0c469a88b736fd04dd8c5a976add775e079ca799f6afb"
 
 
 def test_solve_raises_when_a_correction_fails_under_optimize():

@@ -14,7 +14,7 @@ from mukailat.mukai import (MkTriple, MUKAI, U3, v_perp, fm_action,
 from mukailat import monodromy
 from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 tensor_l, poincare, poincare_dual, elliptic,
-                                congruence_id, inverse, eval_phi_tilde,
+                                inverse, eval_phi_tilde,
                                 restrict, psi_restrict, certify, propdual_word,
                                 minus_dual_restricted)
 from mukailat.isometries import (Isometry, IsometryError,
@@ -32,7 +32,7 @@ def _triple():
 
 def test_token_json_roundtrip():
     toks = (tensor_l((1, 2, 0, 0, 0, 0)), poincare(), poincare_dual(),
-            elliptic(), congruence_id(), inverse(poincare()),
+            elliptic(), Token("congruence"), inverse(poincare()),
             surface_lift(tuple(tuple(int(i == j) for j in range(6))
                                for i in range(6))))
     word = GroupoidWord(_triple(), toks)
@@ -41,7 +41,7 @@ def test_token_json_roundtrip():
 
 
 def test_congruence_token_is_identity():
-    word = GroupoidWord(_triple(), (congruence_id(),))
+    word = GroupoidWord(_triple(), (Token("congruence"),))
     assert eval_phi_tilde(word).is_identity()
 
 
@@ -342,7 +342,7 @@ _BASE_TOKENS = st.one_of(
     st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(
         lambda ab: tensor_l(ab + (0,) * 4)),
     st.sampled_from((poincare(), poincare_dual(), elliptic(),
-                     congruence_id())))
+                     Token("congruence"))))
 _TOKENS = st.one_of(_BASE_TOKENS, _BASE_TOKENS.map(inverse))
 
 
@@ -413,8 +413,8 @@ def test_inverse_tokens_need_no_unimodular_inverse(monkeypatch):
 def test_eval_checks_the_composite_once(monkeypatch):
     h = (1, 2, 0, 0, 0, 0)
     word = GroupoidWord(_triple(), (
-        tensor_l(h), poincare_dual(), inverse(poincare()), congruence_id(),
-        elliptic(), inverse(tensor_l(h)), inverse(congruence_id())))
+        tensor_l(h), poincare_dual(), inverse(poincare()), Token("congruence"),
+        elliptic(), inverse(tensor_l(h)), inverse(Token("congruence"))))
     want = _stepwise_eval(word)  # builds the shared FM actions
     made = []
     init = Isometry.__init__
