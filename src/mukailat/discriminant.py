@@ -120,6 +120,13 @@ class DiscriminantData:
         n2 = self.exponent * self.exponent
         return Fraction(self.square(cls1, cls2) % n2, n2)
 
+    @cached_property
+    def minus_identity(self):
+        """The reduced images -e_i of minus the identity, built once:
+        `DiscMap.is_minus_identity` compares with them."""
+        return tuple(self.reduce(tuple(-x for x in e))
+                     for e in identity(len(self.invariants)))
+
     def to_json(self):
         qs = map(self.q, identity(len(self.invariants)))
         return {"invariants": list(self.invariants),
@@ -188,9 +195,7 @@ class DiscMap:
         return dot(c1, mat_vec(form, c2)) % ((2 if cls2 is None else 1) * n2) == 0
 
     def is_minus_identity(self):
-        return self.images == tuple(
-            self.target.reduce(tuple(-x for x in e))
-            for e in identity(len(self.source.invariants)))
+        return self.images == self.target.minus_identity
 
     def sign(self):
         """+1 / -1 if the map is plus or minus the identity, else None."""

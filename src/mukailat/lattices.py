@@ -159,11 +159,11 @@ class IntegerLattice:
 
     def is_primitive(self, sub):
         """True if the embedded sublattice equals its saturation: Z^n / B is
-        torsion-free, i.e. every invariant factor of the embedding basis B
-        is 1."""
+        torsion-free, i.e. every invariant factor of the embedding basis B,
+        read off the cached `basis_smith`, is 1."""
         if sub.embedding is None or sub.embedding.ambient is not self:
             raise LatticeError("sublattice is not embedded in this lattice")
-        d, _, _ = snf(sub.embedding.basis)
+        d = sub.basis_smith[0]
         return all(d[i][i] == 1 for i in range(sub.rank))
 
     def to_ambient(self, v):
@@ -181,6 +181,47 @@ class IntegerLattice:
         return snf(self.gram)
 
     @cached_property
+    def basis_smith(self):
+        """(d, p, q) = snf(B) of the embedding basis B, p * B * q == [D | 0],
+        computed once: `is_primitive` reads D and `coordinate_rule` is read
+        off the whole form."""
+        if self.embedding is None:
+            raise LatticeError("lattice has no embedding")
+        return snf(self.embedding.basis)
+
+    @cached_property
+    def coordinate_rule(self):
+        """(W, Z, den), read off `basis_smith` (Cohen, GTM 138, 2.4): with
+        y = q^T x, an ambient vector x lies in the sublattice exactly when
+        y[r:] == 0 and d_i | y_i, and its coordinates are then
+        p^T (y_i / d_i).  Z = (q[:, r:])^T gives y[r:], den = d_r (which
+        every d_i divides) and W = p^T diag(d_r / d_i) (q[:, :r])^T, so
+        W x / den are the coordinates, and den | W x exactly when every
+        d_i | y_i, since p^T is unimodular.  For a primitive sublattice
+        den == 1 and W is p^T (q[:, :r])^T."""
+        d, p, q = self.basis_smith
+        r = self.rank
+        den = d[r - 1][r - 1]
+        qt = transpose(q)
+        scaled = tuple(tuple(den // d[i][i] * x for x in row)
+                       for i, row in enumerate(qt[:r]))
+        return mat_mul(transpose(p), scaled), qt[r:], den
+
+    def coordinates(self, cols):
+        """Coordinates, in this lattice's basis, of the ambient vectors that
+        are the columns of `cols`, as the columns of a matrix; LatticeError
+        unless every one lies in the sublattice (`coordinate_rule`)."""
+        w, z, den = self.coordinate_rule
+        if any(map(any, mat_mul(z, cols))):
+            raise LatticeError("vector is not in the sublattice")
+        c = mat_mul(w, cols)
+        if den == 1:
+            return c
+        if any(x % den for row in c for x in row):
+            raise LatticeError("vector is not in the sublattice")
+        return tuple(tuple(x // den for x in row) for row in c)
+
+    @cached_property
     def ambient_smith(self):
         """snf(B G), computed once for `orth_complement` and `glue`."""
         if self.embedding is None:
@@ -193,7 +234,9 @@ class IntegerLattice:
         (B the embedding basis, G the ambient gram), so num @ w / den are the
         coordinates of the orthogonal projection of an ambient vector w.
         den is the last invariant factor d_n, which every d_i divides, so
-        den * gram^-1 = v * diag(d_n / d_i) * u is integral."""
+        den * gram^-1 = v * diag(d_n / d_i) * u is integral.  `glue` and
+        `extend_isometry` read it; a vector of the sublattice is read back
+        by `coordinate_rule`, which needs no projection."""
         if self.embedding is None:
             raise LatticeError("lattice has no embedding")
         d, u, v = self.smith
@@ -203,16 +246,13 @@ class IntegerLattice:
         return mat_mul(mat_mul(v, scaled_u), self.embedding.basis_gram), den
 
     def from_ambient(self, w):
-        """Integer coordinates of an ambient vector in this lattice's basis;
-        LatticeError unless w lies in the sublattice.  The floor of the
-        projection maps back to w exactly when the projection is integral
-        and w is in the span, since to_ambient is injective."""
-        num, den = self.projection
+        """Integer coordinates of an ambient vector in this lattice's basis,
+        by `coordinates`; LatticeError unless w lies in the sublattice."""
+        if self.embedding is None:
+            raise LatticeError("lattice has no embedding")
         w = ints(w, "ambient vector", self.embedding.ambient.rank)
-        c = tuple(x // den for x in mat_vec(num, w))
-        if self.to_ambient(c) != w:
-            raise LatticeError("vector is not in the sublattice")
-        return c
+        return tuple(row[0] for row in self.coordinates(
+            tuple((x,) for x in w)))
 
     # --- JSON interchange ---
 

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
                      int_vector, json_object, ints)
 from .isometries import Isometry, ori_char
+from .lattices import LatticeError
 from .discriminant import DiscriminantData, characters, in_N
 from .mukai import (MkTriple, MukaiVector, MUKAI, MUKAI_GRAM, U3, fm_action,
                     v_perp, epsilon_ori, h2_lift)
@@ -184,30 +185,34 @@ def complement(k):
 
 def restrict(g, sub, sign=1):
     """sign * g restricted to a sublattice `sub` of its lattice, in the
-    basis of `sub`; WordError if it does not map `sub` into itself.  R is
-    the floor of the projection of the images sign * g * B^T, and B^T * R
-    equals them exactly when they lie in `sub`, since B^T is injective.
-    The images are formed as (B g^T)^T, with the sparse basis on the left."""
-    num, den = sub.projection
-    bt = transpose(sub.embedding.basis)
-    images = transpose(mat_mul(sub.embedding.basis, transpose(g.matrix)))
+    basis of `sub`; WordError unless g is an isometry of the lattice that
+    `sub` is embedded in (compared by gram) and maps `sub` into itself.
+    The images sign * g * B^T are formed as (B g^T)^T, with the sparse
+    basis on the left, and read back by the coordinate rule of `sub`."""
+    emb = sub.embedding
+    if emb is None or g.source != emb.ambient or g.target != emb.ambient:
+        raise WordError("%r is not an isometry of the lattice that the "
+                        "sublattice is embedded in" % (g,))
+    images = transpose(mat_mul(emb.basis, transpose(g.matrix)))
     if sign != 1:
         images = tuple(tuple(sign * x for x in row) for row in images)
-    r = tuple(tuple(x // den for x in row) for row in mat_mul(num, images))
-    if mat_mul(bt, r) != images:
-        raise WordError("restriction left the sublattice")
+    try:
+        r = sub.coordinates(images)
+    except LatticeError:
+        raise WordError("restriction left the sublattice") from None
     return Isometry(sub, sub, r)
 
 
 def psi_restrict(g, triple):
     """(ori(g), sign-twisted restriction to the complement of the Mukai
-    vector): the restriction is (-1)^ori(g) times g on the canonical
-    complement basis."""
-    v8 = triple.v.vec8()
+    vector v = m(1, 0, -k)): the restriction is (-1)^ori(g) times g on the
+    canonical complement basis."""
+    m, k = triple.m, triple.k
+    v8 = (m,) + (0,) * 6 + (-m * k,)
     if g.apply(v8) != v8:
         raise WordError("isometry does not fix the Mukai vector")
     ori = epsilon_ori(g)
-    return ori, restrict(g, complement(triple.k)[0], -1 if ori else 1)
+    return ori, restrict(g, complement(k)[0], -1 if ori else 1)
 
 
 @dataclass(frozen=True)

@@ -204,6 +204,48 @@ def test_disc_map_compose_and_inverse():
     assert identity_disc_map(data).sign() == 1
 
 
+def _former_sign(f):
+    """DiscMap.sign as it was: -e_i rebuilt and reduced on every call."""
+    units = intmat.identity(len(f.source.invariants))
+    if f.images == units:
+        return 1
+    if f.images == tuple(f.target.reduce(tuple(-x for x in e))
+                         for e in units):
+        return -1
+    return None
+
+
+# one to three invariants, with exponents 2 (where -id is id), 4, 6 and 14
+_SIGN_DATA = tuple(DiscriminantData(lat) for lat in (
+    _perp(7), rank_one(-2), direct_sum(rank_one(-4), rank_one(4)),
+    direct_sum(rank_one(2), rank_one(-2), rank_one(6)),
+    direct_sum(hyperbolic_sum(1), rank_one(-4), rank_one(-12))))
+
+
+def test_sign_matches_the_former_comprehension():
+    """sign() on random maps, and on maps whose every image is e_i or
+    -e_i, reads the kept minus-identity images as the former rebuilt ones."""
+    seen = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def check(data):
+        d = data.draw(st.sampled_from(_SIGN_DATA))
+        images = []
+        for e in intmat.identity(len(d.invariants)):
+            images.append(data.draw(st.one_of(
+                st.just(e), st.just(tuple(-x for x in e)),
+                st.tuples(*(st.integers(-n, 2 * n) for n in d.invariants)))))
+        f = DiscMap(d, d, images)
+        want = _former_sign(f)
+        assert f.sign() == want
+        assert f.sign() == want  # again, on the kept images
+        seen.add(want)
+
+    check()
+    assert seen == {1, -1, None}
+
+
 def _frac_mod(x, modulus):
     x = Fraction(x)
     return x - (x / modulus).__floor__() * modulus

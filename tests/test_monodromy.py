@@ -6,7 +6,7 @@ import random
 from functools import reduce
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mukailat import mukai
 from mukailat.mukai import (MkTriple, MUKAI, U3, v_perp, fm_action,
@@ -18,9 +18,11 @@ from mukailat.monodromy import (Token, GroupoidWord, WordError, surface_lift,
                                 restrict, psi_restrict, certify, propdual_word,
                                 minus_dual_restricted)
 from mukailat.isometries import (Isometry, IsometryError,
-                                 identity_isometry)
-from mukailat.intmat import identity, mat_mul, transpose
-from mukailat.lattices import LatticeError, hyperbolic_sum
+                                 identity_isometry, reflection)
+from mukailat import intmat, lattices
+from mukailat.intmat import identity, mat_mul, mat_vec, transpose
+from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
+                               direct_sum, rank_one)
 from mukailat.cli import main
 from mukailat.discriminant import DiscriminantData, characters
 from mukailat.verify import _random_surface_lift
@@ -123,6 +125,31 @@ def test_restrict_rejects_a_non_integral_result():
     assert restrict(identity_isometry(u3), sub).is_identity()
     assert restrict(identity_isometry(u3), sub, -1).matrix == \
         tuple(tuple(-x for x in r) for r in rows)
+
+
+def test_restrict_refuses_an_isometry_of_another_lattice():
+    """g must be an isometry of the lattice that the sublattice is embedded
+    in, compared by gram: U^2 + <2> + <-2> has the rank of U^3, and the
+    rank-8 lattice has another rank."""
+    b = direct_sum(hyperbolic_sum(2), rank_one(2), rank_one(-2))
+    line = b.saturate([(1, 1, 0, 0, 0, 0)])
+    message = "^Isometry\\(%s\\) is not an isometry of the lattice that"
+    with pytest.raises(WordError, match=message % "6x6"):
+        restrict(identity_isometry(U3), line)
+    u3_line = U3.saturate([(1, 1, 0, 0, 0, 0)])
+    with pytest.raises(WordError, match=message % "8x8"):
+        restrict(identity_isometry(MUKAI), u3_line)
+    # U^3 in the basis e, e2, e3, f, f2, f3: an isometry onto it from U^3
+    # has the right source and the wrong target
+    rows = identity(6)
+    perm = rows[0::2] + rows[1::2]
+    u3_split = IntegerLattice(mat_mul(mat_mul(perm, U3.gram),
+                                      transpose(perm)))
+    with pytest.raises(WordError, match=message % "6x6"):
+        restrict(Isometry(U3, u3_split, perm), u3_line)
+    # the same gram serves, whichever object carries it
+    assert restrict(identity_isometry(hyperbolic_sum(3)),
+                    u3_line).is_identity()
 
 
 def test_psi_restrict_requires_fixed_vector():
@@ -474,3 +501,146 @@ def test_restrict_matches_columnwise_reference(triple, data, sign):
             got = restrict(g, sub, sign)
             assert got.matrix == want
             assert got.source is got.target is sub
+
+
+def _restrict_by_projection(g, sub, sign=1):
+    """The former rule: the floor of the projection of the images
+    sign * g * B^T, which B^T maps back to the images exactly when they lie
+    in `sub` (WordError otherwise)."""
+    num, den = sub.projection
+    images = transpose(mat_mul(sub.embedding.basis, transpose(g.matrix)))
+    images = tuple(tuple(sign * x for x in row) for row in images)
+    r = tuple(tuple(x // den for x in row) for row in mat_mul(num, images))
+    if mat_mul(transpose(sub.embedding.basis), r) != images:
+        raise WordError("restriction left the sublattice")
+    return Isometry(sub, sub, r)
+
+
+def _from_ambient_by_projection(sub, w):
+    """The former rule: the floor of the projection of w, which to_ambient
+    maps back to w exactly when w lies in `sub` (LatticeError otherwise)."""
+    num, den = sub.projection
+    c = tuple(x // den for x in mat_vec(num, w))
+    if sub.to_ambient(c) != w:
+        raise LatticeError("vector is not in the sublattice")
+    return c
+
+
+def _pm2_vector(ambient, coords, sq):
+    """A vector of square sq = +-2 of U^3 or of the rank-8 lattice: the
+    first hyperbolic block (1, b), or the degree-0 and degree-4 parts
+    (1, a), is solved for from the other coordinates."""
+    if ambient is U3:
+        rest = tuple(coords[:4])
+        return (1, sq // 2 - U3.norm((0, 0) + rest) // 2) + rest
+    xi = tuple(coords[:6])
+    return (1,) + xi + ((U3.norm(xi) - sq) // 2,)
+
+
+def _random_sublattice(ambient, data):
+    """(sub, its saturation, generators of square +-2 in the saturation):
+    the saturation of one to rank - 1 generators, some of square +-2, with
+    one basis row then scaled by an index in 1..6, through span for an
+    index above 1."""
+    n = ambient.rank
+    coord = st.integers(-3, 3)
+    count = data.draw(st.integers(1, n - 1))
+    gens, pm2 = [], []
+    for _ in range(count):
+        v = data.draw(st.lists(coord, min_size=n, max_size=n))
+        if data.draw(st.booleans()):
+            v = _pm2_vector(ambient, v, data.draw(st.sampled_from((2, -2))))
+            pm2.append(tuple(v))
+        gens.append(tuple(v))
+    try:
+        sat = ambient.saturate(gens)
+    except LatticeError:
+        assume(False)  # a degenerate span
+    index = data.draw(st.integers(1, 6))
+    if index == 1:
+        return sat, sat, pm2
+    rows = list(sat.embedding.basis)
+    i = data.draw(st.integers(0, len(rows) - 1))
+    rows[i] = tuple(index * x for x in rows[i])
+    return ambient.span(rows), sat, pm2
+
+
+def test_restrict_and_from_ambient_match_the_projection_rule():
+    """The coordinate rule of `basis_smith` gives the former projection
+    rule's answers, and raises on the same inputs, for restrictions of
+    products of 1-4 reflections (in square +-2 vectors of the saturation,
+    which may preserve the sublattice, or of the ambient lattice) and for
+    ambient vectors in the sublattice, in its saturation or anywhere."""
+    outcomes = {"restrict": set(), "from_ambient": set()}
+
+    @settings(max_examples=150, deadline=None)
+    @given(ambient=st.sampled_from((U3, MUKAI)), data=st.data(),
+           sign=st.sampled_from((1, -1)))
+    def check(ambient, data, sign):
+        n = ambient.rank
+        sub, sat, pm2 = _random_sublattice(ambient, data)
+        coord = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+        g = identity_isometry(ambient)
+        for _ in range(data.draw(st.integers(1, 4))):
+            if pm2 and data.draw(st.booleans()):
+                u = data.draw(st.sampled_from(pm2))
+            else:
+                u = _pm2_vector(ambient, data.draw(coord),
+                                data.draw(st.sampled_from((2, -2))))
+            g = reflection(ambient, u).compose(g)
+        try:
+            want = _restrict_by_projection(g, sub, sign)
+        except WordError:
+            with pytest.raises(WordError):
+                restrict(g, sub, sign)
+            outcomes["restrict"].add("raised")
+        else:
+            assert restrict(g, sub, sign).matrix == want.matrix
+            outcomes["restrict"].add("restricted")
+        c = data.draw(st.lists(st.integers(-4, 4), min_size=sub.rank,
+                               max_size=sub.rank))
+        for w in (sub.to_ambient(c), sat.to_ambient(c),
+                  tuple(data.draw(coord))):
+            try:
+                want = _from_ambient_by_projection(sub, w)
+            except LatticeError:
+                with pytest.raises(LatticeError):
+                    sub.from_ambient(w)
+                outcomes["from_ambient"].add("raised")
+            else:
+                assert sub.from_ambient(w) == want
+                outcomes["from_ambient"].add("read")
+
+    check()
+    assert outcomes == {"restrict": {"raised", "restricted"},
+                        "from_ambient": {"raised", "read"}}
+
+
+def test_restrict_reads_one_coordinate_rule(monkeypatch):
+    """After one certificate at k, a second restriction to the complement
+    runs no snf and no hnf_row, and no certificate computes the complement's
+    projection; two primitivity tests of one sublattice run one snf."""
+    k = 9
+    vp = monodromy.complement(k)[0]
+    vp.__dict__.pop("projection", None)
+    cert = certify(GroupoidWord(MkTriple(1, k), _propdual_block(1, 2)))
+    span = U3.span(((2, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0)))
+    calls = {"snf": 0, "hnf_row": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapped
+
+    for name in calls:
+        fn = getattr(intmat, name)
+        for module in (intmat, lattices, monodromy, mukai):
+            if getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counting(name, fn))
+    assert restrict(cert.composite, vp, -1 if cert.ori else 1) \
+        == cert.restricted
+    assert calls == {"snf": 0, "hnf_row": 0}
+    assert "projection" not in vp.__dict__
+    assert not U3.is_primitive(span) and not U3.is_primitive(span)
+    assert calls == {"snf": 1, "hnf_row": 0}
