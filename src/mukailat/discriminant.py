@@ -272,12 +272,11 @@ def glue(S, K):
     when S is primitive: then the one Smith form u * (B_S G) * v == d,
     `S.ambient_smith`, has every invariant factor 1, and R = v[:, :r] * u is
     a right inverse of B_S G.  w_i = R (gram_S y_i) in L projects to the
-    generator y_i of A_S, and gamma(y_i) is the class of its image in K."""
-    if S.embedding is None or K.embedding is None:
-        raise LatticeError("S and K must be embedded")
-    L = S.embedding.ambient
-    if K.embedding.ambient is not L:
-        raise LatticeError("S and K must share an ambient lattice")
+    generator y_i of A_S, and gamma(y_i) is the class of its image in K.
+    LatticeError unless S and K live in equal lattices and B_S G B_K^T == 0:
+    with the rank and order checks, that forces K == S^perp."""
+    L = S.embedded().ambient
+    bk = K.embedded(L).basis
     if L.smith[0] != identity(L.rank):
         raise LatticeError("ambient lattice must be unimodular")
     r = S.rank
@@ -286,6 +285,8 @@ def glue(S, K):
         raise LatticeError("S must be primitive")
     if r + K.rank != L.rank:
         raise LatticeError("S + K must have full rank")
+    if any(map(any, mat_mul(S.embedding.basis_gram, transpose(bk)))):
+        raise LatticeError("K must be orthogonal to S")
 
     disc_s = DiscriminantData(S)
     disc_k = DiscriminantData(K)
@@ -355,8 +356,10 @@ def extend_isometry(phi, psi, glue1, glue2):
 
 def characters(g, data):
     """Determinant, orientation and discriminant characters of an isometry g
-    of a lattice with discriminant group `data`: det and disc as signs
-    ("other" when g is not +-1 on the discriminant group), ori as 0 or 1."""
+    of the lattice of `data` (IsometryError for another one): det and disc
+    as signs ("other" when g is not +-1 on A_L), ori as 0 or 1."""
+    if data.lattice != g.source:
+        raise IsometryError("discriminant data of another lattice")
     return {"det": -1 if det_char(g) else 1,
             "ori": ori_char(g),
             "disc": {1: "+id", -1: "-id", None: "other"}[

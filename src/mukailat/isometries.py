@@ -52,7 +52,7 @@ class Isometry:
 
     def compose(self, other):
         """self after other (so the result maps other.source to self.target)."""
-        if other.target.gram != self.source.gram:
+        if other.target != self.source:
             raise IsometryError("composition mismatch")
         return Isometry(other.source, self.target, mat_mul(self.matrix, other.matrix))
 
@@ -110,7 +110,7 @@ def ori_char(g):
     gp^-1 * rhs, where gp is the gram of C and rhs[i][j] = <c_i, g(c_j)>;
     gp is positive definite, so the sign of that determinant is the sign of
     det(rhs), an exact integer."""
-    if g.source.gram != g.target.gram:
+    if g.source != g.target:
         raise IsometryError("orientation character needs an endomorphism")
     cols, cg = g.source.positive_frame
     # det(rhs^T), rhs^T = C (C G g)^T: the sparse C G and C on the left

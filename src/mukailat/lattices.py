@@ -118,6 +118,15 @@ class IntegerLattice:
 
     # --- sublattice machinery (vectors in *this* lattice's coordinates) ---
 
+    def embedded(self, ambient=None):
+        """The Embedding, or LatticeError when there is none or its ambient
+        lattice is not `ambient`: lattices are equal when their grams are."""
+        if self.embedding is None:
+            raise LatticeError("lattice has no embedding")
+        if ambient is not None and self.embedding.ambient != ambient:
+            raise LatticeError("sublattice is not embedded in this lattice")
+        return self.embedding
+
     def sublattice(self, basis, label=None):
         """The sublattice whose basis vectors are the rows of `basis`, in
         this lattice's coordinates: the one constructor of an embedded
@@ -151,8 +160,7 @@ class IntegerLattice:
 
     def orth_complement(self, sub, label=None):
         """Orthogonal complement of an embedded sublattice; always primitive."""
-        if sub.embedding is None or sub.embedding.ambient is not self:
-            raise LatticeError("sublattice is not embedded in this lattice")
+        sub.embedded(self)
         # x is in the complement iff B G x == 0
         return self.sublattice(row_basis(smith_kernel(sub.ambient_smith)),
                                label=label)
@@ -161,16 +169,13 @@ class IntegerLattice:
         """True if the embedded sublattice equals its saturation: Z^n / B is
         torsion-free, i.e. every invariant factor of the embedding basis B,
         read off the cached `basis_smith`, is 1."""
-        if sub.embedding is None or sub.embedding.ambient is not self:
-            raise LatticeError("sublattice is not embedded in this lattice")
+        sub.embedded(self)
         d = sub.basis_smith[0]
         return all(d[i][i] == 1 for i in range(sub.rank))
 
     def to_ambient(self, v):
         """Coordinates of v (in this lattice's basis) inside the ambient lattice."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
-        return mat_vec(transpose(self.embedding.basis),
+        return mat_vec(transpose(self.embedded().basis),
                        ints(v, "coordinates", self.rank))
 
     @cached_property
@@ -185,9 +190,7 @@ class IntegerLattice:
         """(d, p, q) = snf(B) of the embedding basis B, p * B * q == [D | 0],
         computed once: `is_primitive` reads D and `coordinate_rule` is read
         off the whole form."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
-        return snf(self.embedding.basis)
+        return snf(self.embedded().basis)
 
     @cached_property
     def coordinate_rule(self):
@@ -224,9 +227,7 @@ class IntegerLattice:
     @cached_property
     def ambient_smith(self):
         """snf(B G), computed once for `orth_complement` and `glue`."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
-        return snf(self.embedding.basis_gram)
+        return snf(self.embedded().basis_gram)
 
     @cached_property
     def projection(self):
@@ -237,20 +238,16 @@ class IntegerLattice:
         den * gram^-1 = v * diag(d_n / d_i) * u is integral.  `glue` and
         `extend_isometry` read it; a vector of the sublattice is read back
         by `coordinate_rule`, which needs no projection."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
         d, u, v = self.smith
         den = d[-1][-1] if d else 1
         scaled_u = tuple(tuple(den // d[i][i] * x for x in row)
                          for i, row in enumerate(u))
-        return mat_mul(mat_mul(v, scaled_u), self.embedding.basis_gram), den
+        return mat_mul(mat_mul(v, scaled_u), self.embedded().basis_gram), den
 
     def from_ambient(self, w):
         """Integer coordinates of an ambient vector in this lattice's basis,
         by `coordinates`; LatticeError unless w lies in the sublattice."""
-        if self.embedding is None:
-            raise LatticeError("lattice has no embedding")
-        w = ints(w, "ambient vector", self.embedding.ambient.rank)
+        w = ints(w, "ambient vector", self.embedded().ambient.rank)
         return tuple(row[0] for row in self.coordinates(
             tuple((x,) for x in w)))
 

@@ -214,7 +214,7 @@ def h2_lift(h):
 
 def epsilon_ori(phi):
     """Orientation character of an isometry of the rank-8 lattice."""
-    if phi.source.gram != MUKAI_GRAM:
+    if phi.source != MUKAI:
         raise IsometryError("expected an isometry of the rank-8 lattice")
     return ori_char(phi)
 
@@ -226,7 +226,7 @@ def hodge_ori(model, phi):
     (the positive symplectic plane maps to itself).  Decides by building the
     degree-2 test class and checking cone membership against omega.
     """
-    if phi.source.gram != MUKAI_GRAM or phi.target.gram != MUKAI_GRAM:
+    if phi.source != MUKAI or phi.target != MUKAI:
         raise IsometryError("expected an isometry of the rank-8 lattice")
     for rho in ((0, 0, 0, 1, 1, 0, 0, 0), (0, 0, 0, 0, 0, 1, 1, 0)):
         im = phi.apply(rho)

@@ -15,7 +15,8 @@ from mukailat.intmat import (det, inv_rational, inv_unimodular, mat, mat_vec,
 from mukailat.lattices import (IntegerLattice, LatticeError, hyperbolic_sum,
                                direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
-                                 minus_identity, reflection, minus_reflection)
+                                 minus_identity, reflection, minus_reflection,
+                                 ori_char)
 from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    identity_disc_map, enum_disc_autos,
                                    count_distinct_primes, index_monodromy,
@@ -23,7 +24,9 @@ from mukailat.discriminant import (DiscriminantData, DiscMap, disc_map,
                                    NotFound, characters, in_W, in_N)
 from mukailat.kernels import vectors_with_square, integral_reflections
 from mukailat.lemsimo import AMBIENT, LemsimoProblem, solve
-from mukailat.mukai import MUKAI, MkTriple, v_perp
+from mukailat.monodromy import WordError, restrict
+from mukailat.mukai import (MUKAI, U3, MkTriple, MukaiModel, epsilon_ori,
+                            hodge_ori, v_perp)
 from mukailat.verify import _random_primitive_sublattice, sample_admissible_pair
 
 
@@ -857,3 +860,138 @@ def test_not_found_carries_bound_and_stage():
     assert nf.stage == "demo"
     assert "bound 7" in str(nf)
     assert isinstance(nf, Exception)
+
+
+def _sheared(lat):
+    """(Y, P): lat in the basis e_0, e_0 + e_1, e_2, ..., a lattice of
+    another gram P^T G P, and P, the isometry Y -> lat."""
+    p = tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(lat.rank))
+              for i in range(lat.rank))
+    return IntegerLattice(intmat.mat_mul(transpose(p),
+                                         intmat.mat_mul(lat.gram, p))), p
+
+
+def _into(x, lat):
+    """The isometry x -> lat: P for the sheared copy of lat, else the
+    identity matrix (x of lat's gram)."""
+    y, p = _sheared(lat)
+    return Isometry(x, lat, p if x == y else intmat.identity(lat.rank))
+
+
+_SQ2 = (1, 1, 0, 0, 0, 0)      # square 2 in U^3 and in U^2 + <2> + <-2>
+_V4 = (1, 2, 0, 0, 1, 0)      # square 4, glued to its complement in U^3
+_S4 = U3.saturate((_V4,))
+_K4 = U3.orth_complement(_S4)
+_GD4 = glue(_S4, _K4)
+_U3_OTHER = direct_sum(hyperbolic_sum(2), rank_one(2), rank_one(-2))
+_MUKAI_OTHER = direct_sum(hyperbolic_sum(3), rank_one(2), rank_one(-2))
+
+# reader: (the lattice it must be handed, a lattice of its rank with
+# another gram, reader(x) run on x in the place of that lattice, the error
+# of a refusal).  An isometry joins isometric lattices only, so ori_char
+# and hodge_ori take a sheared basis as their other gram.
+_LATTICE_READERS = {
+    "orth_complement": (U3, _U3_OTHER, LatticeError,
+                        lambda x: U3.orth_complement(x.span((_SQ2,)))),
+    "is_primitive": (U3, _U3_OTHER, LatticeError,
+                     lambda x: U3.is_primitive(x.span((_SQ2,)))),
+    "glue": (U3, _U3_OTHER, LatticeError,
+             lambda x: glue(_S4, x.orth_complement(x.saturate((_V4,))))),
+    "extend_isometry": (_S4, rank_one(-4), IsometryError,
+                        lambda x: extend_isometry(identity_isometry(x),
+                                                  identity_isometry(_K4),
+                                                  _GD4, _GD4)),
+    "restrict": (U3, _U3_OTHER, WordError,
+                 lambda x: restrict(identity_isometry(x), U3.span((_SQ2,)))),
+    "Isometry.compose": (U3, _U3_OTHER, IsometryError,
+                         lambda x: identity_isometry(U3).compose(
+                             identity_isometry(x))),
+    "ori_char": (U3, _sheared(U3)[0], IsometryError,
+                 lambda x: ori_char(_into(x, U3))),
+    "epsilon_ori": (MUKAI, _MUKAI_OTHER, IsometryError,
+                    lambda x: epsilon_ori(identity_isometry(x))),
+    "hodge_ori source": (MUKAI, _sheared(MUKAI)[0], IsometryError,
+                         lambda x: hodge_ori(MukaiModel(2),
+                                             _into(x, MUKAI))),
+    "hodge_ori target": (MUKAI, _sheared(MUKAI)[0], IsometryError,
+                         lambda x: hodge_ori(MukaiModel(2),
+                                             _into(x, MUKAI).inverse())),
+    "characters": (U3, _U3_OTHER, IsometryError,
+                   lambda x: characters(reflection(U3, (1, -1, 0, 0, 0, 0)),
+                                        DiscriminantData(x))),
+}
+
+
+@pytest.mark.parametrize("column", ("same", "copy", "json", "other"))
+@pytest.mark.parametrize("reader", sorted(_LATTICE_READERS))
+def test_one_rule_for_which_lattice_a_value_belongs_to(reader, column):
+    """Every reader that asks which lattice it was handed compares lattices
+    by gram (IntegerLattice.__eq__): the lattice itself, a copy of its gram
+    and a JSON round trip are accepted, a lattice of its rank with another
+    gram is refused."""
+    lat, other, error, read = _LATTICE_READERS[reader]
+    x = {"same": lat, "copy": IntegerLattice(lat.gram),
+         "json": IntegerLattice.from_json(lat.to_json()),
+         "other": other}[column]
+    assert x.rank == lat.rank and (x == lat) == (column != "other")
+    if column == "other":
+        with pytest.raises(error):
+            read(x)
+    else:
+        read(x)
+
+
+def test_a_same_gram_ambient_is_accepted():
+    """A sublattice of a copy of U^3, or one read back from JSON, is a
+    sublattice of U^3: the ambient lattice is compared by gram, not by
+    identity."""
+    span = hyperbolic_sum(3).span((_SQ2,))
+    assert U3.is_primitive(span)
+    assert (U3.orth_complement(span).embedding
+            == U3.orth_complement(U3.span((_SQ2,))).embedding)
+    s, k = (IntegerLattice.from_json(x.to_json()) for x in (_S4, _K4))
+    assert s.embedding.ambient is not k.embedding.ambient
+    assert glue(s, k).gamma.images == _GD4.gamma.images == ((3,),)
+
+
+def test_characters_refuses_another_lattices_data():
+    """characters(g, data) reads data of g's own lattice only: the
+    discriminant data of <2> + <-2> + <-4>, of the rank of U + <-4>, is
+    refused for a reflection of U + <-4>."""
+    l1 = direct_sum(hyperbolic_sum(1), rank_one(-4))
+    g = reflection(l1, (1, 1, 1))
+    assert characters(g, DiscriminantData(l1))["disc"] == "+id"
+    l2 = direct_sum(rank_one(2), rank_one(-2), rank_one(-4))
+    with pytest.raises(IsometryError, match="another lattice"):
+        characters(g, DiscriminantData(l2))
+
+
+def test_glue_refuses_a_complement_that_is_not_orthogonal():
+    """glue(S, K) needs K orthogonal to S: B_S G B_K^T == 0.  A K of the
+    right rank and discriminant order that is not S^perp is refused, and
+    over random draws (K the complement of S itself or of another T of its
+    rank) every K that glue accepts is S^perp, whose identity pair
+    extends."""
+    s = U3.saturate(((2, -1, 3, 0, 3, 2),))
+    k = U3.orth_complement(U3.saturate(((2, 1, -1, -2, 3, 0),)))
+    assert DiscriminantData(s).order == DiscriminantData(k).order
+    with pytest.raises(LatticeError, match="orthogonal"):
+        glue(s, k)
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(600):
+        gens = [[tuple(rng.randint(-3, 3) for _ in range(6))
+                 for _ in range(rng.randint(1, 2))] for _ in range(2)]
+        try:
+            s = U3.saturate(gens[0])
+            t = s if rng.random() < 0.5 else U3.saturate(gens[1])
+            k = U3.orth_complement(t)
+            gd = glue(s, k)
+        except LatticeError as e:
+            outcomes.add(str(e))
+            continue
+        assert k.embedding == U3.orth_complement(s).embedding
+        assert extend_isometry(identity_isometry(s), identity_isometry(k),
+                               gd, gd).is_identity()
+        outcomes.add("glued")
+    assert {"glued", "K must be orthogonal to S"} <= outcomes

@@ -383,3 +383,27 @@ def test_signature_and_positive_frame_share_one_orthogonal_basis(monkeypatch):
     # a gram passed directly still gets its own basis
     assert intmat.signature(lat.gram) == (3, 4)
     assert len(calls) == 2
+
+
+def test_embedded_is_the_one_test_of_where_a_sublattice_lives():
+    """`embedded(ambient)` returns the Embedding of a sublattice of a
+    lattice equal to `ambient` (by gram), and every reader of the embedding
+    refuses a lattice that has none, through it."""
+    u3 = hyperbolic_sum(3)
+    sub = u3.span(((1, 1, 0, 0, 0, 0),))
+    for amb in (None, u3, hyperbolic_sum(3),
+                IntegerLattice.from_json(u3.to_json())):
+        assert sub.embedded(amb) is sub.embedding
+    other = direct_sum(hyperbolic_sum(2), rank_one(2), rank_one(-2))
+    with pytest.raises(LatticeError, match="not embedded in this lattice"):
+        sub.embedded(other)
+    with pytest.raises(LatticeError, match="not embedded in this lattice"):
+        other.orth_complement(sub)
+    for read in (u3.embedded, lambda: u3.to_ambient((1,) * 6),
+                 lambda: u3.from_ambient((1,) * 6),
+                 lambda: u3.basis_smith, lambda: u3.ambient_smith,
+                 lambda: u3.projection, lambda: u3.coordinate_rule,
+                 lambda: u3.is_primitive(u3),
+                 lambda: u3.orth_complement(u3)):
+        with pytest.raises(LatticeError, match="has no embedding"):
+            read()

@@ -66,3 +66,22 @@ def test_only_intmat_and_discriminant_import_fractions():
     assert _hits(SRC.glob("*.py"),
                  lambda p, n: p.name not in ("intmat.py", "discriminant.py")
                  and _imports(n, "fractions")) == []
+
+
+def test_one_rule_for_which_lattice():
+    """Lattices are the same when IntegerLattice.__eq__ says so (their grams
+    are equal): outside lattices.py no comparison reads a `.gram`, and none
+    tests an `.ambient` by identity."""
+    def reads(sides, attr):
+        return any(isinstance(s, ast.Attribute) and s.attr == attr
+                   for s in sides)
+
+    def offends(p, n):
+        if not isinstance(n, ast.Compare):
+            return False
+        sides = [n.left, *n.comparators]
+        return (p.name != "lattices.py" and reads(sides, "gram")
+                or any(isinstance(op, (ast.Is, ast.IsNot)) for op in n.ops)
+                and reads(sides, "ambient"))
+
+    assert _hits(SRC.glob("*.py"), offends) == []
