@@ -231,9 +231,9 @@ def enum_disc_autos(k):
     U^3 + <-2k> that preserve its quadratic form.  The congruence alone
     decides: a^2 = 1 mod 4 forces a odd, and a prime dividing both a and k
     would divide a^2 - (a^2 - 1) = 1, so only the odd a in 1..2k-1 are
-    scanned and no gcd is taken.
+    scanned and no gcd is taken.  intmat.ints reads k.
     """
-    if not 1 <= k <= MAX_K:
+    if not 1 <= ints((k,), "k")[0] <= MAX_K:
         raise ValueError("k must be in 1..%d, got %d" % (MAX_K, k))
     m = 4 * k
     return [a for a in range(1, 2 * k, 2) if a * a % m == 1]

@@ -311,27 +311,19 @@ def inv_unimodular(a):
 
 
 def inv_rational(a):
-    """Exact inverse over Q (entries are Fractions)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        p = m[c][c]
-        m[c] = [x / p for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return mat(row[n:] for row in m)
+    """Exact inverse over Q (entries are Fractions), whose column j solves
+    a*x = e_j; ValueError unless a is square and nonsingular."""
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix is not square")
+    return transpose([solve_rational(a, e) for e in identity(len(a))])
 
 
 def solve_rational(a, b):
-    """Solve a*x = b exactly over Q; b is a vector.  Raises on inconsistency."""
+    """Solve a*x = b exactly over Q; ValueError unless b has one entry per
+    row of a, or if the system is inconsistent."""
     rows = len(a)
+    if len(b) != rows:
+        raise ValueError("b must have %d entries, got %d" % (rows, len(b)))
     cols = len(a[0]) if rows else 0
     m = [[Fraction(x) for x in row] + [Fraction(bb)] for row, bb in zip(a, b)]
     pivots = []

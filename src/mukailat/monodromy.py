@@ -13,7 +13,7 @@ built once per k and serve every m and t.
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .intmat import (mat, mat_mul, transpose, identity, int_matrix,
+from .intmat import (mat_mul, transpose, identity, int_mat, int_matrix,
                      int_vector, json_object, ints)
 from .isometries import Isometry, ori_char
 from .lattices import LatticeError
@@ -35,7 +35,8 @@ NULLARY_KINDS = ("poincare", "poincare_dual", "elliptic", "congruence")
 class Token:
     """One elementary equivalence; WordError for an unknown kind, a kind
     without one parameter (none if nullary), an inverse of a non-token or a
-    surface lift that is not 6 x 6; intmat.ints reads a tensor class."""
+    surface lift that is not 6 x 6.  It keeps the tuples its checks read:
+    intmat.ints of a tensor class, intmat.int_mat of a surface lift."""
     kind: str
     params: tuple = ()
 
@@ -46,14 +47,17 @@ class Token:
         if len(self.params) != unary:
             raise WordError("%s token takes %d parameters, got %r"
                             % (self.kind, unary, self.params))
+        params = tuple(self.params)
         if self.kind == "surface_lift":
-            m = self.params[0]
+            m = params[0]
             if len(m) != 6 or any(len(row) != 6 for row in m):
                 raise WordError("surface lift matrix must be 6 x 6")
+            params = (int_mat(m),)
         elif self.kind == "tensor":
-            ints(self.params[0], "tensor class", U3.rank)
-        elif self.kind == "inverse" and not isinstance(self.params[0], Token):
+            params = (ints(params[0], "tensor class", U3.rank),)
+        elif self.kind == "inverse" and not isinstance(params[0], Token):
             raise WordError("an inverse wraps a token")
+        object.__setattr__(self, "params", params)
 
     def to_json(self):
         if self.kind == "surface_lift":
@@ -80,11 +84,11 @@ class Token:
 
 
 def surface_lift(matrix):
-    return Token("surface_lift", (mat(matrix),))
+    return Token("surface_lift", (matrix,))
 
 
 def tensor_l(c):
-    return Token("tensor", (tuple(c),))
+    return Token("tensor", (c,))
 
 
 def poincare():
@@ -150,6 +154,9 @@ _nullary_inverse = lru_cache(maxsize=len(NULLARY_KINDS))(_gram_adjoint)
 class GroupoidWord:
     triple: MkTriple
     tokens: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "tokens", tuple(self.tokens))
 
     def to_json(self):
         return {"triple": self.triple.to_json(),

@@ -180,6 +180,15 @@ def test_enum_disc_autos_matches_the_gcd_scan():
                         if (a * a - 1) % (4 * k) == 0]
 
 
+@pytest.mark.parametrize("read", [enum_disc_autos, index_monodromy])
+@pytest.mark.parametrize("k", [True, 3.0])
+def test_k_is_read_as_an_integer(read, k):
+    """intmat.ints reads k: True was read as 1 and 3.0 ended in Python's
+    "'float' object cannot be interpreted as an integer"."""
+    with pytest.raises(TypeError, match="k must be integers"):
+        read(k)
+
+
 def test_index_formula_matches_prime_count():
     for k in range(1, 60):
         assert index_monodromy(k) == 2 ** count_distinct_primes(k)

@@ -138,6 +138,44 @@ def test_solve_rational_inconsistent_raises():
         solve_rational(((1, 1), (1, 1)), (0, 1))
 
 
+@pytest.mark.parametrize("a, message", [
+    (((1, 0, 0), (0, 1, 0)), "not square"),      # 2 x 3
+    (((1, 0), (0, 1), (0, 0)), "not square"),    # 3 x 2
+    (((1, 2), (2, 4)), None),                    # singular
+])
+def test_inv_rational_refuses_non_square_and_singular(a, message):
+    """A 2 x 3 matrix had a 2 x 3 "inverse" and a 3 x 2 one was called
+    singular; a singular one is refused from its first inconsistent
+    column."""
+    with pytest.raises(ValueError, match=message):
+        inv_rational(a)
+
+
+@pytest.mark.parametrize("b", [(1, 2, 3), (1,)])
+def test_solve_rational_refuses_a_b_of_another_length(b):
+    """b has one entry per row of a: a long b had its extra entry dropped
+    and a short one ended in an IndexError."""
+    with pytest.raises(ValueError, match="b must have 2 entries, got %d"
+                       % len(b)):
+        solve_rational(((1, 0), (0, 1)), b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+                       min_size=n, max_size=n).map(mat)))
+def test_inv_rational_is_a_right_inverse(a):
+    """a * inv_rational(a) is the identity for a nonsingular integer a of
+    rank 1..8, whose columns solve_rational reads one unit vector at a
+    time."""
+    assume(det(a) != 0)
+    inv = inv_rational(a)
+    assert all(type(x) is Fraction for row in inv for x in row)
+    product = tuple(tuple(sum(x * y for x, y in zip(row, col))
+                          for col in transpose(inv)) for row in a)
+    assert product == identity(len(a))
+
+
 def test_inv_unimodular_roundtrip():
     a = ((2, 1), (1, 1))
     assert mat_mul(a, inv_unimodular(a)) == identity(2)

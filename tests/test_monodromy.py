@@ -42,6 +42,51 @@ def test_token_json_roundtrip():
     assert back == word
 
 
+def _unit_rows():
+    return [[int(i == j) for j in range(6)] for i in range(6)]
+
+
+def test_tokens_built_from_lists_keep_tuples():
+    """A token keeps the tuples its checks read, and a word the tuple of its
+    tokens, so list-built tokens and words hash and compare equal to their
+    tuple-built twins: a list-built tensor class made hashing raise
+    TypeError."""
+    c = [1, 2, 0, 0, 0, 0]
+    pairs = ((Token("tensor", (c,)), tensor_l(tuple(c))),
+             (tensor_l(c), tensor_l(tuple(c))),
+             (Token("surface_lift", [_unit_rows()]),
+              surface_lift(identity(6))),
+             (inverse(Token("tensor", [c])), inverse(tensor_l(tuple(c)))))
+    for listed, tupled in pairs:
+        assert listed == tupled and hash(listed) == hash(tupled)
+    listed = GroupoidWord(_triple(), [p[0] for p in pairs])
+    tupled = GroupoidWord(_triple(), tuple(p[1] for p in pairs))
+    assert listed == tupled and hash(listed) == hash(tupled)
+
+
+@pytest.mark.parametrize("entry", [1.0, True])
+def test_surface_lift_refuses_non_integer_entries(entry):
+    """intmat.int_mat reads a surface lift when its token is built: a 1.0
+    entry was accepted, written to JSON as 1.0 and refused on reading."""
+    rows = _unit_rows()
+    rows[0][0] = entry
+    with pytest.raises(TypeError):
+        surface_lift(rows)
+    with pytest.raises(TypeError):
+        Token("surface_lift", (rows,))
+
+
+def test_list_built_lifts_round_trip_through_json():
+    rows = _unit_rows()
+    rows[0], rows[1] = rows[1], rows[0]
+    word = GroupoidWord(_triple(), [surface_lift(_unit_rows()),
+                                    Token("surface_lift", [rows])])
+    doc = json.loads(json.dumps(word.to_json()))
+    assert GroupoidWord.from_json(doc) == word
+    assert json.dumps(GroupoidWord.from_json(doc).to_json()) == \
+        json.dumps(word.to_json())
+
+
 def test_congruence_token_is_identity():
     word = GroupoidWord(_triple(), (Token("congruence"),))
     assert eval_phi_tilde(word).is_identity()

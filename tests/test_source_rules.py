@@ -85,3 +85,15 @@ def test_one_rule_for_which_lattice():
                 and reads(sides, "ambient"))
 
     assert _hits(SRC.glob("*.py"), offends) == []
+
+
+def test_one_rational_elimination():
+    """solve_rational is the one function of intmat that names Fraction:
+    inv_rational solves its columns with it, so intmat spells one
+    elimination over Q."""
+    path = SRC / "intmat.py"
+    solver = next(n for n in ast.parse(path.read_text()).body
+                  if getattr(n, "name", None) == "solve_rational")
+    assert _hits([path], lambda p, n: isinstance(n, ast.Name)
+                 and n.id == "Fraction"
+                 and not solver.lineno <= n.lineno <= solver.end_lineno) == []
