@@ -240,6 +240,10 @@ def enum_disc_autos(k):
 
 
 def count_distinct_primes(k):
+    """Number of distinct primes dividing k; intmat.ints reads k, and
+    ValueError for k < 1."""
+    if ints((k,), "k")[0] < 1:
+        raise ValueError("k must be positive, got %d" % k)
     cnt = 0
     n = k
     p = 2
@@ -382,7 +386,8 @@ def in_N(chars):
 def index_monodromy(k, residues=None):
     """Index through the 2^(number of distinct primes of k) count, cross
     checked against the brute-force residue enumeration; `residues` is that
-    enumeration when the caller has it already."""
+    enumeration when the caller has it already.  k is read as
+    `count_distinct_primes` reads it, with or without `residues`."""
     if residues is None:
         residues = enum_disc_autos(k)
     expected = 2 ** count_distinct_primes(k)

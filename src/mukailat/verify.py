@@ -16,7 +16,7 @@ from .isometries import (Isometry, reflection, minus_reflection,
                          minus_identity)
 from .discriminant import (count_distinct_primes, enum_disc_autos, glue,
                            extend_isometry, ExtensionObstructed, NotFound,
-                           characters)
+                           characters, MAX_K)
 from .mukai import (MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori,
                     DecisionDegenerate, MUKAI, U3, h2_lift)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
@@ -40,8 +40,22 @@ class VerifyConfig:
     similitude_samples: int = 100
 
     def __post_init__(self):
-        MukaiModel(self.t)  # TypeError unless an int, ValueError unless >= 2
+        """TypeError unless every field is an int (intmat.ints); ValueError
+        for a negative sample count, an index_k_max outside 3..MAX_K, a
+        t below 2 (MukaiModel) or a bound that check_bound refuses."""
+        MukaiModel(self.t)
         check_bound(self.bound)
+        intmat.ints((self.seed,), "seed")
+        counts = intmat.ints((self.char_samples, self.word_samples,
+                              self.beta_samples, self.nikulin_samples,
+                              self.lemsimo_samples, self.similitude_samples),
+                             "sample counts")
+        if min(counts) < 0:
+            raise ValueError("sample counts must be >= 0, got %r" % (counts,))
+        k_max = intmat.ints((self.index_k_max,), "index_k_max")[0]
+        if not 3 <= k_max <= MAX_K:
+            raise ValueError("index_k_max must be in 3..%d, got %d"
+                             % (MAX_K, self.index_k_max))
 
     def to_json(self):
         return asdict(self)
@@ -83,20 +97,63 @@ def check_index_formula(cfg):
     return "pass", {"k_range": [3, cfg.index_k_max]}
 
 
+def _pm2_orbit(lat, data, u):
+    """(u.u, div(u), the class of u / div(u) up to sign) for u in the
+    complement: div(u) = gcd(G u), and the class is the lesser of c and -c
+    reduced, c = data.class_of(u, div(u))."""
+    div = gcd(*intmat.mat_vec(lat.gram, u))
+    cls = data.class_of(u, div)
+    return lat.norm(u), div, min(cls, data.reduce(tuple(-c for c in cls)))
+
+
+def _pm2_representatives(k):
+    """One vector of square s = +-2 per orbit class, in the complement basis
+    (e1, f1, e2, f2, e3, f3, delta), delta^2 = -2k: (1, s/2, 0, ...) of
+    div 1 and class 0 for each s, and (2, (s + 2k)/4, 0, 0, 0, 0, 1) of
+    div 2 and class k when 8 divides s + 2k (s = 2 at k = 3 mod 4, s = -2
+    at k = 1 mod 4): u/2 has q = s/4 mod 2, and its class, the one of
+    order 2, has q(k delta / 2k) = -k/2 mod 2."""
+    reps = [(1, s // 2, 0, 0, 0, 0, 0) for s in (2, -2)]
+    return tuple(reps + [(2, (s + 2 * k) // 4, 0, 0, 0, 0, 1)
+                         for s in (2, -2) if (s + 2 * k) % 8 == 0])
+
+
 def check_character_table(cfg):
+    """The characters of the minus reflection -(u.u/2) rho_u for u of square
+    +-2 in the complement: ori 0, det u.u/2, and -id on the discriminant
+    group when u.u == 2, +id when u.u == -2.
+
+    Proved once per orbit class.  For any isometry g,
+    g (+-rho_u) g^-1 = +-rho_{g(u)}; det and ori map into {+-1} and O(q_A) is
+    abelian for the cyclic A, so all three characters are class functions
+    and depend only on the orbit of u.  The complement U^3 + <-2k> contains
+    U + U, so by the Eichler criterion (Gritsenko, Hulek and Sankaran,
+    J. Algebra 322 (2009), Prop. 3.3) that orbit is decided by u.u, div(u)
+    and the class of u / div(u); div(u) divides u.u = +-2, and
+    rho_{-u} = rho_u with k = -k mod 2k, so the class is read up to sign
+    (`_pm2_orbit`).  The characters are computed on each representative of
+    `_pm2_representatives` and on the first sample, which keeps a random
+    vector with entries up to 20 in play for every k; every sample must
+    fall in a representative's class, else the check fails with reason
+    "orbit".  `tested` counts the samples classified."""
     rng = _rng(cfg, 2)
     per_k = max(1, cfg.char_samples // 8)
     tested = 0
     for k in range(3, 11):
         lat, data = complement(k)
-        for _ in range(per_k):
-            u = _sample_pm2_vector(rng, k)
+        samples = [_sample_pm2_vector(rng, k) for _ in range(per_k)]
+        reps = _pm2_representatives(k)
+        for u in reps + (samples[0],):
             half = lat.norm(u) // 2
             chars = characters(minus_reflection(lat, u), data)
             for reason, want in (("ori", 0), ("det", half),
                                  ("disc", "-id" if half == 1 else "+id")):
                 if chars[reason] != want:
                     return "fail", {"k": k, "u": u, "reason": reason}
+        classes = {_pm2_orbit(lat, data, u) for u in reps}
+        for u in samples:
+            if _pm2_orbit(lat, data, u) not in classes:
+                return "fail", {"k": k, "u": u, "reason": "orbit"}
             tested += 1
     return "pass", {"tested": tested}
 

@@ -180,12 +180,31 @@ def test_enum_disc_autos_matches_the_gcd_scan():
                         if (a * a - 1) % (4 * k) == 0]
 
 
-@pytest.mark.parametrize("read", [enum_disc_autos, index_monodromy])
+def index_with_residues(k):
+    return index_monodromy(k, [1, 5])
+
+
+K_READERS = [enum_disc_autos, index_monodromy, count_distinct_primes,
+             index_with_residues]
+
+
+@pytest.mark.parametrize("read", K_READERS)
 @pytest.mark.parametrize("k", [True, 3.0])
 def test_k_is_read_as_an_integer(read, k):
     """intmat.ints reads k: True was read as 1 and 3.0 ended in Python's
-    "'float' object cannot be interpreted as an integer"."""
+    "'float' object cannot be interpreted as an integer"; given its
+    residues, index_monodromy(3.0, [1, 5]) returned 2, and
+    count_distinct_primes(6.0) returned 2."""
     with pytest.raises(TypeError, match="k must be integers"):
+        read(k)
+
+
+@pytest.mark.parametrize("read", K_READERS)
+@pytest.mark.parametrize("k", [0, -6])
+def test_k_below_1_is_refused(read, k):
+    """count_distinct_primes(-6) returned 0, so index_monodromy(-6, [1])
+    returned 1."""
+    with pytest.raises(ValueError, match="k must be"):
         read(k)
 
 

@@ -1,14 +1,20 @@
-"""Verification-suite plumbing: config, registry, report shape."""
+"""Verification-suite plumbing (config, registry, report shape) and the
+character table's orbit classes."""
 
 import hashlib
+import itertools
 import json
 import random
+from collections import defaultdict
+from math import gcd
 
-from mukailat import isometries, monodromy, mukai, verify
+import pytest
+
+from mukailat import intmat, isometries, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
-                             check_fm_orientation, check_index_formula,
-                             check_lemsimo, check_similitude,
-                             check_vperp_structure)
+                             check_character_table, check_fm_orientation,
+                             check_index_formula, check_lemsimo,
+                             check_similitude, check_vperp_structure)
 
 
 def test_registry_names_are_unique():
@@ -23,6 +29,32 @@ def test_config_json_roundtrip_fields():
     assert set(doc) == {"seed", "bound", "t", "index_k_max", "char_samples",
                         "word_samples", "beta_samples", "nikulin_samples",
                         "lemsimo_samples", "similitude_samples"}
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("seed", 1.5, TypeError),
+    ("char_samples", -8, ValueError),
+    ("similitude_samples", True, TypeError),
+    ("nikulin_samples", 2.5, TypeError),
+    ("word_samples", "20", TypeError),
+    ("index_k_max", 2, ValueError),
+    ("index_k_max", 10 ** 6 + 1, ValueError),
+    ("index_k_max", 20.0, TypeError),
+])
+def test_config_refuses_bad_counts(field, value, error):
+    """The seed and every count are read by intmat.ints, and a count must be
+    >= 0 and index_k_max in 3..MAX_K: char_samples=-8 ran 8 samples per k,
+    similitude_samples=True one sample, seed=1.5 was accepted and
+    nikulin_samples=2.5 ended in a TypeError from `range` inside the check."""
+    with pytest.raises(error):
+        VerifyConfig(**{field: value})
+
+
+def test_config_accepts_the_edges():
+    """No samples, a negative seed, and index_k_max at 3 and at MAX_K."""
+    VerifyConfig(char_samples=0, nikulin_samples=0, seed=-1)
+    VerifyConfig(index_k_max=3)
+    VerifyConfig(index_k_max=10 ** 6)
 
 
 def test_run_suite_subset_and_shape():
@@ -164,9 +196,10 @@ def test_sampled_surface_lifts_pass_the_one_token_check():
 
 
 def test_sampler_streams_are_pinned():
-    """The first 200 draws of the sublattice and admissible-pair samplers,
-    byte for byte: the nikulin and lemsimo reports carry only counts, so a
-    changed stream could otherwise pass every report pin."""
+    """The first 200 draws of the sublattice, admissible-pair and +-2
+    samplers, byte for byte: the nikulin, lemsimo, character-table and
+    similitude reports carry only counts, so a changed stream could
+    otherwise pass every report pin."""
     def digest(draws):
         return hashlib.sha256(json.dumps(draws).encode()).hexdigest()
 
@@ -190,3 +223,98 @@ def test_sampler_streams_are_pinned():
         draws = [verify.sample_admissible_pair(rng, 3 + i % 3, coord_bound)
                  for i in range(200)]
         assert digest(draws) == want
+    # the +-2 sampler at coord_bound 20 over k = 3..10 (character-table)
+    # and at coord_bound 8 for k = 3 (similitude)
+    for coord_bound, ks, want in (
+            (20, range(3, 11),
+             "efe1a8f1aa97354d1f0575b0593765973196289faa6215fe584d852bcb2137f7"),
+            (8, (3,),
+             "785ef9add582e8ebc4425ca11fc1c28c3c932c0250f6ec5379808842e9441a23")):
+        rng = random.Random(coord_bound)
+        draws = [verify._sample_pm2_vector(rng, ks[i % len(ks)], coord_bound)
+                 for i in range(200)]
+        assert digest(draws) == want
+
+
+def _pm2_classes(k):
+    lat, data = monodromy.complement(k)
+    return lat, data, {verify._pm2_orbit(lat, data, u)
+                       for u in verify._pm2_representatives(k)}
+
+
+def test_pm2_representatives_have_their_classes():
+    """Square s, div 1 and class 0 for (1, s/2, 0, ...), and div 2 with
+    class k for the vectors (2, (s + 2k)/4, 0, 0, 0, 0, 1) that exist
+    when 8 divides s + 2k: 20 distinct classes for k = 3..10."""
+    total = 0
+    for k in range(3, 11):
+        lat, data, classes = _pm2_classes(k)
+        reps = verify._pm2_representatives(k)
+        assert len(classes) == len(reps)
+        div2 = [(s, 2, (k,)) for s in (2, -2) if (s + 2 * k) % 8 == 0]
+        assert classes == {(2, 1, (0,)), (-2, 1, (0,))} | set(div2)
+        for u in reps:
+            sq, div, _ = verify._pm2_orbit(lat, data, u)
+            assert sq == lat.norm(u) and div == (2 if u[0] == 2 else 1)
+        total += len(classes)
+    assert total == 20
+
+
+def test_pm2_orbits_on_a_box_are_the_representatives():
+    """Every vector of square +-2 (so primitive: u = m w with w even forces
+    m = 1) with U^3 coordinates in [-2, 2]^6 and delta coordinate in
+    [-3, 3], for k = 3..10: 36,296 vectors, each in a representative's
+    class, and every class reached."""
+    by_half = defaultdict(list)
+    for x in itertools.product(range(-2, 3), repeat=6):
+        by_half[x[0] * x[1] + x[2] * x[3] + x[4] * x[5]].append(x)
+    scanned = 0
+    for k in range(3, 11):
+        lat, data, classes = _pm2_classes(k)
+        reached = set()
+        for c in range(-3, 4):
+            for half in (1, -1):
+                for x in by_half[half + k * c * c]:
+                    reached.add(verify._pm2_orbit(lat, data, x + (c,)))
+                    scanned += 1
+        assert reached == classes
+    assert scanned == 36296
+
+
+def test_character_table_fails_on_an_unlisted_class(monkeypatch):
+    """Without the div-2 representative, the default seed-0 samples fall in
+    a class no representative holds (they reach div 2 at k = 3, 5, 7, 9)."""
+    real = verify._pm2_representatives
+    monkeypatch.setattr(verify, "_pm2_representatives",
+                        lambda k: real(k)[:2])
+    status, witness = check_character_table(VerifyConfig())
+    assert status == "fail" and witness["reason"] == "orbit"
+    lat = monodromy.complement(witness["k"])[0]
+    assert gcd(*intmat.mat_vec(lat.gram, witness["u"])) == 2
+
+
+def test_character_table_reads_the_div2_class(monkeypatch):
+    """A `characters` that flips disc on the minus reflection of a div-2
+    vector fails the check at k = 3 on every seed: the div-2
+    representative is evaluated in every pass, not only when a sample
+    happens to fall in its class."""
+    div = {}
+    real_reflection, real_characters = (verify.minus_reflection,
+                                        verify.characters)
+
+    def recording(lat, u):
+        div["last"] = gcd(*intmat.mat_vec(lat.gram, u))
+        return real_reflection(lat, u)
+
+    def flipped(g, data):
+        chars = real_characters(g, data)
+        if div["last"] == 2:
+            chars["disc"] = {"+id": "-id", "-id": "+id"}[chars["disc"]]
+        return chars
+
+    monkeypatch.setattr(verify, "minus_reflection", recording)
+    monkeypatch.setattr(verify, "characters", flipped)
+    for seed in range(5):
+        status, witness = check_character_table(
+            VerifyConfig(seed=seed, char_samples=100))
+        assert (status, witness["k"], witness["reason"]) == ("fail", 3, "disc")
