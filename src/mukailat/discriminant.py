@@ -361,11 +361,13 @@ def extend_isometry(phi, psi, glue1, glue2):
 def characters(g, data):
     """Determinant, orientation and discriminant characters of an isometry g
     of the lattice of `data` (IsometryError for another one): det and disc
-    as signs ("other" when g is not +-1 on A_L), ori as 0 or 1."""
+    as signs ("other" when g is not +-1 on A_L), ori as 0 or 1.  ori_char
+    runs first: it refuses a g that is not an endomorphism."""
     if data.lattice != g.source:
         raise IsometryError("discriminant data of another lattice")
+    ori = ori_char(g)
     return {"det": -1 if det_char(g) else 1,
-            "ori": ori_char(g),
+            "ori": ori,
             "disc": {1: "+id", -1: "-id", None: "other"}[
                 disc_map(g.apply, data, data).sign()]}
 

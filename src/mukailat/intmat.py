@@ -128,9 +128,12 @@ def dot(u, v):
 
 
 def det(a):
-    """Determinant of a square integer matrix (fraction-free Bareiss); a row
-    with 0 below the pivot is kept as it is when pivot == prev."""
+    """Determinant of a square integer matrix (fraction-free Bareiss),
+    ValueError for another shape; a row with 0 below the pivot is kept as it
+    is when pivot == prev."""
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
     if n == 0:
         return 1
     m = [list(r) for r in a]

@@ -96,15 +96,14 @@ def targets(beta1, beta2):
                  for beta in (beta1, beta2))
 
 
-def build_targets(problem):
-    """Target pair in the second and third hyperbolic blocks, plus the
-    isometry of rank-2 spans sending xi_i to t_i.  Each span keeps the basis
-    it is given, so the isometry is the identity matrix.  The e2 and f3
+def input_span(problem):
+    """S1, the span of the inputs with the basis (xi1, xi2): the one rule
+    for which pairs are admissible.  LatticeError when the span is
+    degenerate, TargetsNotIntegral when it is not primitive.  The e2 and f3
     coordinates of (t1, t2) form a unit minor, so a rational combination of
     the t_i is integral exactly when its coefficients are: the prescribed
     images stay in the lattice exactly when the span of the inputs is
-    primitive.  The span of the targets is read from the target side."""
-    beta1, beta2 = target_betas(problem.k, problem.l)
+    primitive."""
     if abs(problem.l) == 2 * problem.k - 2:
         raise LatticeError("span of the inputs is degenerate")
     s1 = AMBIENT.sublattice((problem.xi1, problem.xi2), label="S1")
@@ -112,6 +111,17 @@ def build_targets(problem):
         raise TargetsNotIntegral(
             "span of the inputs is not primitive; prescribed images have "
             "denominators")
+    return s1
+
+
+def build_targets(problem):
+    """Target pair in the second and third hyperbolic blocks, plus the
+    isometry of rank-2 spans sending xi_i to t_i.  Each span keeps the basis
+    it is given, so the isometry is the identity matrix.  The span of the
+    inputs is `input_span`'s, and the span of the targets is read from the
+    target side."""
+    beta1, beta2 = target_betas(problem.k, problem.l)
+    s1 = input_span(problem)
     s2 = _target_side(problem.k, problem.l, problem.bound).glue2.sub
     return beta1, beta2, Isometry(s1, s2, intmat.identity(2))
 

@@ -152,11 +152,18 @@ _nullary_inverse = lru_cache(maxsize=len(NULLARY_KINDS))(_gram_adjoint)
 
 @dataclass(frozen=True)
 class GroupoidWord:
+    """TypeError for a triple that is not an MkTriple, WordError for a token
+    that is not a Token."""
     triple: MkTriple
     tokens: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(self.tokens))
+        if not isinstance(self.triple, MkTriple):
+            raise TypeError("a word's triple must be an MkTriple")
+        tokens = tuple(self.tokens)
+        if not all(isinstance(t, Token) for t in tokens):
+            raise WordError("a word's tokens must be Tokens")
+        object.__setattr__(self, "tokens", tokens)
 
     def to_json(self):
         return {"triple": self.triple.to_json(),

@@ -11,19 +11,19 @@ from math import gcd
 
 from . import intmat
 from .lattices import LatticeError
-from .isometries import (Isometry, reflection, minus_reflection,
+from .isometries import (reflection, minus_reflection,
                          signed_reflection_matrix, identity_isometry,
                          minus_identity)
 from .discriminant import (count_distinct_primes, enum_disc_autos, glue,
                            extend_isometry, ExtensionObstructed, NotFound,
                            characters, MAX_K)
 from .mukai import (MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori,
-                    DecisionDegenerate, MUKAI, U3, h2_lift)
+                    DecisionDegenerate, MUKAI, U3)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
                         MINUS_DUAL, restrict, tensor_l, poincare,
                         poincare_dual, elliptic, surface_lift, eval_phi_tilde,
                         complement)
-from .lemsimo import LemsimoProblem, solve, check_bound, targets
+from .lemsimo import LemsimoProblem, solve, check_bound, input_span
 
 
 @dataclass(frozen=True)
@@ -158,13 +158,9 @@ def check_character_table(cfg):
     return "pass", {"tested": tested}
 
 
-def _dual_reflections():
-    """The reflections in (1, 0, 1) and (1, 0, -1), of squares -2 and 2."""
-    return tuple(reflection(MUKAI, (1,) + (0,) * 6 + (s,)) for s in (1, -1))
-
-
 def check_involution(cfg):
-    rs, rs1 = _dual_reflections()
+    # the reflections in (1, 0, 1) and (1, 0, -1), of squares -2 and 2
+    rs, rs1 = (reflection(MUKAI, (1,) + (0,) * 6 + (s,)) for s in (1, -1))
     comp = rs.compose(rs1)
     if comp.matrix != MINUS_DUAL:
         return "fail", {"reason": "matrix", "got": comp.matrix}
@@ -273,13 +269,11 @@ def check_elliptic(cfg):
 
 
 def check_propdual(cfg):
-    # the same matrix obtained from the actual reflection composite
-    comp = Isometry.compose(*_dual_reflections())
+    """minus_dual_restricted(k) restricts MINUS_DUAL, which check_involution
+    proves equal to the reflection composite."""
     for (m, k) in ((2, 3), (2, 5), (3, 4)):
         triple = MkTriple(m, k, cfg.t)
         target = minus_dual_restricted(k)
-        if restrict(comp, target.source).matrix != target.matrix:
-            return "fail", {"m": m, "k": k, "case": "reflection-vs-dual"}
         for p in (1, 2):
             cert = propdual_word(triple, p)
             if cert.restricted.matrix != target.matrix:
@@ -304,21 +298,16 @@ def _random_primitive_sublattice(rng, max_rank=2, coord_bound=10):
 
 
 def check_nikulin(cfg):
+    """glue refuses a gamma that fails to negate q on the generators or b on
+    their pairs, so on the whole group: negates reads one symmetric form.
+    extend_isometry refuses a result that does not restrict to (id, id)."""
     rng = _rng(cfg, 7)
     obstructions = 0
     for i in range(cfg.nikulin_samples):
         s, kk = _random_primitive_sublattice(rng)
         gd = glue(s, kk)
-        # glue checked the anti-isometry on generators; recheck it over the
-        # whole group when that is small enough to enumerate
-        if gd.disc_sub.order <= 100:
-            for cls in gd.disc_sub.elements():
-                if not gd.gamma.negates(cls):
-                    return "fail", {"i": i, "case": "anti-isometry"}
         id_s = identity_isometry(s)
-        ext = extend_isometry(id_s, identity_isometry(kk), gd, gd)
-        if not ext.is_identity():
-            return "fail", {"i": i, "case": "identity-roundtrip"}
+        extend_isometry(id_s, identity_isometry(kk), gd, gd)
         exponent = gd.disc_sub.invariants[-1] if gd.disc_sub.invariants else 1
         if exponent > 2:
             try:
@@ -343,40 +332,22 @@ def _sample_lemsimo_xi(rng, k, coord_bound=6):
 
 
 def sample_admissible_pair(rng, k, coord_bound=6):
-    """Admissible input pair: primitive vectors of square 2k-2 whose common
-    span is rank 2, nondegenerate, and itself primitive (the construction's
-    normal-form targets only exist in that case).  Primitive vectors other
-    than +-xi1 span rank 2, and |l| != 2k-2 makes that span nondegenerate."""
+    """Primitive vectors of square 2k-2 (k > 2), drawn until LemsimoProblem
+    and lemsimo.input_span, the one admissibility rule, accept them."""
     while True:
         xi1 = _sample_lemsimo_xi(rng, k, coord_bound)
         xi2 = _sample_lemsimo_xi(rng, k, coord_bound)
-        if xi2 == xi1 or xi2 == tuple(-c for c in xi1):
+        try:
+            input_span(LemsimoProblem(k, xi1, xi2))
+        except ValueError:
             continue
-        if abs(U3.inner(xi1, xi2)) == 2 * k - 2:  # degenerate rank-2 gram
-            continue
-        if U3.is_primitive(U3.span((xi1, xi2))):
-            return xi1, xi2
-
-
-def _conjugation_identity(g, xi1, xi2, beta1, beta2, k):
-    """Lift g to the rank-8 lattice and compare conjugated reflection
-    composites with the reflections in the images."""
-    gt = Isometry(MUKAI, MUKAI, h2_lift(g.matrix))
-    u1 = (1,) + tuple(xi1) + (k,)
-    u2 = (1,) + tuple(xi2) + (k,)
-    t1, t2 = ((1,) + t + (k,) for t in targets(beta1, beta2))
-    gt_inv = gt.inverse()
-    for u, t in ((u1, t1), (u2, t2)):
-        conj = gt.compose(reflection(MUKAI, u)).compose(gt_inv)
-        if conj.matrix != reflection(MUKAI, t).matrix:
-            return False
-    lhs = gt.compose(reflection(MUKAI, u1)).compose(reflection(MUKAI, u2)) \
-            .compose(gt_inv)
-    rhs = reflection(MUKAI, t1).compose(reflection(MUKAI, t2))
-    return lhs.matrix == rhs.matrix
+        return xi1, xi2
 
 
 def check_lemsimo(cfg):
+    """solve refuses an answer whose det, ori or images are wrong; so the
+    lift G of g conjugates rho_(1, xi_i, k) to rho_(1, t_i, k), as
+    G rho_u G^-1 = rho_G(u)."""
     if cfg.bound == 0:
         return "skipped", {"bound": 0}
     rng = _rng(cfg, 8)
@@ -386,14 +357,10 @@ def check_lemsimo(cfg):
             xi1, xi2 = sample_admissible_pair(rng, k)
             problem = LemsimoProblem(k, xi1, xi2, bound=cfg.bound)
             try:
-                sol = solve(problem)
+                solve(problem)
             except NotFound as nf:
                 return "fail", {"k": k, "xi1": xi1, "xi2": xi2,
                                 "stage": nf.stage, "bound": nf.bound}
-            # solve itself refuses a det, ori or image other than the targets
-            if not _conjugation_identity(sol.g, xi1, xi2, sol.beta1,
-                                         sol.beta2, k):
-                return "fail", {"k": k, "case": "conjugation"}
             solved += 1
     return "pass", {"solved": solved}
 

@@ -1023,3 +1023,39 @@ def test_glue_refuses_a_complement_that_is_not_orthogonal():
                                gd, gd).is_identity()
         outcomes.add("glued")
     assert {"glued", "K must be orthogonal to S"} <= outcomes
+
+
+def test_extend_isometry_refuses_a_wrong_projection():
+    """extend_isometry(id, id) reads K's cached projection.  Negated, the
+    projection gives proj_S - proj_K: non-integral when -id on A_K is not
+    id, else an isometry that does not restrict to id on K.  Either way
+    ExtensionInternalError is raised, never a non-identity returned: the
+    two restriction checks make (id, id) extend to the identity."""
+    rng = random.Random(11)
+    pairs = [_random_primitive_sublattice(rng) for _ in range(20)]
+    # A_S of exponent 2, then trivial: the negated projection stays integral
+    for gens in (((1, 1, 0, 0, 0, 0),),
+                 ((1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0))):
+        s = U3.saturate(gens)
+        pairs.append((s, U3.orth_complement(s)))
+    reasons = set()
+    for s, kk in pairs:
+        gd = glue(s, kk)
+        num, den = kk.projection
+        kk.__dict__["projection"] = (
+            tuple(tuple(-x for x in row) for row in num), den)
+        with pytest.raises(discriminant.ExtensionInternalError) as err:
+            extend_isometry(identity_isometry(s), identity_isometry(kk),
+                            gd, gd)
+        reasons.add(str(err.value))
+    assert reasons == {"rational extension has non-integral entries",
+                       "extension does not restrict to psi"}
+
+
+def test_characters_refuses_a_non_endomorphism():
+    """The embedding S -> U^3 of S with the data of S: the endomorphism
+    test of ori_char runs before det_char reads the 6 x 2 matrix."""
+    s = U3.saturate(((1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0)))
+    g = Isometry(s, U3, transpose(s.embedding.basis))
+    with pytest.raises(IsometryError, match="endomorphism"):
+        characters(g, DiscriminantData(s))

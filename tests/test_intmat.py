@@ -40,6 +40,15 @@ def test_det_known_values():
     assert det(((1, 2), (2, 4))) == 0
 
 
+def test_det_refuses_a_matrix_that_is_not_square():
+    """A wide matrix once gave the determinant of its leading square block
+    and a tall one an IndexError."""
+    for a in (((1, 2, 3), (4, 5, 6)), ((2, 0, 7),), ((1, 2), (3, 4), (5, 6)),
+              ((1,), (2,)), ((1, 2), (3,))):
+        with pytest.raises(ValueError, match="not square"):
+            det(a)
+
+
 def _fraction_det(a):
     """The determinant by Gaussian elimination over Fractions."""
     n = len(a)

@@ -1,5 +1,6 @@
 """Isometries, reflections, and the determinant / orientation characters."""
 
+import functools
 import random
 from fractions import Fraction
 
@@ -9,8 +10,12 @@ from hypothesis import assume, given, settings, strategies as st
 from mukailat import intmat, isometries
 from mukailat.intmat import det, inv_rational, mat_mul
 from mukailat.kernels import vectors_with_square
-from mukailat.lemsimo import AMBIENT
-from mukailat.mukai import MUKAI, MkTriple, v_perp
+from mukailat.lemsimo import AMBIENT, LemsimoProblem, solve
+from mukailat.monodromy import (GroupoidWord, certify, propdual_word,
+                                surface_lift)
+from mukailat.mukai import (FM_ACTIONS, MUKAI, MkTriple, fm_action, h2_lift,
+                            v_perp)
+from mukailat.verify import _random_surface_lift, sample_admissible_pair
 from mukailat.lattices import (IntegerLattice, Embedding, hyperbolic_plane,
                                hyperbolic_sum, direct_sum, rank_one)
 from mukailat.isometries import (Isometry, IsometryError, identity_isometry,
@@ -460,3 +465,39 @@ def test_embedding_gram_matches_pairwise_inner_products():
                          for _ in range(r))
             assert Embedding(lat, cols).gram == tuple(
                 tuple(lat.inner(u, v) for v in cols) for u in cols)
+
+
+def _conjugation_cases():
+    """Isometries of the rank-8 lattice: the FM actions, the composites of
+    certified words (propdual and surface-lift words) and the lifts of
+    solve answers."""
+    gs = [fm_action(kind, (1, -2, 0, 0, 0, 0) if kind == "tensor" else None)
+          for kind in FM_ACTIONS]
+    gs += [propdual_word(MkTriple(m, k), p).composite
+           for m, k, p in ((2, 3, 1), (3, 4, 2))]
+    rng = random.Random(3)
+    gs += [certify(GroupoidWord(MkTriple(1, 3), (surface_lift(
+        _random_surface_lift(rng)),))).composite]
+    problems = [LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0)),
+                LemsimoProblem(4, *sample_admissible_pair(rng, 4))]
+    gs += [Isometry(MUKAI, MUKAI, h2_lift(solve(p).g.matrix))
+           for p in problems]
+    return gs
+
+
+def test_conjugated_reflection_is_the_reflection_in_the_image():
+    """g rho_u g^-1 == rho_g(u) for every u of square +-2 in the box
+    [-1, 1]^8 of the rank-8 lattice, read up to sign since rho_-u == rho_u:
+    conjugating the reflections in the inputs (1, xi_i, k) by the lift of a
+    solve answer gives the reflections in the targets, once solve has
+    checked the images."""
+    roots = [u for sq in (2, -2)
+             for u in vectors_with_square(MUKAI.gram, 1, sq)
+             if next(x for x in u if x) > 0]
+    rho = functools.partial(isometries.signed_reflection_matrix, MUKAI,
+                            minus=False)
+    for g in _conjugation_cases():
+        g_inv = g.inverse().matrix
+        for u in roots:
+            conj = mat_mul(mat_mul(g.matrix, rho(u)), g_inv)
+            assert conj == rho(g.apply(u))

@@ -31,7 +31,7 @@ from mukailat.kernels import isotropic_vectors, integral_reflections
 from mukailat.lattices import IntegerLattice, LatticeError
 import mukailat.lemsimo as lemsimo
 from mukailat.lemsimo import (LemsimoProblem, LemsimoSolution, solve,
-                              build_targets, target_betas, targets,
+                              build_targets, input_span, target_betas, targets,
                               TargetsNotIntegral, split_off_U, iter_splits,
                               AMBIENT, F_VEC, MAX_SPLITS,
                               _reduce_gram2, _gram2_maps)
@@ -93,6 +93,22 @@ def test_non_pair_primitive_span_is_rejected():
         build_targets(prob)
     with pytest.raises(TargetsNotIntegral):
         solve(prob)
+
+
+def test_input_span_is_the_admissibility_rule():
+    """input_span refuses a degenerate span with LatticeError and one that
+    is not primitive with TargetsNotIntegral (the CI pair), and every pair
+    that sample_admissible_pair draws passes build_targets."""
+    with pytest.raises(LatticeError, match="degenerate"):
+        input_span(LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (1, 2, 1, 0, 0, 0)))
+    with pytest.raises(TargetsNotIntegral):
+        input_span(LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (3, 2, 2, -2, 0, 0)))
+    rng = random.Random(41)
+    for i in range(200):
+        k = 3 + i % 3
+        prob = LemsimoProblem(k, *sample_admissible_pair(rng, k))
+        assert input_span(prob).embedding.basis == (prob.xi1, prob.xi2)
+        build_targets(prob)
 
 
 def test_build_targets_keeps_the_given_bases(monkeypatch):

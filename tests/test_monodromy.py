@@ -64,6 +64,18 @@ def test_tokens_built_from_lists_keep_tuples():
     assert listed == tupled and hash(listed) == hash(tupled)
 
 
+def test_word_refuses_a_token_or_triple_of_another_type():
+    """A word is refused when it is built, not when it is certified: a
+    token that is not a Token ended in AttributeError on .kind, and a
+    triple that is not an MkTriple in AttributeError on .m."""
+    for tokens in (("poincare",), (poincare(), None), [{"kind": "poincare"}]):
+        with pytest.raises(WordError, match="Token"):
+            GroupoidWord(MkTriple(1, 3), tokens)
+    for triple in (None, (1, 3), {"m": 1, "k": 3}):
+        with pytest.raises(TypeError, match="MkTriple"):
+            GroupoidWord(triple, (poincare(),))
+
+
 @pytest.mark.parametrize("entry", [1.0, True])
 def test_surface_lift_refuses_non_integer_entries(entry):
     """intmat.int_mat reads a surface lift when its token is built: a 1.0

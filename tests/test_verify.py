@@ -10,7 +10,7 @@ from math import gcd
 
 import pytest
 
-from mukailat import intmat, isometries, monodromy, mukai, verify
+from mukailat import intmat, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
                              check_character_table, check_fm_orientation,
                              check_index_formula, check_lemsimo,
@@ -114,31 +114,6 @@ def test_fm_orientation_passes_reuse_one_model():
         assert check_fm_orientation(cfg)[0] == "pass"
         sizes.append(mukai._fm_action.cache_info().currsize)
     assert sizes == [sizes[0]] * 3
-
-
-def test_conjugation_identity_inverts_each_lift_once(monkeypatch):
-    """Six solves, one lifted isometry each, inverted once per lift; the
-    inversions that solve makes itself are not counted."""
-    count = {"inside": 0, "inverses": 0}
-    inv, conj = isometries.inv_unimodular, verify._conjugation_identity
-
-    def counting_inv(a):
-        if count["inside"]:
-            count["inverses"] += 1
-        return inv(a)
-
-    def counting_conj(*args):
-        count["inside"] += 1
-        try:
-            return conj(*args)
-        finally:
-            count["inside"] -= 1
-
-    monkeypatch.setattr(isometries, "inv_unimodular", counting_inv)
-    monkeypatch.setattr(verify, "_conjugation_identity", counting_conj)
-    assert check_lemsimo(VerifyConfig(lemsimo_samples=2)) \
-        == ("pass", {"solved": 6})
-    assert count["inverses"] == 6
 
 
 # the nine checks and the 1/10 sample counts of the verify-suite benchmark
