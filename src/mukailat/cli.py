@@ -164,10 +164,11 @@ def cmd_index(args):
 def cmd_verify(args):
     with reading():
         cfg = VerifyConfig(seed=args.seed, bound=args.bound, t=args.t)
-        names = set(args.only.split(",")) if args.only else None
+        names = None if args.only is None else set(args.only.split(","))
         bad = (names or set()) - {n for n, _ in CHECKS}
         if bad:
-            raise BadInput("unknown checks: %s" % ", ".join(sorted(bad)))
+            raise BadInput("unknown checks: %s"
+                           % ", ".join(map(repr, sorted(bad))))
     report = run_suite(cfg, names)
     if args.format == "text":
         for c in report["checks"]:

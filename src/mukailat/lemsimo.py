@@ -57,19 +57,15 @@ class LemsimoProblem:
 
     def __post_init__(self):
         ints((self.k,), "k")
-        for name in ("xi1", "xi2"):  # kept as tuples: xi2 is compared below
+        for name in ("xi1", "xi2"):  # kept as tuples: equal pairs compare equal
             object.__setattr__(self, name,
                                ints(getattr(self, name), name, AMBIENT.rank))
         if self.k <= 2:
             raise ValueError("k must be > 2")
         check_bound(self.bound)
         for xi in (self.xi1, self.xi2):
-            if gcd(*xi) != 1:
-                raise ValueError("input vectors must be primitive")
             if AMBIENT.norm(xi) != 2 * self.k - 2:
                 raise ValueError("input vectors must have square 2k-2")
-        if self.xi2 == self.xi1 or self.xi2 == tuple(-c for c in self.xi1):
-            raise ValueError("xi2 must differ from +-xi1 (rank-2 span needed)")
 
     @property
     def l(self):

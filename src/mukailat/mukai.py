@@ -123,8 +123,7 @@ class MkTriple:
             raise ValueError("m must be >= 1")
         if self.k <= 2:
             raise ValueError("k must be > 2")
-        if self.t < 2:
-            raise ValueError("polarization parameter t must be >= 2")
+        MukaiModel(self.t)
 
     @property
     def w(self):

@@ -14,9 +14,9 @@ from .lattices import LatticeError
 from .isometries import (reflection, minus_reflection,
                          signed_reflection_matrix, identity_isometry,
                          minus_identity)
-from .discriminant import (count_distinct_primes, enum_disc_autos, glue,
-                           extend_isometry, ExtensionObstructed, NotFound,
-                           characters, MAX_K)
+from .discriminant import (glue, extend_isometry, ExtensionObstructed,
+                           NotFound, IndexMismatch, characters,
+                           index_monodromy, MAX_K)
 from .mukai import (MukaiModel, MkTriple, fm_action, hodge_ori, epsilon_ori,
                     DecisionDegenerate, MUKAI, U3)
 from .monodromy import (GroupoidWord, propdual_word, minus_dual_restricted,
@@ -90,10 +90,10 @@ def _sample_pm2_vector(rng, k, coord_bound=20):
 
 def check_index_formula(cfg):
     for k in range(3, cfg.index_k_max + 1):
-        got = len(enum_disc_autos(k))
-        want = 2 ** count_distinct_primes(k)
-        if got != want:
-            return "fail", {"k": k, "got": got, "want": want}
+        try:
+            index_monodromy(k)
+        except IndexMismatch as exc:
+            return "fail", {"k": k, "reason": str(exc)}
     return "pass", {"k_range": [3, cfg.index_k_max]}
 
 
@@ -164,12 +164,6 @@ def check_involution(cfg):
     comp = rs.compose(rs1)
     if comp.matrix != MINUS_DUAL:
         return "fail", {"reason": "matrix", "got": comp.matrix}
-    other = rs1.compose(rs)
-    for m in (2, 3):
-        for k in (3, 4, 5):
-            v = (m, 0, 0, 0, 0, 0, 0, -m * k)
-            if other.apply(v) != tuple(-x for x in v):
-                return "fail", {"m": m, "k": k}
     return "pass", {"identity": "reflection composite is minus the dual"}
 
 
@@ -298,9 +292,11 @@ def _random_primitive_sublattice(rng, max_rank=2, coord_bound=10):
 
 
 def check_nikulin(cfg):
-    """glue refuses a gamma that fails to negate q on the generators or b on
-    their pairs, so on the whole group: negates reads one symmetric form.
-    extend_isometry refuses a result that does not restrict to (id, id)."""
+    """(id, -id) extends exactly when A_S has exponent <= 2 (Nikulin 1980,
+    Cor. 1.5.2).  glue refuses a gamma that fails to negate q on the
+    generators or b on their pairs, so on the whole group: negates reads one
+    symmetric form.  extend_isometry refuses a result that does not restrict
+    to (phi, psi)."""
     rng = _rng(cfg, 7)
     obstructions = 0
     for i in range(cfg.nikulin_samples):
@@ -309,13 +305,16 @@ def check_nikulin(cfg):
         id_s = identity_isometry(s)
         extend_isometry(id_s, identity_isometry(kk), gd, gd)
         exponent = gd.disc_sub.invariants[-1] if gd.disc_sub.invariants else 1
+        try:
+            extend_isometry(id_s, minus_identity(kk), gd, gd)
+        except ExtensionObstructed:
+            if exponent <= 2:
+                return "fail", {"i": i, "case": "extension-missed"}
+            obstructions += 1
+            continue
         if exponent > 2:
-            try:
-                extend_isometry(id_s, minus_identity(kk), gd, gd)
-                return "fail", {"i": i, "case": "obstruction-missed"}
-            except ExtensionObstructed:
-                obstructions += 1
-    if obstructions == 0:
+            return "fail", {"i": i, "case": "obstruction-missed"}
+    if cfg.nikulin_samples and obstructions == 0:
         return "fail", {"case": "no-obstruction-instances"}
     return "pass", {"samples": cfg.nikulin_samples,
                     "obstructions": obstructions}
@@ -418,7 +417,7 @@ def run_suite(cfg=None, names=None):
     cfg = cfg or VerifyConfig()
     out = []
     for name, fn in CHECKS:
-        if names and name not in names:
+        if names is not None and name not in names:
             continue
         status, witness = fn(cfg)
         out.append({"name": name, "status": status, "witness": witness})

@@ -306,7 +306,7 @@ def test_lemsimo_bad_input_exit_2(capsys):
     code, _, err = run_cli(capsys, "lemsimo", "--k", "3",
                            "--xi1", "2,2,0,0,0,0", "--xi2", "0,0,1,2,0,0")
     assert code == 2
-    assert "primitive" in err
+    assert "square" in err
     for bound in ("-1", "60"):  # 60: a box of 121^4 vectors
         assert_bad_input(capsys, "lemsimo", "--k", "3", "--xi1", "1,2,0,0,0,0",
                          "--xi2", "0,0,1,2,0,0", "--bound", bound)
@@ -369,6 +369,15 @@ EXIT_CODE_AUDIT = (
                     "--xi2", "0,0,1,9999999999999999,0,0")),
     # a triple whose model does not exist
     ("word", 2, ("{bad-t}",)),
+    # xi2 = xi1 and xi2 = -xi1 span degenerate lattices, and an imprimitive
+    # xi1 = 2 (1, 1, 0, ...) of square 8 = 2k - 2 spans one that is not
+    # primitive
+    ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
+                    "--xi2", "1,2,0,0,0,0")),
+    ("lemsimo", 1, ("--k", "3", "--xi1", "1,2,0,0,0,0",
+                    "--xi2=-1,-2,0,0,0,0")),
+    ("lemsimo", 1, ("--k", "5", "--xi1", "2,2,0,0,0,0",
+                    "--xi2", "0,0,1,4,0,0")),
 )
 
 
@@ -402,6 +411,15 @@ def test_verify_unknown_check_exit_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--only", "nope")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_empty_check_name_exit_2(capsys):
+    """An empty --only, or an empty name in it, is an unknown check, and the
+    error quotes it."""
+    for only in ("", ",", "index-formula,"):
+        code, out, err = run_cli(capsys, "verify", "--only", only)
+        assert (code, out) == (2, "")
+        assert err == "error: unknown checks: ''\n"
 
 
 def test_verify_out_of_range_arguments_exit_2(capsys):

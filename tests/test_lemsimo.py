@@ -45,18 +45,19 @@ def test_problem_validation():
     with pytest.raises(ValueError):
         LemsimoProblem(2, (1, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))
     with pytest.raises(ValueError):
-        LemsimoProblem(3, (2, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))  # imprimitive
+        LemsimoProblem(3, (2, 2, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))  # square 8
     with pytest.raises(ValueError):
         LemsimoProblem(3, (1, 3, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0))  # wrong square
-    with pytest.raises(ValueError):
-        LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0))  # same vector
+    with pytest.raises(LatticeError, match="degenerate"):  # same vector
+        input_span(LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (1, 2, 0, 0, 0, 0)))
 
 
 def test_problem_keeps_tuples():
-    """A list equal to a tuple is the same vector: the list xi1 below passed
-    the "xi2 must differ from +-xi1" check and the solve failed later."""
-    with pytest.raises(ValueError, match="must differ"):
-        LemsimoProblem(3, [1, 2, 0, 0, 0, 0], (1, 2, 0, 0, 0, 0))
+    """A list equal to a tuple is the same vector: input_span refuses a list
+    xi1 equal to the tuple xi2 as degenerate, and a list pair equals its
+    tuple pair."""
+    with pytest.raises(LatticeError, match="degenerate"):
+        input_span(LemsimoProblem(3, [1, 2, 0, 0, 0, 0], (1, 2, 0, 0, 0, 0)))
     prob = LemsimoProblem(3, [1, 2, 0, 0, 0, 0], [0, 0, 1, 2, 0, 0])
     assert prob == LemsimoProblem(**FIXTURE)
     assert type(prob.xi1) is tuple and type(prob.xi2) is tuple
@@ -98,11 +99,19 @@ def test_non_pair_primitive_span_is_rejected():
 def test_input_span_is_the_admissibility_rule():
     """input_span refuses a degenerate span with LatticeError and one that
     is not primitive with TargetsNotIntegral (the CI pair), and every pair
-    that sample_admissible_pair draws passes build_targets."""
-    with pytest.raises(LatticeError, match="degenerate"):
-        input_span(LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (1, 2, 1, 0, 0, 0)))
-    with pytest.raises(TargetsNotIntegral):
-        input_span(LemsimoProblem(3, (1, 2, 0, 0, 0, 0), (3, 2, 2, -2, 0, 0)))
+    that sample_admissible_pair draws passes build_targets.  LemsimoProblem
+    accepts xi2 = +-xi1 and an imprimitive xi of square 2k - 2, and
+    input_span refuses them: the constructor has no rule of its own."""
+    xi = (1, 2, 0, 0, 0, 0)
+    for xi2 in ((1, 2, 1, 0, 0, 0), xi, tuple(-c for c in xi)):
+        with pytest.raises(LatticeError, match="degenerate"):
+            input_span(LemsimoProblem(3, xi, xi2))
+    for xi1, xi2 in (((1, 2, 0, 0, 0, 0), (3, 2, 2, -2, 0, 0)),
+                     ((2, 2, 0, 0, 0, 0), (0, 0, 1, 4, 0, 0)),
+                     ((0, 0, 1, 4, 0, 0), (2, 2, 0, 0, 0, 0))):
+        k = (AMBIENT.norm(xi1) + 2) // 2
+        with pytest.raises(TargetsNotIntegral):
+            input_span(LemsimoProblem(k, xi1, xi2))
     rng = random.Random(41)
     for i in range(200):
         k = 3 + i % 3

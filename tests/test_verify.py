@@ -10,11 +10,12 @@ from math import gcd
 
 import pytest
 
-from mukailat import intmat, monodromy, mukai, verify
+from mukailat import discriminant, intmat, monodromy, mukai, verify
 from mukailat.verify import (VerifyConfig, CHECKS, run_suite,
                              check_character_table, check_fm_orientation,
                              check_index_formula, check_lemsimo,
-                             check_similitude, check_vperp_structure)
+                             check_nikulin, check_similitude,
+                             check_vperp_structure)
 
 
 def test_registry_names_are_unique():
@@ -68,18 +69,56 @@ def test_run_suite_subset_and_shape():
     assert report["config"] == cfg.to_json()
 
 
+def test_run_suite_runs_no_check_for_an_empty_selection():
+    """names=None runs every check; an empty set runs none."""
+    report = run_suite(VerifyConfig(), names=set())
+    assert report["checks"] == []
+
+
+def test_nikulin_check_passes_at_zero_samples():
+    """Like every other check, the nikulin suite passes with no samples:
+    it asks for an obstructed sample only once samples are drawn."""
+    assert check_nikulin(VerifyConfig(nikulin_samples=0)) \
+        == ("pass", {"samples": 0, "obstructions": 0})
+
+
+def test_nikulin_check_reports_a_missed_extension(monkeypatch):
+    """(id, -id) extends when A_S has exponent <= 2: on sat<e1+f1, e2+f2>,
+    with A_S = (Z/2)^2, an extend_isometry that obstructs it is a `fail`
+    with case "extension-missed"; on <e1+3f1>, with A_S = Z/6, it is an
+    obstruction."""
+    u3 = mukai.U3
+    subs = [u3.saturate(((1, 1, 0, 0, 0, 0), (0, 0, 1, 1, 0, 0))),
+            u3.saturate(((1, 3, 0, 0, 0, 0),))]
+    pairs = itertools.cycle([(s, u3.orth_complement(s)) for s in subs])
+    monkeypatch.setattr(verify, "_random_primitive_sublattice",
+                        lambda rng: next(pairs))
+    cfg = VerifyConfig(nikulin_samples=4)
+    assert check_nikulin(cfg) == ("pass", {"samples": 4, "obstructions": 2})
+    real = verify.extend_isometry
+
+    def obstruct_minus_id(phi, psi, glue1, glue2):
+        if psi.matrix != intmat.identity(psi.source.rank):
+            raise verify.ExtensionObstructed("(id, -id) refused")
+        return real(phi, psi, glue1, glue2)
+
+    monkeypatch.setattr(verify, "extend_isometry", obstruct_minus_id)
+    assert check_nikulin(cfg) == ("fail", {"i": 0, "case": "extension-missed"})
+
+
 def test_index_formula_check_reports_a_mismatch(monkeypatch):
     """A residue enumeration that disagrees with the prime count is a
     `fail` with its witness, not an exception."""
-    real = verify.enum_disc_autos
+    real = discriminant.enum_disc_autos
 
     def drop_one_at_12(k):
         residues = real(k)
         return residues[1:] if k == 12 else residues
 
-    monkeypatch.setattr(verify, "enum_disc_autos", drop_one_at_12)
+    monkeypatch.setattr(discriminant, "enum_disc_autos", drop_one_at_12)
     assert check_index_formula(VerifyConfig(index_k_max=20)) \
-        == ("fail", {"k": 12, "got": 3, "want": 4})
+        == ("fail", {"k": 12,
+                     "reason": "index formula mismatch at k=12: 4 vs 3"})
     assert check_index_formula(VerifyConfig(index_k_max=11)) \
         == ("pass", {"k_range": [3, 11]})
 
